@@ -479,10 +479,23 @@ def save_csv(P: MarkovChain, path: str) -> None:
     lines = [f"{CSV_HEADER_PREFIX}{P.size}"]
     for row in P.entries:
         lines.append(",".join(f"{v:.17g}" for v in row))
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write UTF-8 text to path through a temporary file that is unique per
+    writer and sits in the same directory. Mode "x" creates it exclusively,
+    as mkstemp does, but with the umask's mode rather than mkstemp's 0o600,
+    which would need the umask, and that is read only by setting it."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_csv(path: str, label: str | None = None) -> MarkovChain:

@@ -2,32 +2,25 @@
 chains, and inspect walk spectra.
 
 Exit codes: 0 all assertions hold, 1 at least one assertion failed,
-2 configuration or usage error.
+2 configuration or usage error, or a job that raised.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import save_csv
-from .config import CODE_VERSION
-from .experiments import (
-    AUDIT_DESCRIPTIONS,
-    chain_from_spec,
-    experiment_names,
-    run_experiment,
-    _SCHEMAS,
-)
+from .chains import atomic_write_text, save_csv
+from .experiments import EXPERIMENTS, chain_from_spec, check_experiment, run_experiment
 from .walks import (
     DegenerateSpectrumError,
     coined_walk,
@@ -54,29 +47,22 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        required = {"experiment", "grid"}
-        missing = required - set(raw)
+        missing = {"experiment", "grid"} - set(raw)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
-        experiment = raw["experiment"]
-        if experiment not in _SCHEMAS:
-            raise ConfigError(
-                f"unknown experiment {experiment!r}; known: {experiment_names()}"
-            )
-        grid = raw["grid"]
+        experiment, grid = raw["experiment"], raw["grid"]
         if not isinstance(grid, dict) or not all(isinstance(v, list) and v for v in grid.values()):
             raise ConfigError("grid must map each parameter to a nonempty list of values")
-        if set(grid) != _SCHEMAS[experiment]:
-            raise ConfigError(
-                f"grid keys {sorted(grid)} do not match parameters "
-                f"{sorted(_SCHEMAS[experiment])} of {experiment!r}"
-            )
+        try:
+            check_experiment(experiment, grid)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(exc.args[0]) from None
         jobs = math.prod(len(v) for v in grid.values())
         if jobs > MAX_GRID_JOBS:
             raise ConfigError(f"grid expands to {jobs} jobs, cap is {MAX_GRID_JOBS}")
-        seed = int(raw.get("seed", 0))
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 bits, got {seed}")
+        seed = raw.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
         cache = raw.get("cache", "use")
         if cache not in CACHE_MODES:
             raise ConfigError(f"cache must be one of {CACHE_MODES}, got {cache!r}")
@@ -89,19 +75,24 @@ class RunConfig:
         return [dict(zip(keys, combo)) for combo in combos]
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's module sources, read on first use: a cache
+    never returns results from older code."""
+    h = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
 def cache_key(experiment: str, params: dict, seed: int) -> str:
     payload = json.dumps(
-        {"experiment": experiment, "params": params, "seed": seed, "version": CODE_VERSION},
+        {"experiment": experiment, "params": params, "seed": seed, "source": _source_digest()},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _result_json(payload: dict) -> str:
@@ -128,12 +119,12 @@ def _run_one(config: RunConfig, params: dict) -> dict:
         "cache_key": key,
         "result": result.to_dict(),
     }
-    _atomic_write_text(path, _result_json(payload))
+    atomic_write_text(path, _result_json(payload))
     payload["cached"] = False
     return payload
 
 
-def command_run(config_path: str, jobs: int, seed, out_dir, cache) -> int:
+def command_run(config_path: str, seed, out_dir, cache) -> int:
     try:
         with open(config_path) as fh:
             raw = json.load(fh)
@@ -143,12 +134,8 @@ def command_run(config_path: str, jobs: int, seed, out_dir, cache) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if seed is not None:
-        raw["seed"] = seed
-    if out_dir is not None:
-        raw["out"] = out_dir
-    if cache is not None:
-        raw["cache"] = cache
+    overrides = {"seed": seed, "out": out_dir, "cache": cache}
+    raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         config = RunConfig.from_dict(raw)
     except ConfigError as exc:
@@ -156,37 +143,37 @@ def command_run(config_path: str, jobs: int, seed, out_dir, cache) -> int:
         return 2
     os.makedirs(config.out_dir, exist_ok=True)
     job_params = config.jobs()
-    if jobs <= 1 or len(job_params) <= 1:
-        payloads = [_run_one(config, p) for p in job_params]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one, config, p) for p in job_params]
-            payloads = [f.result() for f in futures]
-    # summary ordering follows the grid expansion, not completion order
-    failures = []
-    for payload in payloads:
+    failures, errors = [], []
+    for params in job_params:
+        try:
+            payload = _run_one(config, params)
+        except (ValueError, TypeError, KeyError) as exc:
+            message = f"{type(exc).__name__}: {exc}"
+            print(f"error: job {json.dumps(params, sort_keys=True)}: {message}", file=sys.stderr)
+            errors.append([params, message])
+            continue
         result = payload["result"]
         failing = [a for a in result["assertions"] if not a[3]]
         status = "ok" if not failing else "FAIL"
         origin = "cached" if payload.get("cached") else "computed"
         print(f"{payload['experiment']} {payload['cache_key'][:12]} {origin} {status}")
         for label, lhs, rhs, _ in failing:
-            failures.append((payload["cache_key"][:12], label, lhs, rhs))
+            failures.append([payload["cache_key"][:12], label, lhs, rhs])
     summary = {
         "experiment": config.experiment,
-        "jobs": len(payloads),
-        "failures": [list(f) for f in failures],
-        "all_hold": not failures,
+        "jobs": len(job_params),
+        "failures": failures,
+        "errors": errors,
+        "all_hold": not failures and not errors,
     }
-    _atomic_write_text(
-        os.path.join(config.out_dir, "summary.json"), _result_json(summary)
-    )
+    atomic_write_text(os.path.join(config.out_dir, "summary.json"), _result_json(summary))
     if failures:
         print(f"{len(failures)} assertion(s) failed:", file=sys.stderr)
         for key12, label, lhs, rhs in failures:
             print(f"  {key12} {label}: {lhs:.6g} <= {rhs:.6g} is false", file=sys.stderr)
-        return 1
-    return 0
+    if errors:
+        return 2
+    return 1 if failures else 0
 
 
 def command_report(result_dir: str) -> int:
@@ -204,11 +191,13 @@ def command_report(result_dir: str) -> int:
             with open(path) as fh:
                 payload = json.load(fh)
             result = payload["result"]
-            grouped.setdefault(payload["experiment"], []).append(payload)
+            _ = payload["experiment"], payload["params"], payload["cache_key"]
             _ = result["assertions"], result["measurements"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             print(f"warning: skipping corrupt result file {name}: {exc}", file=sys.stderr)
             skipped += 1
+        else:
+            grouped.setdefault(payload["experiment"], []).append(payload)
     if not grouped:
         print(f"error: no readable result files in {result_dir!r}", file=sys.stderr)
         return 2
@@ -217,7 +206,7 @@ def command_report(result_dir: str) -> int:
     for experiment in sorted(grouped):
         lines.append(f"## {experiment}")
         lines.append("")
-        lines.append(AUDIT_DESCRIPTIONS.get(experiment, ""))
+        lines.append(EXPERIMENTS[experiment].description if experiment in EXPERIMENTS else "")
         lines.append("")
         lines.append("| params | assertions | failing |")
         lines.append("|---|---|---|")
@@ -239,8 +228,8 @@ def command_report(result_dir: str) -> int:
         lines.append("")
     report_path = os.path.join(result_dir, "report.md")
     csv_path = os.path.join(result_dir, "combined.csv")
-    _atomic_write_text(report_path, "\n".join(lines))
-    _atomic_write_text(csv_path, "\n".join(csv_rows) + "\n")
+    atomic_write_text(report_path, "\n".join(lines))
+    atomic_write_text(csv_path, "\n".join(csv_rows) + "\n")
     print(f"wrote {report_path} and {csv_path}")
     return 0
 
@@ -261,31 +250,23 @@ def command_walk_spectrum(kind: str, params: str) -> int:
     try:
         if kind == "ct":
             walk = quantize_ct(chain_from_spec(params))
-            values = np.sort(walk.eigenvalues)
-            angles = None
         elif kind == "szegedy":
             walk = quantize_szegedy(chain_from_spec(params))
-            angles = np.sort(np.angle(np.linalg.eigvals(walk.unitary)))
-            values = None
         elif kind in ("hadamard_cycle", "grover_lattice"):
             walk = coined_walk(kind, *[int(p) for p in params.split(",")])
-            angles = np.sort(np.angle(np.linalg.eigvals(walk.unitary)))
-            values = None
         else:
             print(
                 "error: walk kind must be ct, szegedy, hadamard_cycle, or grover_lattice",
                 file=sys.stderr,
             )
             return 2
+        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary
+        spectrum = walk.eigenvalues if kind == "ct" else np.angle(np.linalg.eigvals(walk.unitary))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if values is not None:
-        for v in values:
-            print(f"{v:.17g}")
-    else:
-        for a in angles:
-            print(f"{a:.17g}")
+    for value in np.sort(spectrum):
+        print(f"{value:.17g}")
     try:
         gap = phase_gap(walk)
         print(f"phase_gap {gap:.17g}")
@@ -300,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment grid from a JSON config")
     run_p.add_argument("config")
-    run_p.add_argument("--jobs", type=int, default=1)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--cache", choices=CACHE_MODES, default=None)
@@ -327,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        return command_run(args.config, args.jobs, args.seed, args.out, args.cache)
+        return command_run(args.config, args.seed, args.out, args.cache)
     if args.command == "report":
         return command_report(args.dir)
     if args.command == "chain":

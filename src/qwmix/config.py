@@ -21,10 +21,6 @@ DEFAULT_CLUSTER_TOL = 1e-8
 # Truncation tail mass for infinite-support measurement rules.
 DEFAULT_TAIL_TOL = 1e-10
 
-# Embedded in cache keys so stale caches never mask code changes.
-CODE_VERSION = "qwmix-0.1.0"
-
-
 def state_cap() -> int:
     """Dense-state cap; QWMIX_STATE_CAP overrides the default."""
     raw = os.environ.get("QWMIX_STATE_CAP")

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, NoMix, _threshold_time, save_csv
+from .chains import MarkovChain, NoMix, _threshold_time, atomic_write_text, save_csv
 from .config import DEFAULT_TAIL_TOL, default_horizon
 from .walks import CTWalk, DTWalk, RuleFamilyError
 
@@ -260,9 +259,5 @@ def export_generated(G: GeneratedChain, csv_path: str) -> tuple[str, str]:
         "truncation_error": G.truncation_error,
     }
     side_path = csv_path + ".json"
-    tmp = side_path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, side_path)
+    atomic_write_text(side_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return csv_path, side_path

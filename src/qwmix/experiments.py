@@ -10,6 +10,7 @@ log-log regression slopes with at least 4 points per fit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -466,7 +467,9 @@ def hypercube_limit_audit(d_values: list[int]) -> ExperimentResult:
 
 def chain_from_spec(spec: str) -> MarkovChain:
     """Parse "kind:p1,p2" chain specs; "lazy:" prefixes add a 1/2
-    holding probability and "uniform:N" is the rank-one uniform chain."""
+    holding probability and "uniform:N" is the rank-one uniform chain.
+    A spec that is not a string is read as its str()."""
+    spec = str(spec)
     if spec.startswith("lazy:"):
         return lazy_chain(chain_from_spec(spec[len("lazy:"):]))
     kind, _, rest = spec.partition(":")
@@ -476,72 +479,83 @@ def chain_from_spec(spec: str) -> MarkovChain:
 
 
 def graph_from_spec(spec: str) -> Graph:
-    kind, _, rest = spec.partition(":")
+    kind, _, rest = str(spec).partition(":")
     if not rest:
         raise ValueError(f"graph spec {spec!r} needs parameters, e.g. 'cycle:5'")
     params = [int(p) for p in rest.split(",")]
     return build_graph(kind, params)
 
 
-def _params_int_list(value) -> list[int]:
+def _int_list(value) -> list[int]:
     return [int(v) for v in value]
 
 
-_RUNNERS = {
-    "gap_inequality_audit": lambda p: gap_inequality_audit(
-        chain_from_spec(p["chain"]), float(p["T"]), _params_int_list(p["k_values"])
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment: its runner, its JSON parameters in
+    argument order with the parser of each, and its report description."""
+
+    run: Callable[..., ExperimentResult]
+    params: dict[str, Callable]
+    description: str
+
+
+EXPERIMENTS = {
+    "gap_inequality_audit": Experiment(
+        gap_inequality_audit,
+        {"chain": chain_from_spec, "T": float, "k_values": _int_list},
+        "sandwich between averaged-rule and memoryless-rule spectral gaps",
     ),
-    "measurement_equivalence_audit": lambda p: measurement_equivalence_audit(
-        chain_from_spec(p["chain"]), float(p["T"])
+    "measurement_equivalence_audit": Experiment(
+        measurement_equivalence_audit,
+        {"chain": chain_from_spec, "T": float},
+        "equivalence of averaged and memoryless measurement mixing times",
     ),
-    "cycle_threshold_audit": lambda p: cycle_threshold_audit(int(p["n"]), str(p["walk"])),
-    "tensor_power_identity_audit": lambda p: tensor_power_identity_audit(
-        graph_from_spec(p["graph"]), int(p["d"]), [float(t) for t in p["t_values"]]
+    "cycle_threshold_audit": Experiment(
+        cycle_threshold_audit,
+        {"n": int, "walk": str},
+        "constant-round mixing of measured cycle walks inside the linear window",
     ),
-    "lattice_scaling_sweep": lambda p: lattice_scaling_sweep(
-        _params_int_list(p["n_values"]), _params_int_list(p["d_values"])
+    "tensor_power_identity_audit": Experiment(
+        tensor_power_identity_audit,
+        {"graph": graph_from_spec, "d": int, "t_values": lambda v: [float(t) for t in v]},
+        "generated chain of a graph power factorizes as a Kronecker power",
     ),
-    "grover_complete_graph_sweep": lambda p: grover_complete_graph_sweep(
-        _params_int_list(p["N_values"])
+    "lattice_scaling_sweep": Experiment(
+        lattice_scaling_sweep,
+        {"n_values": _int_list, "d_values": _int_list},
+        "classical quadratic versus measured-quantum near-linear lattice mixing cost",
     ),
-    "hypercube_limit_audit": lambda p: hypercube_limit_audit(_params_int_list(p["d_values"])),
+    "grover_complete_graph_sweep": Experiment(
+        grover_complete_graph_sweep,
+        {"N_values": _int_list},
+        "linear slowdown of the measured discrete walk on complete graphs",
+    ),
+    "hypercube_limit_audit": Experiment(
+        hypercube_limit_audit,
+        {"d_values": _int_list},
+        "nonuniform long-time hypercube limit with finite repeated mixing",
+    ),
 }
 
-_SCHEMAS = {
-    "gap_inequality_audit": {"chain", "T", "k_values"},
-    "measurement_equivalence_audit": {"chain", "T"},
-    "cycle_threshold_audit": {"n", "walk"},
-    "tensor_power_identity_audit": {"graph", "d", "t_values"},
-    "lattice_scaling_sweep": {"n_values", "d_values"},
-    "grover_complete_graph_sweep": {"N_values"},
-    "hypercube_limit_audit": {"d_values"},
-}
 
-AUDIT_DESCRIPTIONS = {
-    "gap_inequality_audit": "sandwich between averaged-rule and memoryless-rule spectral gaps",
-    "measurement_equivalence_audit": "equivalence of averaged and memoryless measurement mixing times",
-    "cycle_threshold_audit": "constant-round mixing of measured cycle walks inside the linear window",
-    "tensor_power_identity_audit": "generated chain of a graph power factorizes as a Kronecker power",
-    "lattice_scaling_sweep": "classical quadratic versus measured-quantum near-linear lattice mixing cost",
-    "grover_complete_graph_sweep": "linear slowdown of the measured discrete walk on complete graphs",
-    "hypercube_limit_audit": "nonuniform long-time hypercube limit with finite repeated mixing",
-}
+def check_experiment(name, keys) -> Experiment:
+    """The registry entry of `name` once `keys` match its parameter names;
+    KeyError for an unknown experiment, ValueError for a key mismatch."""
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {name!r}; known: {experiment_names()}")
+    entry = EXPERIMENTS[name]
+    expected = sorted(entry.params)
+    if sorted(keys) != expected:
+        raise ValueError(f"keys {sorted(keys)} do not match parameters {expected} of {name!r}")
+    return entry
 
 
 def run_experiment(name: str, params: dict) -> ExperimentResult:
     """Run a registered experiment from JSON-style parameters."""
-    if name not in _RUNNERS:
-        raise KeyError(f"unknown experiment {name!r}; known: {sorted(_RUNNERS)}")
-    keys = set(params)
-    schema = _SCHEMAS[name]
-    if keys != schema:
-        missing = schema - keys
-        extra = keys - schema
-        raise ValueError(
-            f"experiment {name!r} parameter mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    return _RUNNERS[name](params)
+    entry = check_experiment(name, params)
+    return entry.run(*(parse(params[key]) for key, parse in entry.params.items()))
 
 
 def experiment_names() -> list[str]:
-    return sorted(_RUNNERS)
+    return sorted(EXPERIMENTS)

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -25,6 +28,7 @@ from qwmix import (
     uniform_projector_chain,
     verify_inequalities,
 )
+from qwmix.chains import atomic_write_text
 from qwmix.graphs import complete, cycle, lattice, path
 
 from conftest import MIX_THRESHOLD, brute_conductance, brute_mixing_time
@@ -243,6 +247,21 @@ def test_csv_round_trip(tmp_path, small_chains):
         assert text.startswith(f"# column-stochastic N={P.size}")
         Q = load_csv(str(out))
         np.testing.assert_array_equal(P.entries, Q.entries)
+
+
+def test_atomic_write_keeps_mode_and_cleans_up(tmp_path):
+    reference = tmp_path / "reference.txt"
+    reference.write_text("x")
+    out = tmp_path / "chain.csv"
+    (tmp_path / "chain.csv.tmp").mkdir()  # in the way of a fixed temporary name
+    save_csv(uniform_projector_chain(2), str(out))
+    assert load_csv(str(out)).size == 2
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    before = out.read_text()
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(str(out), "\ud800")
+    assert out.read_text() == before
+    assert sorted(os.listdir(tmp_path)) == ["chain.csv", "chain.csv.tmp", "reference.txt"]
 
 
 def test_load_csv_rejects_bad_header(tmp_path):

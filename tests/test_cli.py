@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from qwmix import load_csv
+import qwmix.cli as cli
 from qwmix.cli import RunConfig, ConfigError, cache_key, main
-from qwmix.experiments import _SCHEMAS, ExperimentResult, make_assertion
+from qwmix.experiments import Experiment, ExperimentResult, make_assertion
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -40,13 +41,18 @@ def test_run_config_validation():
         RunConfig.from_dict({"experiment": "gap_inequality_audit"})
     with pytest.raises(ConfigError, match="do not match"):
         RunConfig.from_dict({"experiment": "gap_inequality_audit", "grid": {"T": [1]}})
-    cfg = RunConfig.from_dict(
-        {
-            "experiment": "gap_inequality_audit",
-            "grid": {"chain": ["cycle:3"], "T": [1.0, 2.0], "k_values": [[1]]},
-        }
-    )
+    raw = {
+        "experiment": "gap_inequality_audit",
+        "grid": {"chain": ["cycle:3"], "T": [1.0, 2.0], "k_values": [[1]]},
+    }
+    cfg = RunConfig.from_dict(raw)
     assert len(cfg.jobs()) == 2
+    assert cfg.seed == 0
+    # only a JSON integer is a seed: no truncation of 1.7, no bool as 1
+    for seed in ("abc", 1.7, True, -1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_dict(dict(raw, seed=seed))
+    assert RunConfig.from_dict(dict(raw, seed=2**64 - 1)).seed == 2**64 - 1
 
 
 def test_grid_job_cap():
@@ -64,6 +70,13 @@ def test_cache_key_sensitivity():
     assert cache_key("gap_inequality_audit", {"T": 2.0}, 0) != base
     assert cache_key("gap_inequality_audit", {"T": 1.0}, 1) != base
     assert cache_key("gap_inequality_audit", {"T": 1.0}, 0) == base
+
+
+def test_cache_key_follows_package_sources(monkeypatch):
+    base = cache_key("gap_inequality_audit", {"T": 1.0}, 0)
+    assert len(cli._source_digest()) == 64
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cache_key("gap_inequality_audit", {"T": 1.0}, 0) != base
 
 
 def test_run_end_to_end(tmp_path, capsys):
@@ -129,12 +142,12 @@ def test_run_failure_exits_1(tmp_path, capsys, monkeypatch):
     # a registered experiment whose assertion always fails
     import qwmix.experiments as exp
 
-    def failing_audit(params):
+    def failing_audit(x):
         bad = make_assertion("always_false", 2.0, 1.0)
-        return ExperimentResult("failing_audit", dict(params), (), (bad,))
+        return ExperimentResult("failing_audit", {"x": x}, (), (bad,))
 
-    monkeypatch.setitem(exp._RUNNERS, "failing_audit", failing_audit)
-    monkeypatch.setitem(exp._SCHEMAS, "failing_audit", {"x"})
+    entry = Experiment(failing_audit, {"x": int}, "an assertion that always fails")
+    monkeypatch.setitem(exp.EXPERIMENTS, "failing_audit", entry)
     cfg = {
         "experiment": "failing_audit",
         "grid": {"x": [1, 2]},
@@ -147,6 +160,67 @@ def test_run_failure_exits_1(tmp_path, capsys, monkeypatch):
     summary = json.loads((tmp_path / "results" / "summary.json").read_text())
     assert summary["all_hold"] is False
     assert len(summary["failures"]) == 2
+    assert summary["errors"] == []
+
+
+@pytest.mark.parametrize("bad_chain", ["path:1", [5]])
+def test_run_job_error_keeps_good_jobs(tmp_path, capsys, bad_chain):
+    results = tmp_path / "results"
+    cfg = {
+        "experiment": "gap_inequality_audit",
+        "grid": {"chain": ["cycle:5", bad_chain], "T": [2.0], "k_values": [[1, 2]]},
+        "out": str(results),
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path]) == 2
+    captured = capsys.readouterr()
+    assert "ValueError" in captured.err
+    assert captured.out.count("computed ok") == 1
+    payloads = [json.loads(f.read_text()) for f in results.glob("gap_inequality_audit-*.json")]
+    assert [p["params"]["chain"] for p in payloads] == ["cycle:5"]
+    summary = json.loads((results / "summary.json").read_text())
+    assert summary["jobs"] == 2
+    assert summary["all_hold"] is False
+    assert summary["failures"] == []
+    [(params, message)] = summary["errors"]
+    assert params["chain"] == bad_chain
+    assert message.startswith("ValueError: ")
+    # the failed job wrote nothing, so it is computed again and fails again
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().out.count("cached ok") == 1
+
+
+def test_run_assertion_failure_and_job_error_exit_2(tmp_path, monkeypatch):
+    import qwmix.experiments as exp
+
+    def audit(x):
+        if x == 0:
+            raise ValueError("x must be nonzero")
+        return ExperimentResult("mixed_audit", {"x": x}, (), (make_assertion("never", 2.0, 1.0),))
+
+    monkeypatch.setitem(exp.EXPERIMENTS, "mixed_audit", Experiment(audit, {"x": int}, "mixed"))
+    cfg = {"experiment": "mixed_audit", "grid": {"x": [0, 1]}, "out": str(tmp_path / "results")}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    summary = json.loads((tmp_path / "results" / "summary.json").read_text())
+    assert len(summary["failures"]) == 1
+    assert summary["errors"] == [[{"x": 0}, "ValueError: x must be nonzero"]]
+
+
+def test_run_writes_through_unique_temporary_files(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    cfg = dict(GAP_CONFIG, out=str(results))
+    params = RunConfig.from_dict(cfg).jobs()[0]
+    result = results / f"gap_inequality_audit-{cache_key('gap_inequality_audit', params, 11)[:12]}.json"
+    # directories in the way of a fixed "<name>.tmp" temporary file
+    blockers = sorted([result.name + ".tmp", "summary.json.tmp"])
+    for name in blockers:
+        (results / name).mkdir()
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    assert result.is_file()
+    names = os.listdir(results)
+    assert len(names) == 4 + 1 + len(blockers)
+    assert sorted(n for n in names if not n.endswith(".json")) == blockers
 
 
 def test_report_handles_corrupt_files(tmp_path, capsys):
@@ -163,6 +237,23 @@ def test_report_handles_corrupt_files(tmp_path, capsys):
     csv_text = (tmp_path / "results" / "combined.csv").read_text()
     assert csv_text.startswith("experiment,param_hash,label,value")
     assert "assert:left_gap_bound" in csv_text
+
+
+def test_report_skips_result_without_assertions(tmp_path, capsys):
+    results = tmp_path / "results"
+    cfg = dict(GAP_CONFIG, out=str(results))
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    first = sorted(results.glob("gap_inequality_audit-*.json"))[0]
+    payload = json.loads(first.read_text())
+    del payload["result"]["assertions"]
+    first.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(results)]) == 0
+    assert f"skipping corrupt result file {first.name}" in capsys.readouterr().err
+    report = (results / "report.md").read_text()
+    assert report.count("| `{") == 3
+    assert "Skipped 1 corrupt result file(s)." in report
+    assert first.name.split("-")[1][:12] not in (results / "combined.csv").read_text()
 
 
 def test_report_empty_dir_exits_2(tmp_path, capsys):
@@ -191,14 +282,3 @@ def test_walk_spectrum(capsys):
     assert main(["walk", "spectrum", "hadamard_cycle", "6"]) == 0
     capsys.readouterr()
     assert main(["walk", "spectrum", "warp", "3"]) == 2
-
-
-def test_parallel_jobs_keep_grid_order(tmp_path, capsys):
-    cfg = dict(GAP_CONFIG)
-    p = write_config(tmp_path, cfg)
-    assert main(["run", p, "--out", str(tmp_path / "seq")]) == 0
-    seq = capsys.readouterr().out
-    assert main(["run", p, "--out", str(tmp_path / "par"), "--jobs", "4"]) == 0
-    par = capsys.readouterr().out
-    assert seq == par
-    assert dir_digest(str(tmp_path / "seq")) == dir_digest(str(tmp_path / "par"))

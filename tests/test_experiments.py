@@ -6,7 +6,7 @@ import pytest
 from qwmix.experiments import (
     ASSERT_TOL,
     EQUIVALENCE_CEILING,
-    AUDIT_DESCRIPTIONS,
+    EXPERIMENTS,
     chain_from_spec,
     cycle_threshold_audit,
     experiment_names,
@@ -21,6 +21,7 @@ from qwmix.experiments import (
     run_experiment,
     tensor_power_identity_audit,
 )
+from qwmix.cli import ConfigError, RunConfig
 from qwmix.graphs import cycle, path
 
 
@@ -166,7 +167,14 @@ def test_hypercube_limit_audit_floor_exemption():
 
 
 def test_run_experiment_registry():
-    assert set(AUDIT_DESCRIPTIONS) == set(experiment_names())
+    assert experiment_names() == sorted(EXPERIMENTS)
+    for name, entry in EXPERIMENTS.items():
+        assert entry.description
+        grid = {key: [None] for key in entry.params}
+        assert RunConfig.from_dict({"experiment": name, "grid": grid}).experiment == name
+        for wrong in (dict(grid, extra=[1]), dict(list(grid.items())[1:])):
+            with pytest.raises(ConfigError, match="do not match"):
+                RunConfig.from_dict({"experiment": name, "grid": wrong})
     result = run_experiment(
         "gap_inequality_audit", {"chain": "cycle:5", "T": 2.0, "k_values": [1, 2]}
     )
