@@ -47,6 +47,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         missing = {"experiment", "grid"} - set(raw)
         if missing:
             raise ConfigError(f"config missing keys: {sorted(missing)}")
@@ -99,6 +101,26 @@ def _result_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _check_payload(payload) -> None:
+    """Raise ValueError, KeyError or TypeError unless payload has the
+    shape _run_one writes: the keys, and result rows as
+    ExperimentResult.to_dict writes them."""
+    result = payload["result"]
+    _ = payload["params"]
+    if not all(isinstance(payload[k], str) for k in ("experiment", "cache_key")):
+        raise ValueError("experiment and cache_key must be strings")
+    if not all(
+        isinstance(a, list) and len(a) == 4 and isinstance(a[3], bool)
+        for a in result["assertions"]
+    ):
+        raise ValueError("assertion row is not [label, lhs, rhs, holds]")
+    if not all(
+        isinstance(m, list) and len(m) == 2 and isinstance(m[1], (int, float, type(None)))
+        for m in result["measurements"]
+    ):
+        raise ValueError("measurement row is not [label, number or null]")
+
+
 def _run_one(config: RunConfig, params: dict) -> dict:
     key = cache_key(config.experiment, params, config.seed)
     path = os.path.join(config.out_dir, f"{config.experiment}-{key[:12]}.json")
@@ -106,11 +128,12 @@ def _run_one(config: RunConfig, params: dict) -> dict:
         try:
             with open(path) as fh:
                 stored = json.load(fh)
-            if stored.get("cache_key") == key:
+            _check_payload(stored)
+            if stored["cache_key"] == key:
                 stored["cached"] = True
                 return stored
-        except (json.JSONDecodeError, OSError):
-            pass
+        except (ValueError, KeyError, TypeError, OSError):
+            pass  # unreadable or malformed: a cache miss, recomputed below
     result = run_experiment(config.experiment, params)
     payload = {
         "experiment": config.experiment,
@@ -135,7 +158,8 @@ def command_run(config_path: str, seed, out_dir, cache) -> int:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     overrides = {"seed": seed, "out": out_dir, "cache": cache}
-    raw.update({k: v for k, v in overrides.items() if v is not None})
+    if isinstance(raw, dict):
+        raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         config = RunConfig.from_dict(raw)
     except ConfigError as exc:
@@ -190,9 +214,7 @@ def command_report(result_dir: str) -> int:
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-            result = payload["result"]
-            _ = payload["experiment"], payload["params"], payload["cache_key"]
-            _ = result["assertions"], result["measurements"]
+            _check_payload(payload)
         except (ValueError, KeyError, TypeError) as exc:
             print(f"warning: skipping corrupt result file {name}: {exc}", file=sys.stderr)
             skipped += 1
@@ -260,18 +282,19 @@ def command_walk_spectrum(kind: str, params: str) -> int:
                 file=sys.stderr,
             )
             return 2
-        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary
+        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary;
+        # the dense unitary is refused above its cap before it is built
         spectrum = walk.eigenvalues if kind == "ct" else np.angle(np.linalg.eigvals(walk.unitary))
+        try:
+            gap = f"{phase_gap(walk):.17g}"
+        except DegenerateSpectrumError:
+            gap = "degenerate spectrum"
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for value in np.sort(spectrum):
         print(f"{value:.17g}")
-    try:
-        gap = phase_gap(walk)
-        print(f"phase_gap {gap:.17g}")
-    except DegenerateSpectrumError:
-        print("phase_gap degenerate spectrum")
+    print(f"phase_gap {gap}")
     return 0
 
 

@@ -201,7 +201,7 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     for i in order:
         t = int(times[i])
         for _ in range(t - t_prev):
-            psi = walk.unitary @ psi
+            psi = walk.step(psi)
         t_prev = t
         acc += weights[i] * walk.project(psi)
     M = _check_generated(acc, walk.base_symmetric, trunc, "dt generated chain")

@@ -1,9 +1,11 @@
 """Quantizations of reversible chains and coined walks.
 
 Continuous time: spectral data of the symmetrized generator H, evolved
-as exp(-iHt). Discrete time: an explicit unitary on an enlarged space
-together with an embedding of base states and a projection back to a
-distribution over base states (measure the position register).
+as exp(-iHt). Discrete time: a unitary on an enlarged space, kept as a
+product of permutations and unitary block stacks (shift and coin, swap
+and reflection), together with an embedding of base states and a
+projection back to a distribution over base states (measure the
+position register).
 """
 
 from __future__ import annotations
@@ -114,8 +116,14 @@ def ct_propagator(W: CTWalk, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DTWalk:
-    """Discrete-time walk: unitary on base x register space of size
+    """Discrete-time walk on base x register space of size
     base_size * register_dim, index (base, sub) -> base * register_dim + sub.
+
+    The walk operator is the product of factors, applied in order. A
+    1-D integer array is a permutation, psi -> psi[perm]. A (B, b, b)
+    array is a stack of unitary blocks acting on consecutive index
+    blocks of length b; B == 1 broadcasts one block to all dim // b
+    index blocks, otherwise B == dim // b.
 
     embed_matrix[:, x] is the initial wavefunction for base state x;
     projecting a wavefunction sums |psi|^2 over the sub register.
@@ -124,20 +132,40 @@ class DTWalk:
     walk_kind: str
     base_size: int
     register_dim: int
-    unitary: np.ndarray
+    factors: tuple[np.ndarray, ...]
     embed_matrix: np.ndarray
     base_label: str = "custom"
     base_symmetric: bool = True
 
     def __post_init__(self):
-        dim = self.base_size * self.register_dim
-        U = self.unitary
-        if U.shape != (dim, dim):
-            raise ValueError(f"unitary shape {U.shape} != ({dim}, {dim})")
-        gram = U.conj().T @ U
-        err = np.abs(gram - np.eye(dim)).max()
-        if err > UNITARITY_TOL:
-            raise ValueError(f"walk operator not unitary: deviation {err}")
+        dim = self.dim
+        factors = self.factors
+        if not isinstance(factors, tuple) or not factors:
+            raise ValueError("factors must be a nonempty tuple of arrays")
+        for f in factors:
+            if not isinstance(f, np.ndarray):
+                raise ValueError(f"factor of type {type(f).__name__} is not an array")
+            if f.ndim == 1:
+                if not (
+                    f.shape == (dim,)
+                    and np.issubdtype(f.dtype, np.integer)
+                    and np.array_equal(np.sort(f), np.arange(dim))
+                ):
+                    raise ValueError(f"permutation factor is not a bijection on range({dim})")
+            elif f.ndim == 3:
+                B, b, b2 = f.shape
+                if b != b2 or b < 1 or dim % b or B not in (1, dim // b):
+                    raise ValueError(f"block stack of shape {f.shape} does not tile dim {dim}")
+                gram = np.matmul(f.conj().transpose(0, 2, 1), f)
+                err = np.abs(gram - np.eye(b)).max()
+                if err > UNITARITY_TOL:
+                    raise ValueError(f"walk operator not unitary: block deviation {err}")
+            else:
+                raise ValueError(f"factor of shape {f.shape} is not a permutation or a block stack")
+        if self.embed_matrix.shape != (dim, self.base_size):
+            raise ValueError(
+                f"embed_matrix shape {self.embed_matrix.shape} != ({dim}, {self.base_size})"
+            )
         norms = np.linalg.norm(self.embed_matrix, axis=0)
         if np.abs(norms - 1.0).max() > UNITARITY_TOL:
             raise ValueError("embedded states must have unit norm")
@@ -145,6 +173,27 @@ class DTWalk:
     @property
     def dim(self) -> int:
         return self.base_size * self.register_dim
+
+    def step(self, psi: np.ndarray) -> np.ndarray:
+        """One application of the walk operator to a wavefunction or to
+        each column of a wavefunction matrix."""
+        for f in self.factors:
+            if f.ndim == 1:
+                psi = psi[f]
+            else:
+                dtype = np.result_type(f, psi)
+                b = f.shape[-1]
+                cols = psi.astype(dtype, copy=False).reshape(self.dim // b, b, -1)
+                psi = np.matmul(f.astype(dtype, copy=False), cols).reshape(psi.shape)
+        return psi
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """Dense walk operator, the step applied to the identity; refused
+        above PHASE_GAP_MAX_DIM before anything is allocated."""
+        if self.dim > PHASE_GAP_MAX_DIM:
+            raise ValueError(f"walk dimension {self.dim} exceeds {PHASE_GAP_MAX_DIM}")
+        return self.step(np.eye(self.dim))
 
     def embed(self, x: int) -> np.ndarray:
         return self.embed_matrix[:, x]
@@ -164,7 +213,8 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     """Discrete-time quantization (R S)^2 on the bipartite edge space.
 
     S swaps |x,y> -> |y,x>; R reflects each x-block around the column
-    state |p_x> = sum_y sqrt(P[y,x]) |y>. embed(x) = |x>|p_x>.
+    state |p_x> = sum_y sqrt(P[y,x]) |y>. embed(x) = |x>|p_x>. Applied
+    right to left, so the factors are (S, R, S, R).
     """
     n = P.size
     if n * n > state_cap():
@@ -173,18 +223,16 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
         raise ValueError(f"chain {P.label!r} must be irreducible")
     sqrtP = np.sqrt(P.entries)
     dim = n * n
-    R = np.zeros((dim, dim))
-    for x in range(n):
-        c = sqrtP[:, x]
-        R[x * n : (x + 1) * n, x * n : (x + 1) * n] = 2.0 * np.outer(c, c) - np.eye(n)
+    cols = sqrtP.T  # cols[x] = |p_x>
+    R = 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(n)
     idx = np.arange(dim)
-    perm = (idx % n) * n + idx // n  # S column j has its 1 at row perm[j]
-    RS = R[:, perm]
-    U = RS @ RS
+    swap = (idx % n) * n + idx // n  # an involution
     E = np.zeros((dim, n))
     for x in range(n):
         E[x * n : (x + 1) * n, x] = sqrtP[:, x]
-    return DTWalk("szegedy", n, n, U, E, base_label=P.label, base_symmetric=P.is_symmetric)
+    return DTWalk(
+        "szegedy", n, n, (swap, R, swap, R), E, base_label=P.label, base_symmetric=P.is_symmetric
+    )
 
 
 def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
@@ -210,17 +258,14 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
         raise ValueError(f"walk space {2 * n} exceeds the configured cap")
     dim = 2 * n
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    C = np.kron(np.eye(n), H2)
-    S = np.zeros((dim, dim))
-    for x in range(n):
-        S[((x - 1) % n) * 2 + 0, x * 2 + 0] = 1.0
-        S[((x + 1) % n) * 2 + 1, x * 2 + 1] = 1.0
-    U = S @ C
+    # after the shift, coin 0 at x came from x+1 and coin 1 from x-1
+    sites = np.arange(n)
+    shift = np.stack([((sites + 1) % n) * 2, ((sites - 1) % n) * 2 + 1], axis=1).ravel()
     E = np.zeros((dim, n), dtype=np.complex128)
     for x in range(n):
         E[x * 2 + 0, x] = 1.0 / np.sqrt(2.0)
         E[x * 2 + 1, x] = 1.0j / np.sqrt(2.0)
-    return DTWalk("hadamard_cycle", n, 2, U, E, base_label=f"cycle({n})")
+    return DTWalk("hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})")
 
 
 def grover_lattice_walk(n: int, d: int) -> DTWalk:
@@ -237,20 +282,21 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     if dim > state_cap():
         raise ValueError(f"walk space {dim} exceeds the configured cap")
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
-    C = np.kron(np.eye(N), coin)
-    S = np.zeros((dim, dim))
-    for v in range(N):
-        for j in range(d):
-            digit = (v // n**j) % n
-            up = v + (((digit + 1) % n) - digit) * n**j
-            down = v + (((digit - 1) % n) - digit) * n**j
-            S[up * coin_dim + 2 * j + 1, v * coin_dim + 2 * j + 0] = 1.0
-            S[down * coin_dim + 2 * j + 0, v * coin_dim + 2 * j + 1] = 1.0
-    U = S @ C
+    # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
+    # and coin 2j at v from up_j(v) with coin 2j+1
+    verts = np.arange(N)
+    shift = np.empty((N, coin_dim), dtype=np.intp)
+    for j in range(d):
+        digit = (verts // n**j) % n
+        up = verts + (((digit + 1) % n) - digit) * n**j
+        down = verts + (((digit - 1) % n) - digit) * n**j
+        shift[:, 2 * j + 1] = down * coin_dim + 2 * j
+        shift[:, 2 * j] = up * coin_dim + 2 * j + 1
     E = np.zeros((dim, N))
     for v in range(N):
         E[v * coin_dim : (v + 1) * coin_dim, v] = 1.0 / np.sqrt(coin_dim)
-    return DTWalk(f"grover_lattice({n},{d})", N, coin_dim, U, E, base_label=G.kind_tag)
+    factors = (coin[None], shift.ravel())
+    return DTWalk(f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag)
 
 
 def coined_walk(kind: str, *params: int) -> DTWalk:
@@ -280,9 +326,6 @@ def phase_gap(W) -> float:
         if not nz.any():
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
         return float(diffs[nz].min())
-    dim = W.unitary.shape[0]
-    if dim > PHASE_GAP_MAX_DIM:
-        raise ValueError(f"walk dimension {dim} exceeds {PHASE_GAP_MAX_DIM}")
     phases = np.angle(np.linalg.eigvals(W.unitary))
     nz = np.abs(phases) > PHASE_TOL
     if not nz.any():

@@ -2,7 +2,8 @@
 
 The brute_* helpers deliberately avoid the library code paths they
 check: naive loops, itertools subset enumeration, and full eigenpair
-sums with no clustering.
+sums with no clustering, and dense walk unitaries built entry by entry
+where the library keeps coin, shift and reflection factors.
 """
 
 import itertools
@@ -74,6 +75,53 @@ def brute_dt_average(U: np.ndarray, E: np.ndarray, base: int, weights) -> np.nda
         prob = np.abs(Ut @ E) ** 2
         out += w * prob.reshape(base, register, base).sum(axis=1)
     return out
+
+
+def brute_hadamard_unitary(n: int) -> np.ndarray:
+    """Dense S @ C of the Hadamard walk on Z_n: C = I_n (x) H2, and S
+    moves coin 0 to x-1 and coin 1 to x+1, both built entry by entry."""
+    dim = 2 * n
+    H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    C = np.kron(np.eye(n), H2)
+    S = np.zeros((dim, dim))
+    for x in range(n):
+        S[((x - 1) % n) * 2 + 0, x * 2 + 0] = 1.0
+        S[((x + 1) % n) * 2 + 1, x * 2 + 1] = 1.0
+    return S @ C
+
+
+def brute_grover_unitary(n: int, d: int) -> np.ndarray:
+    """Dense S @ C of the flip-flop Grover walk on Z_n^d; coin 2j+s
+    points along coordinate j with sign (-1)^s."""
+    N = n**d
+    coin_dim = 2 * d
+    dim = N * coin_dim
+    coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
+    C = np.kron(np.eye(N), coin)
+    S = np.zeros((dim, dim))
+    for v in range(N):
+        for j in range(d):
+            digit = (v // n**j) % n
+            up = v + (((digit + 1) % n) - digit) * n**j
+            down = v + (((digit - 1) % n) - digit) * n**j
+            S[up * coin_dim + 2 * j + 1, v * coin_dim + 2 * j + 0] = 1.0
+            S[down * coin_dim + 2 * j + 0, v * coin_dim + 2 * j + 1] = 1.0
+    return S @ C
+
+
+def brute_szegedy_unitary(P: MarkovChain) -> np.ndarray:
+    """Dense (R S)^2: R reflects each x-block around sqrt(P[:, x]), S
+    swaps |x,y> and |y,x>."""
+    n = P.size
+    dim = n * n
+    sqrtP = np.sqrt(P.entries)
+    R = np.zeros((dim, dim))
+    for x in range(n):
+        c = sqrtP[:, x]
+        R[x * n : (x + 1) * n, x * n : (x + 1) * n] = 2.0 * np.outer(c, c) - np.eye(n)
+    idx = np.arange(dim)
+    perm = (idx % n) * n + idx // n  # S column j has its 1 at row perm[j]
+    return R[:, perm] @ R[:, perm]
 
 
 @pytest.fixture(scope="session")

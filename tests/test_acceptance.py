@@ -47,7 +47,13 @@ from qwmix.experiments import (
 )
 from qwmix.graphs import complete, cycle, hypercube, lattice
 
-from conftest import MIX_THRESHOLD, RANDOM_CHAIN_SEED, brute_dt_average
+from conftest import (
+    MIX_THRESHOLD,
+    RANDOM_CHAIN_SEED,
+    brute_dt_average,
+    brute_grover_unitary,
+    brute_hadamard_unitary,
+)
 
 LATTICE_CORPUS = (
     (4, 2), (6, 2), (8, 2), (10, 2), (12, 2), (16, 2),
@@ -144,15 +150,14 @@ def test_criterion_02_sampled_versus_spectral():
 
     # discrete side: rule-weight averaging versus independent powers
     dt_dev = 0.0
-    for build in (
-        lambda: coined_walk("hadamard_cycle", 6),
-        lambda: coined_walk("grover_lattice", 3, 2),
+    for W, U in (
+        (coined_walk("hadamard_cycle", 6), brute_hadamard_unitary(6)),
+        (coined_walk("grover_lattice", 3, 2), brute_grover_unitary(3, 2)),
     ):
-        W = build()
         T = 6
         got = generated_chain(W, uniform_dt_rule(T)).chain.entries
         expected = brute_dt_average(
-            W.unitary, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
+            U, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
         )
         dt_dev = max(dt_dev, one_norm(got - expected))
     elapsed = time.monotonic() - start

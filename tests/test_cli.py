@@ -138,6 +138,40 @@ def test_run_bad_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [["experiment", "grid"], "gap_inequality_audit", 7, None])
+def test_run_config_not_an_object_exits_2(tmp_path, capsys, body):
+    assert main(["run", write_config(tmp_path, body), "--seed", "3"]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="JSON object"):
+        RunConfig.from_dict(body)
+
+
+def _short_assertion_row(good):
+    payload = json.loads(good)
+    payload["result"]["assertions"] = [["x"]]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda _: "[]", lambda _: "7", lambda _: '"text"', lambda _: "null", _short_assertion_row],
+    ids=["list", "number", "string", "null", "short_assertion_row"],
+)
+def test_run_malformed_cached_result_is_a_miss(tmp_path, capsys, corrupt):
+    results = tmp_path / "results"
+    cfg = dict(GAP_CONFIG, out=str(results))
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path]) == 0
+    first = sorted(results.glob("gap_inequality_audit-*.json"))[0]
+    good = first.read_text()
+    first.write_text(corrupt(good))
+    capsys.readouterr()
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("cached ok") == 3 and out.count("computed ok") == 1
+    assert first.read_text() == good
+
+
 def test_run_failure_exits_1(tmp_path, capsys, monkeypatch):
     # a registered experiment whose assertion always fails
     import qwmix.experiments as exp
@@ -256,6 +290,33 @@ def test_report_skips_result_without_assertions(tmp_path, capsys):
     assert first.name.split("-")[1][:12] not in (results / "combined.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "key, rows",
+    [
+        ("assertions", [["x"]]),
+        ("assertions", [["x", 1.0, 2.0, True, "extra"]]),
+        ("assertions", [["x", 1.0, 2.0, "yes"]]),
+        ("assertions", 7),
+        ("measurements", [["x"]]),
+        ("measurements", [["x", "not a number"]]),
+    ],
+)
+def test_report_skips_malformed_rows(tmp_path, capsys, key, rows):
+    results = tmp_path / "results"
+    cfg = dict(GAP_CONFIG, out=str(results))
+    assert main(["run", write_config(tmp_path, cfg)]) == 0
+    first = sorted(results.glob("gap_inequality_audit-*.json"))[0]
+    payload = json.loads(first.read_text())
+    payload["result"][key] = rows
+    first.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["report", str(results)]) == 0
+    assert f"skipping corrupt result file {first.name}" in capsys.readouterr().err
+    report = (results / "report.md").read_text()
+    assert report.count("| `{") == 3
+    assert "Skipped 1 corrupt result file(s)." in report
+
+
 def test_report_empty_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -280,5 +341,17 @@ def test_walk_spectrum(capsys):
     assert values == sorted(values)
     assert lines[5].startswith("phase_gap ")
     assert main(["walk", "spectrum", "hadamard_cycle", "6"]) == 0
-    capsys.readouterr()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 13 and lines[12].startswith("phase_gap ")
     assert main(["walk", "spectrum", "warp", "3"]) == 2
+
+
+def test_walk_spectrum_past_cap_exits_2(capsys, monkeypatch):
+    import qwmix.walks as walks
+
+    monkeypatch.setattr(walks, "PHASE_GAP_MAX_DIM", 8)
+    for kind, params in (("hadamard_cycle", "5"), ("szegedy", "cycle:3"), ("ct", "path:10")):
+        assert main(["walk", "spectrum", kind, params]) == 2
+        captured = capsys.readouterr()
+        assert "exceeds 8" in captured.err
+        assert captured.out == ""

@@ -31,9 +31,15 @@ from qwmix import (
     uniform_ct_rule,
     uniform_dt_rule,
 )
-from qwmix.graphs import complete, cycle, hypercube
+from qwmix.graphs import complete, cycle, hypercube, path
 
-from conftest import brute_dt_average, brute_generated_ct
+from conftest import (
+    brute_dt_average,
+    brute_generated_ct,
+    brute_grover_unitary,
+    brute_hadamard_unitary,
+    brute_szegedy_unitary,
+)
 
 GENERATED_TOL = 1e-9
 
@@ -196,38 +202,40 @@ def test_generated_chain_is_stochastic_and_symmetric():
 
 
 def test_dt_uniform_two_paths_agree():
-    for build in (
-        lambda: quantize_szegedy(standard_chain(cycle(5))),
-        lambda: coined_walk("hadamard_cycle", 6),
-        lambda: coined_walk("grover_lattice", 3, 2),
+    P = standard_chain(cycle(5))
+    for W, U in (
+        (quantize_szegedy(P), brute_szegedy_unitary(P)),
+        (coined_walk("hadamard_cycle", 6), brute_hadamard_unitary(6)),
+        (coined_walk("grover_lattice", 3, 2), brute_grover_unitary(3, 2)),
     ):
-        W = build()
         T = 7
         got = generated_chain(W, uniform_dt_rule(T)).chain.entries
         expected = brute_dt_average(
-            W.unitary, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
+            U, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
         )
         assert one_norm(got - expected) <= 1e-12
 
 
 def test_dt_geometric_matches_long_sum():
-    W = quantize_szegedy(standard_chain(cycle(4)))
+    P = standard_chain(cycle(4))
+    W = quantize_szegedy(P)
     T = 3.0
     p = 1.0 / T
     g = generated_chain(W, geometric_rule(T, tail_tolerance=1e-12))
     weights = [(t, p * (1 - p) ** t) for t in range(300)]
-    expected = brute_dt_average(W.unitary, W.embed_matrix, 4, weights)
+    expected = brute_dt_average(brute_szegedy_unitary(P), W.embed_matrix, 4, weights)
     expected /= sum(w for _, w in weights)
     np.testing.assert_allclose(g.chain.entries, expected, atol=1e-9)
     assert g.truncation_error <= 1e-10
 
 
 def test_dt_delta_requires_integer_time():
-    W = quantize_szegedy(standard_chain(cycle(4)))
+    P = standard_chain(cycle(4))
+    W = quantize_szegedy(P)
     with pytest.raises(RuleFamilyError):
         generated_chain(W, delta_rule(1.5))
     got = generated_chain(W, delta_rule(2.0)).chain.entries
-    U2 = np.linalg.matrix_power(W.unitary, 2)
+    U2 = np.linalg.matrix_power(brute_szegedy_unitary(P), 2)
     expected = W.project(U2 @ W.embed_matrix)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -327,3 +335,47 @@ def test_generated_dt_always_valid_chain(n, T):
         M = generated_chain(W, rule).chain.entries
         assert (M >= 0.0).all()
         np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-10)
+
+
+@st.composite
+def dt_walks_with_oracle(draw):
+    """A small Hadamard, Grover or Szegedy walk and its dense oracle."""
+    kind = draw(st.sampled_from(["hadamard", "grover", "szegedy"]))
+    if kind == "hadamard":
+        n = draw(st.integers(min_value=2, max_value=10))
+        return coined_walk("hadamard_cycle", n), brute_hadamard_unitary(n)
+    if kind == "grover":
+        d = draw(st.integers(min_value=1, max_value=3))
+        n = draw(st.integers(min_value=2, max_value={1: 10, 2: 4, 3: 2}[d]))
+        return coined_walk("grover_lattice", n, d), brute_grover_unitary(n, d)
+    n = draw(st.integers(min_value=2, max_value=6))
+    if draw(st.booleans()):
+        P = random_symmetric_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        P = standard_chain(path(n))
+    return quantize_szegedy(P), brute_szegedy_unitary(P)
+
+
+@seed(10)
+@settings(deadline=None, max_examples=30)
+@given(
+    dt_walks_with_oracle(),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=1.0, max_value=4.0),
+)
+def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
+    W, U = walk_and_oracle
+    p = 1.0 / T_geo
+    t_max = math.ceil(T_geo * math.log(1.0 / 1e-10))
+    geo = [(s, p * (1.0 - p) ** s) for s in range(t_max + 1)]
+    mass = sum(w for _, w in geo)
+    cases = [
+        (delta_rule(t), [(t, 1.0)]),
+        (uniform_dt_rule(T), [(s, 1.0 / T) for s in range(T)]),
+        (geometric_rule(T_geo, tail_tolerance=1e-10), [(s, w / mass) for s, w in geo]),
+    ]
+    for rule, weights in cases:
+        got = generated_chain(W, rule).chain.entries
+        expected = brute_dt_average(U, W.embed_matrix, W.base_size, weights)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import qwmix.walks as walks
 from qwmix import (
     DegenerateSpectrumError,
     DTWalk,
@@ -12,6 +15,7 @@ from qwmix import (
     phase_gap,
     quantize_ct,
     quantize_szegedy,
+    random_symmetric_chain,
     spectral_gap,
     standard_chain,
     symmetrized_generator,
@@ -19,6 +23,8 @@ from qwmix import (
     uniform_projector_chain,
 )
 from qwmix.graphs import complete, cycle, hypercube, path
+
+from conftest import brute_grover_unitary, brute_hadamard_unitary, brute_szegedy_unitary
 
 UNITARITY_TOL = 1e-9
 
@@ -175,8 +181,85 @@ def test_coined_walk_dispatch():
 def test_dtwalk_validates_unitarity():
     M = np.eye(4)
     M[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        DTWalk("custom", 2, 2, M, np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="not unitary"):
+        DTWalk("custom", 2, 2, (M[None],), np.eye(4)[:, :2])
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ((np.array([0, 0, 2, 3]),), "not a bijection"),
+        ((np.array([0, 1, 2, 4]),), "not a bijection"),
+        ((np.array([[[1.0, 1.0], [0.0, 1.0]]]),), "not unitary"),
+        ((np.eye(3)[None],), "does not tile"),
+        ((np.stack([np.eye(2)] * 3),), "does not tile"),
+        (np.eye(4), "nonempty tuple"),
+    ],
+    ids=[
+        "repeated_index",
+        "out_of_range",
+        "nonunitary_block",
+        "block_3_of_4",
+        "three_blocks_of_2",
+        "bare_matrix",
+    ],
+)
+def test_dtwalk_rejects_bad_factors(factors, message):
+    with pytest.raises(ValueError, match=message):
+        DTWalk("custom", 2, 2, factors, np.eye(4)[:, :2])
+
+
+def test_dtwalk_step_applies_factors_in_order():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    blocks = np.stack([np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(3)])
+    perm = rng.permutation(6)
+    W = DTWalk("custom", 3, 2, (blocks, perm, Q[None]), np.eye(6)[:, ::2])
+    dense_blocks = np.zeros((6, 6))
+    for k in range(3):
+        dense_blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
+    expected = Q @ np.eye(6)[perm] @ dense_blocks
+    np.testing.assert_allclose(W.unitary, expected, atol=1e-14)
+    psi = rng.normal(size=6)
+    np.testing.assert_allclose(W.step(psi), expected @ psi, atol=1e-14)
+
+
+def test_dense_unitary_refused_above_cap(monkeypatch):
+    W = coined_walk("hadamard_cycle", 5)
+    monkeypatch.setattr(walks, "PHASE_GAP_MAX_DIM", 8)
+    with pytest.raises(ValueError, match="walk dimension 10 exceeds 8"):
+        W.unitary
+    with pytest.raises(ValueError, match="walk dimension 10 exceeds 8"):
+        phase_gap(W)
+
+
+@seed(7)
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=2, max_value=16))
+def test_hadamard_unitary_matches_dense_oracle(n):
+    np.testing.assert_allclose(
+        coined_walk("hadamard_cycle", n).unitary, brute_hadamard_unitary(n), atol=1e-14
+    )
+
+
+@seed(8)
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=6))
+def test_grover_unitary_matches_dense_oracle(d, n):
+    n = min(n, {1: 6, 2: 5, 3: 3}[d])
+    np.testing.assert_allclose(
+        coined_walk("grover_lattice", n, d).unitary, brute_grover_unitary(n, d), atol=1e-14
+    )
+
+
+@seed(9)
+@settings(deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=7))
+def test_szegedy_unitary_matches_dense_oracle(seed, n):
+    for P in (random_symmetric_chain(n, np.random.default_rng(seed)), standard_chain(path(n))):
+        np.testing.assert_allclose(
+            quantize_szegedy(P).unitary, brute_szegedy_unitary(P), atol=1e-13
+        )
 
 
 def test_phase_gap_szegedy_cycles_track_gap():
@@ -195,6 +278,6 @@ def test_phase_gap_ct_value():
 
 
 def test_phase_gap_identity_degenerate():
-    W = DTWalk("custom", 2, 2, np.eye(4, dtype=complex), np.eye(4)[:, :2])
+    W = DTWalk("custom", 2, 2, (np.eye(4, dtype=complex)[None],), np.eye(4)[:, :2])
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
         phase_gap(W)
