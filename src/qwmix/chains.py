@@ -194,11 +194,12 @@ def pairwise_column_distance(P: MarkovChain) -> float:
     M = P.entries
     n = P.size
     best = 0.0
-    chunk = max(1, min(n, 4_000_000 // max(1, n * n)))
+    # about 2 MiB of differences per chunk, made absolute in place
+    chunk = max(1, min(n, 250_000 // max(1, n * n)))
     for start in range(0, n, chunk):
-        block = M[:, start : start + chunk]
-        diffs = np.abs(block[:, :, None] - M[:, None, :]).sum(axis=0)
-        best = max(best, 0.5 * float(diffs.max()))
+        diffs = M[:, start : start + chunk, None] - M[:, None, :]
+        np.abs(diffs, out=diffs)
+        best = max(best, 0.5 * float(diffs.sum(axis=0).max()))
     if P.is_irreducible:
         tv = 0.5 * one_norm(M - np.outer(P.stationary, np.ones(n)))
         if not (tv <= best + SANDWICH_TOL and best <= 2.0 * tv + SANDWICH_TOL):

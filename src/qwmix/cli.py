@@ -24,6 +24,7 @@ from .experiments import EXPERIMENTS, chain_from_spec, check_experiment, run_exp
 from .walks import (
     DegenerateSpectrumError,
     coined_walk,
+    eigenphase_gap,
     phase_gap,
     quantize_ct,
     quantize_szegedy,
@@ -282,11 +283,13 @@ def command_walk_spectrum(kind: str, params: str) -> int:
                 file=sys.stderr,
             )
             return 2
-        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary;
-        # the dense unitary is refused above its cap before it is built
+        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary
+        # (one eigensolve serves the listing and the gap); the dense
+        # unitary is refused above its cap before it is built
         spectrum = walk.eigenvalues if kind == "ct" else np.angle(np.linalg.eigvals(walk.unitary))
         try:
-            gap = f"{phase_gap(walk):.17g}"
+            value = phase_gap(walk) if kind == "ct" else eigenphase_gap(spectrum)
+            gap = f"{value:.17g}"
         except DegenerateSpectrumError:
             gap = "degenerate spectrum"
     except (ValueError, KeyError) as exc:

@@ -3,9 +3,21 @@ it generates.
 
 A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
-register only for discrete walks). Continuous-time chains are evaluated
-in closed form through the rule's characteristic function; discrete
-walks by explicit, possibly truncated, time sums.
+register only for discrete walks). Discrete walks are evaluated by
+explicit, possibly truncated, time sums.
+
+Continuous-time chains are evaluated in closed form through the rule's
+characteristic function phi. With cluster values v_c, cluster
+projectors P_c and chi[c, c'] = Re phi(v_c - v_c'), each entry is
+P_hat[y, x] = p^T chi p with p[c] = P_c[y, x]. One eigendecomposition
+chi = Q diag(mu) Q^T turns this into
+P_hat = sum_m mu_m (V diag(Q[owner, m]) V^T)**2 (entrywise square),
+where owner[j] is the cluster of eigenvector j: one N x N x N product
+per kept term and O(N^2) memory, with no stack of projectors. Terms
+with |mu_m| <= CHI_RANK_TOL are dropped, which moves no entry by more
+than CHI_RANK_TOL. The delta rule's chi has rank 2, so it costs two
+products; the long-time limit chain is the same sum with chi the
+identity.
 """
 
 from __future__ import annotations
@@ -23,6 +35,14 @@ from .walks import CTWalk, DTWalk, RuleFamilyError
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
 GENERATED_TOL = 1e-9
+# Terms of chi = Q diag(mu) Q^T with |mu_m| at most this are dropped.
+# Entrywise bound: P_hat[y, x] = sum_m mu_m (Q^T p)_m^2 with p[c] = P_c[y, x],
+# so dropping a set D of terms moves the entry by at most
+# max_D |mu| * |Q^T p|^2 = max_D |mu| * |p|^2, since Q is orthogonal. And
+# |p|^2 <= 1: P_c[y, x] = <P_c y, P_c x>, so by Cauchy-Schwarz
+# P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and the P_c resolve
+# the identity, so sum_c |P_c y|^2 = |y|^2 = 1.
+CHI_RANK_TOL = 1e-13
 SMOOTH_FAMILIES = ("uniform_ct", "exponential", "uniform_dt", "geometric")
 
 
@@ -178,15 +198,35 @@ def _check_generated(M: np.ndarray, symmetric_base: bool, trunc: float, what: st
     return M
 
 
-def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
-    projs = walk.cluster_projectors()
-    values = walk.cluster_values()
-    theta = np.subtract.outer(values, values)
-    chi = np.real(characteristic_function(rule, theta))
+def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_m mu_m (V diag(Q[owner, m]) V^T)**2 over the terms with
+    |mu_m| > CHI_RANK_TOL, where owner[j] is the cluster of eigenvector j.
+
+    Eigenvectors of zero weight are left out of a term's product, so a
+    column of Q supported on one cluster costs that cluster's width.
+    """
+    V = walk.eigenvectors
+    owner = np.empty(walk.size, dtype=np.intp)
+    for c, members in enumerate(walk.clusters):
+        owner[list(members)] = c
     acc = np.zeros((walk.size, walk.size))
-    for c in range(len(values)):
-        weighted = np.tensordot(chi[c], projs, axes=1)
-        acc += projs[c] * weighted
+    for m in np.flatnonzero(np.abs(mu) > CHI_RANK_TOL):
+        weights = Q[owner, m]
+        keep = np.flatnonzero(weights)
+        Vk = V[:, keep]
+        term = (Vk * weights[keep]) @ Vk.T
+        term *= term
+        term *= mu[m]
+        acc += term
+    return acc
+
+
+def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
+    values = walk.cluster_values()
+    chi = np.real(characteristic_function(rule, np.subtract.outer(values, values)))
+    # Re phi is even, so chi is symmetric up to rounding
+    mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
+    acc = _spectral_square_sum(walk, mu, Q)
     M = _check_generated(acc, walk.base.is_symmetric, 0.0, "ct generated chain")
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     return GeneratedChain(MarkovChain(M, label), "ct", walk.base.label, rule, 0.0)
@@ -228,9 +268,10 @@ def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedCh
 
 def limit_chain(walk: CTWalk) -> MarkovChain:
     """Long-time limit of smooth-rule generated chains: the sum of the
-    entrywise squares of the eigenvalue-cluster projectors."""
-    projs = walk.cluster_projectors()
-    Pi = np.einsum("cyx,cyx->yx", projs, projs)
+    entrywise squares of the eigenvalue-cluster projectors, one cluster
+    at a time (chi is the identity)."""
+    C = len(walk.clusters)
+    Pi = _spectral_square_sum(walk, np.ones(C), np.eye(C))
     M = _check_generated(Pi, walk.base.is_symmetric, 0.0, "limit chain")
     return MarkovChain(M, f"limit({walk.base.label})")
 

@@ -54,11 +54,6 @@ class CTWalk:
     def cluster_values(self) -> np.ndarray:
         return np.array([self.eigenvalues[list(c)].mean() for c in self.clusters])
 
-    def cluster_projectors(self) -> np.ndarray:
-        """Stack of orthogonal projectors, one per eigenvalue cluster."""
-        V = self.eigenvectors
-        return np.stack([V[:, list(c)] @ V[:, list(c)].T for c in self.clusters])
-
 
 def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) -> CTWalk:
     """Continuous-time quantization: eigensolve H and group degenerate
@@ -326,7 +321,12 @@ def phase_gap(W) -> float:
         if not nz.any():
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
         return float(diffs[nz].min())
-    phases = np.angle(np.linalg.eigvals(W.unitary))
+    return eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+
+
+def eigenphase_gap(phases: np.ndarray) -> float:
+    """Smallest eigenphase magnitude above PHASE_TOL, for callers that
+    already hold the eigenphases of a discrete walk unitary."""
     nz = np.abs(phases) > PHASE_TOL
     if not nz.any():
         raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenphase")

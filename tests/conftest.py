@@ -1,9 +1,10 @@
 """Shared fixtures and independent reference implementations.
 
 The brute_* helpers deliberately avoid the library code paths they
-check: naive loops, itertools subset enumeration, and full eigenpair
-sums with no clustering, and dense walk unitaries built entry by entry
-where the library keeps coin, shift and reflection factors.
+check: naive loops, itertools subset enumeration, full eigenpair sums
+with no clustering, degenerate eigenpairs found by comparing every pair
+of eigenvalues, and dense walk unitaries built entry by entry where the
+library keeps coin, shift and reflection factors.
 """
 
 import itertools
@@ -62,6 +63,20 @@ def brute_generated_ct(H: np.ndarray, chi) -> np.ndarray:
         for k in range(n):
             Pk = np.outer(V[:, k], V[:, k])
             out += np.real(chi(lam[j] - lam[k])) * (Pj * Pk)
+    return out
+
+
+def brute_limit_chain(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """sum over eigenpairs (j, k) with |lam_j - lam_k| <= tol of
+    (v_j v_j^T) o (v_k v_k^T): the degenerate pairs found by comparing
+    every pair of eigenvalues, with no cluster list."""
+    lam, V = np.linalg.eigh(H)
+    n = H.shape[0]
+    out = np.zeros((n, n))
+    for j in range(n):
+        for k in range(n):
+            if abs(lam[j] - lam[k]) <= tol:
+                out += np.outer(V[:, j], V[:, j]) * np.outer(V[:, k], V[:, k])
     return out
 
 

@@ -346,6 +346,20 @@ def test_walk_spectrum(capsys):
     assert main(["walk", "spectrum", "warp", "3"]) == 2
 
 
+def test_walk_spectrum_solves_the_unitary_once(capsys, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    assert main(["walk", "spectrum", "szegedy", "cycle:4"]) == 0
+    assert calls == [(16, 16)]
+    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("phase_gap ")
+
+
 def test_walk_spectrum_past_cap_exits_2(capsys, monkeypatch):
     import qwmix.walks as walks
 

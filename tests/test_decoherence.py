@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,11 +32,12 @@ from qwmix import (
     uniform_ct_rule,
     uniform_dt_rule,
 )
-from qwmix.graphs import complete, cycle, hypercube, path
+from qwmix.graphs import complete, cycle, hypercube, lattice, path
 
 from conftest import (
     brute_dt_average,
     brute_generated_ct,
+    brute_limit_chain,
     brute_grover_unitary,
     brute_hadamard_unitary,
     brute_szegedy_unitary,
@@ -257,6 +259,35 @@ def test_limit_chain_triangle_goldens():
     np.testing.assert_allclose(Pi[0, 1], 2.0 / 9.0, atol=1e-12)
 
 
+def test_limit_chain_matches_pairwise_oracle():
+    rng = np.random.default_rng(17)
+    for P in (
+        standard_chain(cycle(8)),
+        standard_chain(hypercube(4)),
+        standard_chain(lattice(4, 2)),
+        standard_chain(complete(9)),
+        random_symmetric_chain(12, rng),
+    ):
+        expected = brute_limit_chain(symmetrized_generator(P))
+        np.testing.assert_allclose(limit_chain(quantize_ct(P)).entries, expected, rtol=0.0, atol=1e-12)
+
+
+def test_ct_kernels_need_no_projector_stack():
+    # lattice(16,2) has 41 eigenvalue clusters, so a stack of cluster
+    # projectors alone would take 41 N^2 floats
+    W = quantize_ct(standard_chain(lattice(16, 2)))
+    budget = 8 * W.size**2 * 8  # eight N x N float64 arrays
+    calls = [(generated_chain, W, rule(8.0)) for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
+    for build, *args in calls + [(limit_chain, W)]:
+        tracemalloc.start()
+        try:
+            build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, (build.__name__, args[1:], peak)
+
+
 def test_uniform_ct_converges_to_limit():
     W = quantize_ct(standard_chain(cycle(5)))
     Pi = limit_chain(W).entries
@@ -324,6 +355,35 @@ def test_generated_ct_always_valid_chain(seed, n, T):
         M = generated_chain(W, rule).chain.entries
         assert (M >= 0.0).all()
         np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-10)
+
+
+@st.composite
+def ct_base_chains(draw):
+    """A degenerate Cayley or complete-graph chain, or a random symmetric
+    chain with a simple spectrum; N <= 24."""
+    kind = draw(st.sampled_from(["cycle", "hypercube", "lattice", "complete", "random"]))
+    if kind == "cycle":
+        return standard_chain(cycle(draw(st.integers(min_value=3, max_value=24))))
+    if kind == "hypercube":
+        return standard_chain(hypercube(draw(st.integers(min_value=1, max_value=4))))
+    if kind == "lattice":
+        return standard_chain(lattice(draw(st.integers(min_value=2, max_value=4)), 2))
+    if kind == "complete":
+        return standard_chain(complete(draw(st.integers(min_value=2, max_value=24))))
+    n = draw(st.integers(min_value=2, max_value=24))
+    return random_symmetric_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+@seed(11)
+@settings(deadline=None, max_examples=40)
+@given(ct_base_chains(), st.floats(min_value=0.0, max_value=50.0))
+def test_generated_ct_matches_unclustered_oracle(P, T):
+    H = symmetrized_generator(P)
+    W = quantize_ct(P)
+    for rule in (delta_rule(T), uniform_ct_rule(T), exponential_rule(T)):
+        expected = brute_generated_ct(H, lambda th: characteristic_function(rule, th))
+        got = generated_chain(W, rule).chain.entries
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 @seed(6)
