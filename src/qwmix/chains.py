@@ -12,12 +12,11 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
 from .config import MIX_THRESHOLD, default_horizon, state_cap
-from .graphs import Graph
+from .graphs import Graph, _check_cap, breadth_first_levels
 
 COLUMN_SUM_TOL = 1e-10
 ENTRY_CLAMP = 1e-14
@@ -78,32 +77,19 @@ class MarkovChain:
         return bool(np.abs(self.entries - self.entries.T).max() <= 1e-13)
 
     @cached_property
-    def _support_adjacency(self) -> list[list[int]]:
-        P = self.entries
-        return [list(np.nonzero(P[:, x] > 0)[0]) for x in range(self.size)]
-
-    def _reachable(self, start: int, adj: list[list[int]]) -> np.ndarray:
-        seen = np.zeros(self.size, dtype=bool)
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return seen
+    def _support_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads) of the support arcs x -> y, one per P[y, x] > 0."""
+        heads, tails = np.divmod(np.flatnonzero(self.entries > 0), self.size)
+        return tails, heads
 
     @cached_property
     def irreducibility_witness(self) -> tuple[int, int] | None:
         """None if irreducible, else a state pair (x, y) with no x->y path."""
-        fwd = self._support_adjacency
-        reach = self._reachable(0, fwd)
+        tails, heads = self._support_arcs
+        reach = breadth_first_levels(self.size, tails, heads) >= 0
         if not reach.all():
             return (0, int(np.nonzero(~reach)[0][0]))
-        P = self.entries
-        bwd = [list(np.nonzero(P[x, :] > 0)[0]) for x in range(self.size)]
-        reach_to_0 = self._reachable(0, bwd)
+        reach_to_0 = breadth_first_levels(self.size, heads, tails) >= 0
         if not reach_to_0.all():
             return (int(np.nonzero(~reach_to_0)[0][0]), 0)
         return None
@@ -114,25 +100,13 @@ class MarkovChain:
 
     @cached_property
     def period(self) -> int:
-        """gcd of support-cycle lengths, via BFS level differences."""
+        """gcd of support-cycle lengths: of level[x] + 1 - level[y] over
+        the support arcs x -> y, with breadth-first levels from state 0."""
         if not self.is_irreducible:
             raise ReducibleChainError(f"chain {self.label!r} is reducible")
-        adj = self._support_adjacency
-        level = np.full(self.size, -1, dtype=np.int64)
-        level[0] = 0
-        queue = [0]
-        g = 0
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in adj[x]:
-                    if level[y] < 0:
-                        level[y] = level[x] + 1
-                        nxt.append(y)
-                    else:
-                        g = gcd(g, int(level[x] + 1 - level[y]))
-            queue = nxt
-        return abs(g) if g != 0 else 1
+        tails, heads = self._support_arcs
+        level = breadth_first_levels(self.size, tails, heads)
+        return int(np.gcd.reduce(level[tails] + 1 - level[heads]))
 
     @cached_property
     def stationary(self) -> np.ndarray:
@@ -201,7 +175,7 @@ def pairwise_column_distance(P: MarkovChain) -> float:
         np.abs(diffs, out=diffs)
         best = max(best, 0.5 * float(diffs.sum(axis=0).max()))
     if P.is_irreducible:
-        tv = 0.5 * one_norm(M - np.outer(P.stationary, np.ones(n)))
+        tv = 0.5 * one_norm(M - P.stationary[:, None])
         if not (tv <= best + SANDWICH_TOL and best <= 2.0 * tv + SANDWICH_TOL):
             raise InternalCheckError(
                 f"column-distance sandwich violated: tv={tv}, d(P)={best}"
@@ -223,7 +197,7 @@ def _threshold_time(M: np.ndarray, pi: np.ndarray, horizon: int) -> int | NoMix:
     time-homogeneous chains; violations beyond MONOTONE_TOL are internal
     errors, so the first crossing time is also a stable crossing.
     """
-    target = np.outer(pi, np.ones(len(pi)))
+    target = pi[:, None]
     power = M
     prev = math.inf
     for t in range(1, horizon + 1):
@@ -423,7 +397,7 @@ def verify_inequalities(P: MarkovChain, horizon: int | None = None) -> MixingRep
             BoundCheck("conductance_upper", delta, 2.0 * phi, delta <= 2.0 * phi + SANDWICH_TOL)
         )
 
-    tv = 0.5 * one_norm(P.entries - np.outer(pi, np.ones(P.size)))
+    tv = 0.5 * one_norm(P.entries - pi[:, None])
     checks.append(BoundCheck("column_distance_lower", tv, d, tv <= d + SANDWICH_TOL))
     checks.append(BoundCheck("column_distance_upper", d, 2.0 * tv, d <= 2.0 * tv + SANDWICH_TOL))
     return MixingReport(tau, delta, d, phi, tuple(checks))
@@ -437,10 +411,8 @@ def standard_chain(G: Graph) -> MarkovChain:
         raise ValueError(f"graph {G.kind_tag} has an isolated vertex")
     if not G.is_connected():
         raise ValueError(f"graph {G.kind_tag} is disconnected")
-    P = np.zeros((G.n, G.n))
-    for (u, v) in G.edges:
-        P[v, u] = 1.0 / deg[u]
-        P[u, v] = 1.0 / deg[v]
+    P = G.adjacency_matrix()
+    P /= deg
     return MarkovChain(P, f"P({G.kind_tag})")
 
 
@@ -454,12 +426,14 @@ def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
 
 def uniform_projector_chain(n: int) -> MarkovChain:
     """The rank-one chain u 1^T whose every column is uniform."""
+    _check_cap(n)
     return MarkovChain(np.full((n, n), 1.0 / n), f"uniform({n})")
 
 
 def random_symmetric_chain(n: int, rng: np.random.Generator) -> MarkovChain:
     """Random symmetric doubly stochastic chain: symmetrize a uniform
     random matrix, then scale rows/columns symmetrically to sum 1."""
+    _check_cap(n)
     A = rng.uniform(0.0, 1.0, size=(n, n))
     M = 0.5 * (A + A.T)
     for _ in range(10_000):

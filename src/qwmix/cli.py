@@ -2,7 +2,8 @@
 chains, and inspect walk spectra.
 
 Exit codes: 0 all assertions hold, 1 at least one assertion failed,
-2 configuration or usage error, or a job that raised.
+2 configuration or usage error, an output path that cannot be written,
+or a job that raised.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def cache_key(experiment: str, params: dict, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def _result_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -166,7 +172,10 @@ def command_run(config_path: str, seed, out_dir, cache) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(config.out_dir, exc)
     job_params = config.jobs()
     failures, errors = [], []
     for params in job_params:
@@ -191,7 +200,11 @@ def command_run(config_path: str, seed, out_dir, cache) -> int:
         "errors": errors,
         "all_hold": not failures and not errors,
     }
-    atomic_write_text(os.path.join(config.out_dir, "summary.json"), _result_json(summary))
+    summary_path = os.path.join(config.out_dir, "summary.json")
+    try:
+        atomic_write_text(summary_path, _result_json(summary))
+    except OSError as exc:
+        return _cannot_write(summary_path, exc)
     if failures:
         print(f"{len(failures)} assertion(s) failed:", file=sys.stderr)
         for key12, label, lhs, rhs in failures:
@@ -251,8 +264,11 @@ def command_report(result_dir: str) -> int:
         lines.append("")
     report_path = os.path.join(result_dir, "report.md")
     csv_path = os.path.join(result_dir, "combined.csv")
-    atomic_write_text(report_path, "\n".join(lines))
-    atomic_write_text(csv_path, "\n".join(csv_rows) + "\n")
+    for path, text in ((report_path, "\n".join(lines)), (csv_path, "\n".join(csv_rows) + "\n")):
+        try:
+            atomic_write_text(path, text)
+        except OSError as exc:
+            return _cannot_write(path, exc)
     print(f"wrote {report_path} and {csv_path}")
     return 0
 
@@ -264,7 +280,10 @@ def command_chain_export(kind: str, params: str, out_path: str) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    save_csv(P, out_path)
+    try:
+        save_csv(P, out_path)
+    except OSError as exc:
+        return _cannot_write(out_path, exc)
     print(f"wrote {out_path} ({P.size} states)")
     return 0
 

@@ -10,6 +10,7 @@ index identities downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,36 @@ def _check_cap(n_states: int) -> None:
         raise StateCapError(f"{n_states} states exceeds the configured cap of {cap}")
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+def _edge_set(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
+    """Normalized (low, high) pairs of two index arrays, duplicates merged."""
+    return frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
+
+
+def breadth_first_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from vertex 0 along the arcs tails[k] -> heads[k]
+    on vertices 0..n-1; an unreached vertex has level -1."""
+    order = np.argsort(tails, kind="stable")
+    heads = heads[order]
+    offsets = np.searchsorted(tails[order], np.arange(n + 1))
+    out_degree = np.diff(offsets)
+    level = np.full(n, -1, dtype=np.int64)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        first = offsets[frontier]
+        counts = out_degree[frontier]
+        ends = counts.cumsum()
+        # arc positions first[i] .. first[i] + counts[i] - 1 of each frontier vertex
+        reached = heads[np.arange(ends[-1]) + (first - ends + counts).repeat(counts)]
+        reached = reached[level[reached] < 0]
+        # one copy of each new vertex: the last position that names it
+        slot = np.arange(reached.size)
+        level[reached] = slot
+        frontier = reached[level[reached] == slot]
+        level[frontier] = depth
+    return level
 
 
 @dataclass(frozen=True)
@@ -49,84 +78,79 @@ class Graph:
             if u > v:
                 raise ValueError(f"edge ({u},{v}) not normalized")
 
+    @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """The edges as an (E, 2) integer array."""
+        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for (u, v) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self._edge_array.ravel(), minlength=self.n)
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        E = self._edge_array
+        return sorted(E[E[:, 0] == v, 1].tolist() + E[E[:, 1] == v, 0].tolist())
 
     def adjacency_matrix(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
-        for (u, v) in self.edges:
-            A[u, v] = 1.0
-            A[v, u] = 1.0
+        u, v = self._edge_array.T
+        A[u, v] = 1.0
+        A[v, u] = 1.0
         return A
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        return bool(seen.all())
+        u, v = self._edge_array.T
+        level = breadth_first_levels(self.n, np.concatenate([u, v]), np.concatenate([v, u]))
+        return bool((level >= 0).all())
+
+
+def _vertices_along(n: int, d: int, j: int, values: np.ndarray) -> np.ndarray:
+    """The index grid of Z_n^d with its coordinate-j axis indexed by values,
+    flattened: for values of length n, entry x is the index of vertex x
+    with coordinate x_j replaced by values[x_j]."""
+    grid = np.arange(n**d).reshape((n,) * d)  # axis d-1-j holds coordinate j
+    return grid.take(values, axis=d - 1 - j).ravel()
+
+
+def lattice_step(n: int, d: int, j: int, sign: int) -> np.ndarray:
+    """Index of every vertex of Z_n^d moved by sign (+1 or -1) along
+    coordinate j."""
+    return _vertices_along(n, d, j, (np.arange(n) + sign) % n)
+
+
+def _lattice_edges(n: int, d: int) -> frozenset[tuple[int, int]]:
+    """Edges of Z_n^d: every vertex joined to its +1 step along each
+    coordinate, which also covers the -1 steps."""
+    _check_cap(n**d)
+    steps = [lattice_step(n, d, j, 1) for j in range(d)]
+    return _edge_set(np.tile(np.arange(n**d), d), np.concatenate(steps))
 
 
 def cycle(n: int) -> Graph:
     """Cycle Z_n; n = 2 degenerates to a single edge."""
     if n < 2:
         raise ValueError(f"cycle needs n >= 2, got n={n}")
-    _check_cap(n)
-    edges = {_normalize_edge(x, (x + 1) % n) for x in range(n)}
-    return Graph(n, frozenset(edges), f"cycle({n})")
+    return Graph(n, _lattice_edges(n, 1), f"cycle({n})")
 
 
 def path(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"path needs n >= 2, got n={n}")
     _check_cap(n)
-    edges = {(x, x + 1) for x in range(n - 1)}
-    return Graph(n, frozenset(edges), f"path({n})")
+    return Graph(n, _edge_set(np.arange(n - 1), np.arange(1, n)), f"path({n})")
 
 
 def complete(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"complete needs N >= 2, got N={n}")
     _check_cap(n)
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
-    return Graph(n, frozenset(edges), f"complete({n})")
+    return Graph(n, _edge_set(*np.triu_indices(n, 1)), f"complete({n})")
 
 
 def hypercube(d: int) -> Graph:
-    """Z_2^d with bit j of the vertex index as coordinate j."""
+    """Z_2^d with bit j of the vertex index as coordinate j: lattice(2, d)."""
     if d < 1:
         raise ValueError(f"hypercube needs d >= 1, got d={d}")
-    n = 1 << d
-    _check_cap(n)
-    edges = set()
-    for x in range(n):
-        for j in range(d):
-            edges.add(_normalize_edge(x, x ^ (1 << j)))
-    return Graph(n, frozenset(edges), f"hypercube({d})")
+    return Graph(1 << d, _lattice_edges(2, d), f"hypercube({d})")
 
 
 def lattice(n: int, d: int) -> Graph:
@@ -135,18 +159,7 @@ def lattice(n: int, d: int) -> Graph:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
         raise ValueError(f"lattice needs d >= 1, got d={d}")
-    size = n**d
-    _check_cap(size)
-    edges = set()
-    for v in range(size):
-        for j in range(d):
-            digit = (v // n**j) % n
-            up = v + (((digit + 1) % n) - digit) * n**j
-            edges.add(_normalize_edge(v, up))
-            if n > 2:
-                down = v + (((digit - 1) % n) - digit) * n**j
-                edges.add(_normalize_edge(v, down))
-    return Graph(size, frozenset(edges), f"lattice({n},{d})")
+    return Graph(n**d, _lattice_edges(n, d), f"lattice({n},{d})")
 
 
 _BUILDERS = {
@@ -175,17 +188,11 @@ def cartesian_power(G: Graph, d: int) -> Graph:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
     size = G.n**d
     _check_cap(size)
-    base_adj: list[list[int]] = [[] for _ in range(G.n)]
-    for (u, v) in G.edges:
-        base_adj[u].append(v)
-        base_adj[v].append(u)
-    edges = set()
-    for v in range(size):
-        for j in range(d):
-            digit = (v // G.n**j) % G.n
-            for w in base_adj[digit]:
-                edges.add(_normalize_edge(v, v + (w - digit) * G.n**j))
-    out = Graph(size, frozenset(edges), f"power({G.kind_tag},{d})")
+    low, high = G._edge_array.T
+    tails = [_vertices_along(G.n, d, j, low) for j in range(d)]
+    heads = [_vertices_along(G.n, d, j, high) for j in range(d)]
+    edges = _edge_set(np.concatenate(tails), np.concatenate(heads))
+    out = Graph(size, edges, f"power({G.kind_tag},{d})")
     # sanity: |V|^d vertices and summed coordinate degrees
     assert out.n == G.n**d
     deg_base = G.degrees()
@@ -213,7 +220,7 @@ def parse_edge_list(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise ValueError(f"self-loop {u} {v} rejected")
-        e = _normalize_edge(u, v)
+        e = (min(u, v), max(u, v))
         if e in edges:
             raise ValueError(f"duplicate edge {u} {v} rejected")
         edges.add(e)

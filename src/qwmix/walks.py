@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL, state_cap
-from .graphs import lattice
+from .graphs import lattice, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -204,6 +204,15 @@ class DTWalk:
         return out
 
 
+def _block_embed(blocks: np.ndarray) -> np.ndarray:
+    """Embed matrix whose column x holds blocks[x] at the walk indices
+    x * register_dim + sub, for blocks of shape (base_size, register_dim)."""
+    n, b = blocks.shape
+    E = np.zeros((n * b, n), dtype=blocks.dtype)
+    E.reshape(n, b, n)[np.arange(n), :, np.arange(n)] = blocks
+    return E
+
+
 def quantize_szegedy(P: MarkovChain) -> DTWalk:
     """Discrete-time quantization (R S)^2 on the bipartite edge space.
 
@@ -222,9 +231,7 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     R = 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(n)
     idx = np.arange(dim)
     swap = (idx % n) * n + idx // n  # an involution
-    E = np.zeros((dim, n))
-    for x in range(n):
-        E[x * n : (x + 1) * n, x] = sqrtP[:, x]
+    E = _block_embed(cols)
     return DTWalk(
         "szegedy", n, n, (swap, R, swap, R), E, base_label=P.label, base_symmetric=P.is_symmetric
     )
@@ -232,13 +239,7 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
 
 def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
     """The fixed wavefunction sum_x sqrt(pi_x) |x>|p_x>."""
-    pi = P.stationary
-    sqrtP = np.sqrt(P.entries)
-    n = P.size
-    psi = np.zeros(n * n)
-    for x in range(n):
-        psi[x * n : (x + 1) * n] = np.sqrt(pi[x]) * sqrtP[:, x]
-    return psi
+    return (np.sqrt(P.stationary)[:, None] * np.sqrt(P.entries).T).ravel()
 
 
 def hadamard_cycle_walk(n: int) -> DTWalk:
@@ -251,15 +252,12 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
         raise ValueError(f"cycle walk needs n >= 2, got {n}")
     if 2 * n > state_cap():
         raise ValueError(f"walk space {2 * n} exceeds the configured cap")
-    dim = 2 * n
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     # after the shift, coin 0 at x came from x+1 and coin 1 from x-1
-    sites = np.arange(n)
-    shift = np.stack([((sites + 1) % n) * 2, ((sites - 1) % n) * 2 + 1], axis=1).ravel()
-    E = np.zeros((dim, n), dtype=np.complex128)
-    for x in range(n):
-        E[x * 2 + 0, x] = 1.0 / np.sqrt(2.0)
-        E[x * 2 + 1, x] = 1.0j / np.sqrt(2.0)
+    up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
+    shift = np.stack([up * 2, down * 2 + 1], axis=1).ravel()
+    coin = np.array([1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0)])
+    E = _block_embed(np.tile(coin, (n, 1)))
     return DTWalk("hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})")
 
 
@@ -279,17 +277,11 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
     # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
     # and coin 2j at v from up_j(v) with coin 2j+1
-    verts = np.arange(N)
     shift = np.empty((N, coin_dim), dtype=np.intp)
     for j in range(d):
-        digit = (verts // n**j) % n
-        up = verts + (((digit + 1) % n) - digit) * n**j
-        down = verts + (((digit - 1) % n) - digit) * n**j
-        shift[:, 2 * j + 1] = down * coin_dim + 2 * j
-        shift[:, 2 * j] = up * coin_dim + 2 * j + 1
-    E = np.zeros((dim, N))
-    for v in range(N):
-        E[v * coin_dim : (v + 1) * coin_dim, v] = 1.0 / np.sqrt(coin_dim)
+        shift[:, 2 * j + 1] = lattice_step(n, d, j, -1) * coin_dim + 2 * j
+        shift[:, 2 * j] = lattice_step(n, d, j, 1) * coin_dim + 2 * j + 1
+    E = _block_embed(np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim)))
     factors = (coin[None], shift.ravel())
     return DTWalk(f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag)
 

@@ -1,13 +1,16 @@
 """Shared fixtures and independent reference implementations.
 
 The brute_* helpers deliberately avoid the library code paths they
-check: naive loops, itertools subset enumeration, full eigenpair sums
-with no clustering, degenerate eigenpairs found by comparing every pair
-of eigenvalues, and dense walk unitaries built entry by entry where the
-library keeps coin, shift and reflection factors.
+check: naive loops, itertools subset enumeration, coordinate tuples in
+place of index arrays, powers of the boolean support matrix in place of
+a graph search, full eigenpair sums with no clustering, degenerate
+eigenpairs found by comparing every pair of eigenvalues, and dense walk
+unitaries built entry by entry where the library keeps coin, shift and
+reflection factors.
 """
 
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
@@ -22,6 +25,66 @@ from qwmix.graphs import complete, cycle, lattice
 
 MIX_THRESHOLD = 1.0 / (2.0 * np.e)
 RANDOM_CHAIN_SEED = 0xC0FFEE
+
+
+def _tuple_index(x: tuple[int, ...], n: int) -> int:
+    """Little-endian mixed radix: coordinate 0 is the least significant."""
+    return sum(c * n**j for j, c in enumerate(x))
+
+
+def brute_lattice_edges(n: int, d: int) -> frozenset:
+    """Edges of Z_n^d: every coordinate tuple joined to its +-1 mod n moves
+    along each coordinate."""
+    edges = set()
+    for x in itertools.product(range(n), repeat=d):
+        for j in range(d):
+            for step in (1, -1):
+                y = x[:j] + ((x[j] + step) % n,) + x[j + 1 :]
+                u, v = _tuple_index(x, n), _tuple_index(y, n)
+                edges.add((min(u, v), max(u, v)))
+    return frozenset(edges)
+
+
+def brute_power_edges(base_edges, n: int, d: int) -> frozenset:
+    """Edges of the d-th Cartesian power of a graph on range(n): tuples
+    that differ in one coordinate, by an edge of the base graph."""
+    adjacent = {(a, b) for a, b in base_edges} | {(b, a) for a, b in base_edges}
+    edges = set()
+    for x in itertools.product(range(n), repeat=d):
+        for j in range(d):
+            for b in range(n):
+                if (x[j], b) in adjacent:
+                    y = x[:j] + (b,) + x[j + 1 :]
+                    u, v = _tuple_index(x, n), _tuple_index(y, n)
+                    edges.add((min(u, v), max(u, v)))
+    return frozenset(edges)
+
+
+def brute_reachable(S: np.ndarray) -> np.ndarray:
+    """R[y, x] is True when the support S (S[y, x]: an arc x -> y) has a
+    path of length 0..N from x to y: the boolean (I + S)^N."""
+    n = S.shape[0]
+    step = (np.eye(n, dtype=np.int64) + S.astype(np.int64)) > 0
+    R = np.eye(n, dtype=bool)
+    for _ in range(n):
+        R = (step.astype(np.int64) @ R.astype(np.int64)) > 0
+    return R
+
+
+def brute_period(S: np.ndarray) -> int:
+    """gcd of the lengths k <= N of closed walks of the support, read off
+    the diagonals of the boolean powers S^k; for a strongly connected
+    support this is the period, since every cycle splits into simple
+    cycles of length at most N."""
+    n = S.shape[0]
+    A = S.astype(np.int64)
+    power = np.eye(n, dtype=np.int64)
+    g = 0
+    for k in range(1, n + 1):
+        power = ((A @ power) > 0).astype(np.int64)
+        if power.diagonal().any():
+            g = gcd(g, k)
+    return g
 
 
 def brute_mixing_time(P: np.ndarray, pi: np.ndarray, horizon: int):

@@ -1,5 +1,6 @@
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,15 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import atomic_write_text
-from qwmix.graphs import complete, cycle, lattice, path
+from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
-from conftest import MIX_THRESHOLD, brute_conductance, brute_mixing_time
+from conftest import (
+    MIX_THRESHOLD,
+    brute_conductance,
+    brute_mixing_time,
+    brute_period,
+    brute_reachable,
+)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -312,3 +319,97 @@ def test_column_distance_bounds_mixing(seed):
         return
     bound = mixing_time_bound_from_distance(d1)
     assert tau <= bound + 1e-9
+
+
+@pytest.mark.parametrize(
+    "build",
+    [uniform_projector_chain, lambda n: random_symmetric_chain(n, np.random.default_rng(0))],
+    ids=["uniform", "random_symmetric"],
+)
+def test_chain_constructors_refuse_past_cap_before_allocating(monkeypatch, build):
+    monkeypatch.setenv("QWMIX_STATE_CAP", "100")
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateCapError):
+            build(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@seed(7)
+@settings(deadline=None, max_examples=30)
+@given(
+    st.one_of(
+        st.builds(cycle, st.integers(min_value=2, max_value=12)),
+        st.builds(path, st.integers(min_value=2, max_value=12)),
+        st.builds(complete, st.integers(min_value=2, max_value=8)),
+        st.builds(hypercube, st.integers(min_value=1, max_value=4)),
+        st.builds(lattice, st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=3)),
+    )
+)
+def test_standard_chain_matches_edge_loop(G):
+    deg = [0] * G.n
+    for u, v in G.edges:
+        deg[u] += 1
+        deg[v] += 1
+    expected = np.zeros((G.n, G.n))
+    for u, v in G.edges:
+        expected[v, u] = 1.0 / deg[u]
+        expected[u, v] = 1.0 / deg[v]
+    assert np.array_equal(standard_chain(G).entries, expected)
+
+
+@st.composite
+def directed_supports(draw):
+    """Boolean supports S[y, x] (an arc x -> y), every column nonempty:
+    uniform random, k-partite cycles x -> x + 1 (period a multiple of k)
+    with random forward chords, and block-triangular (reducible) ones."""
+    kind = draw(st.sampled_from(["random", "k_cycle", "reducible"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = rng.choice([0.05, 0.2, 0.5])
+    if kind == "k_cycle":
+        k, m = draw(st.integers(min_value=1, max_value=5)), draw(st.integers(min_value=1, max_value=3))
+        n = k * m
+        phase = np.arange(n) % k
+        S = (rng.random((n, n)) < density) & (phase[:, None] == (phase[None, :] + 1) % k)
+        S[(np.arange(n) + 1) % n, np.arange(n)] = True
+    else:
+        n = draw(st.integers(min_value=1, max_value=10))
+        S = rng.random((n, n)) < density
+        if kind == "reducible":
+            cut = draw(st.integers(min_value=1, max_value=max(1, n - 1)))
+            S[:cut, cut:] = False  # no arc from a state >= cut to one below it
+    empty = ~S.any(axis=0)
+    S[empty, empty] = True
+    return S
+
+
+@seed(8)
+@settings(deadline=None, max_examples=80)
+@given(directed_supports())
+def test_witness_and_period_match_boolean_powers(S):
+    P = MarkovChain(S / S.sum(axis=0), "support")
+    R = brute_reachable(S)
+    if not R[:, 0].all():
+        expected = (0, int(np.flatnonzero(~R[:, 0])[0]))
+    elif not R[0, :].all():
+        expected = (int(np.flatnonzero(~R[0, :])[0]), 0)
+    else:
+        expected = None
+    assert P.irreducibility_witness == expected
+    if expected is None:
+        assert P.period == brute_period(S)
+    else:
+        with pytest.raises(ReducibleChainError):
+            P.period
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_directed_cycle_period(k):
+    S = np.roll(np.eye(k, dtype=bool), 1, axis=0)  # the arcs x -> x + 1 mod k
+    assert MarkovChain(S.astype(float), "cycle").period == k == brute_period(S)
+    if k >= 4:
+        S[2, 0] = True  # a chord x -> x + 2 adds a cycle of length k - 1
+        assert MarkovChain(S / S.sum(axis=0), "chord").period == 1 == brute_period(S)

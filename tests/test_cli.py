@@ -333,6 +333,33 @@ def test_chain_export(tmp_path, capsys):
     assert main(["chain", "export", "blob", "3", str(out)]) == 2
 
 
+def test_chain_export_unwritable_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "chain.csv"
+    assert main(["chain", "export", "cycle", "5", str(out)]) == 2
+    assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+
+def test_run_unwritable_out_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, GAP_CONFIG)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["run", config, "--out", str(blocker / "sub")]) == 2
+    assert f"error: cannot write {blocker / 'sub'}: Not a directory" in capsys.readouterr().err
+    results = tmp_path / "results"
+    (results / "summary.json").mkdir(parents=True)
+    assert main(["run", config, "--out", str(results)]) == 2
+    assert f"error: cannot write {results / 'summary.json'}" in capsys.readouterr().err
+
+
+def test_report_unwritable_report_exits_2(tmp_path, capsys):
+    results = tmp_path / "results"
+    assert main(["run", write_config(tmp_path, dict(GAP_CONFIG, out=str(results)))]) == 0
+    (results / "report.md").mkdir()
+    capsys.readouterr()
+    assert main(["report", str(results)]) == 2
+    assert f"error: cannot write {results / 'report.md'}: Is a directory" in capsys.readouterr().err
+
+
 def test_walk_spectrum(capsys):
     assert main(["walk", "spectrum", "ct", "cycle:5"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

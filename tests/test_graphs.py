@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -16,6 +18,8 @@ from qwmix.graphs import (
     parse_edge_list,
     path,
 )
+
+from conftest import brute_lattice_edges, brute_power_edges, brute_reachable
 
 
 def test_cycle_structure():
@@ -135,3 +139,42 @@ def test_cartesian_power_degree_sum(n, d):
     G = cartesian_power(cycle(n), d)
     base_degree = 1 if n == 2 else 2
     assert all(deg == base_degree * d for deg in G.degrees())
+
+
+@seed(5)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=3))
+def test_builders_match_coordinate_tuple_edges(n, d):
+    expected = brute_lattice_edges(n, d)
+    assert lattice(n, d).edges == expected
+    assert cartesian_power(cycle(n), d).edges == expected
+    assert cycle(n).edges == brute_lattice_edges(n, 1)
+    assert hypercube(d).edges == brute_lattice_edges(2, d)
+    path_edges = {(x, x + 1) for x in range(n - 1)}
+    complete_edges = set(itertools.combinations(range(n), 2))
+    assert path(n).edges == path_edges
+    assert complete(n).edges == complete_edges
+    for base, edges in ((path(n), path_edges), (complete(n), complete_edges)):
+        assert cartesian_power(base, d).edges == brute_power_edges(edges, n, d)
+    # the array views agree with the edge set
+    G = lattice(n, d)
+    A = np.zeros((G.n, G.n))
+    for u, v in expected:
+        A[u, v] = A[v, u] = 1.0
+    assert np.array_equal(G.adjacency_matrix(), A)
+    assert G.degrees().tolist() == A.sum(axis=0).astype(int).tolist()
+    assert all(G.neighbors(v) == np.flatnonzero(A[:, v]).tolist() for v in range(G.n))
+
+
+@seed(6)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
+def test_is_connected_matches_boolean_powers(n, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = rng.random(len(pairs)) < rng.choice([0.1, 0.3, 0.6])
+    G = Graph(n, frozenset(p for p, k in zip(pairs, keep) if k), "random")
+    A = np.zeros((n, n), dtype=bool)
+    for u, v in G.edges:
+        A[u, v] = A[v, u] = True
+    assert G.is_connected() == bool(brute_reachable(A).all())
