@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import MIX_THRESHOLD, default_horizon, state_cap
+from .config import MIX_THRESHOLD, default_horizon
 from .graphs import Graph, _check_cap, breadth_first_levels
 
 COLUMN_SUM_TOL = 1e-10
@@ -51,11 +51,11 @@ class MarkovChain:
     """Immutable column-stochastic matrix with cached spectral data."""
 
     def __init__(self, entries: np.ndarray, label: str = "custom"):
+        shape = np.shape(entries)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"entries must be square, got shape {shape}")
+        _check_cap(shape[0])
         P = np.array(entries, dtype=np.float64)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError(f"entries must be square, got shape {P.shape}")
-        if P.shape[0] > state_cap():
-            raise ValueError(f"{P.shape[0]} states exceeds the configured cap")
         low = P.min()
         if low < -ENTRY_CLAMP:
             raise ValueError(f"negative entry {low} below clamp tolerance")
@@ -190,13 +190,19 @@ class NoMix:
     horizon: int
 
 
-def _threshold_time(M: np.ndarray, pi: np.ndarray, horizon: int) -> int | NoMix:
-    """Smallest t <= horizon with worst-column TV(M^t, pi) <= 1/(2e).
+def _threshold_time(M: np.ndarray, pi: np.ndarray, horizon: int | None = None) -> int | NoMix:
+    """Smallest t <= horizon with worst-column TV(M^t, pi) <= 1/(2e), or
+    NoMix(horizon). The horizon defaults to default_horizon(N) and must be
+    at least 1; every mixing time searches through here.
 
     Worst-column TV to the stationary distribution is nonincreasing for
     time-homogeneous chains; violations beyond MONOTONE_TOL are internal
     errors, so the first crossing time is also a stable crossing.
     """
+    if horizon is None:
+        horizon = default_horizon(M.shape[0])
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     target = pi[:, None]
     power = M
     prev = math.inf
@@ -215,10 +221,6 @@ def _threshold_time(M: np.ndarray, pi: np.ndarray, horizon: int) -> int | NoMix:
 
 def mixing_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
     """Threshold mixing time at 1/(2e), or NoMix(horizon)."""
-    if horizon is None:
-        horizon = default_horizon(P.size)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     witness = P.irreducibility_witness
     if witness is not None:
         raise ReducibleChainError(
@@ -352,8 +354,6 @@ def verify_inequalities(P: MarkovChain, horizon: int | None = None) -> MixingRep
     horizon already decides it; otherwise the check is flagged
     inconclusive.
     """
-    if horizon is None:
-        horizon = default_horizon(P.size)
     delta = spectral_gap(P)
     pi = P.stationary
     d = pairwise_column_distance(P)
@@ -371,6 +371,7 @@ def verify_inequalities(P: MarkovChain, horizon: int | None = None) -> MixingRep
     if isinstance(tau, NoMix):
         # tau exceeds the horizon, so each side is decided only when the
         # horizon itself separates the two quantities.
+        horizon = tau.horizon
         lower_holds = lower <= horizon + SANDWICH_TOL
         checks.append(
             BoundCheck("relaxation_lower", lower, float(horizon), lower_holds, lower_holds)
@@ -474,15 +475,19 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def load_csv(path: str, label: str | None = None) -> MarkovChain:
+    """Read a chain written by save_csv; the state cap is checked on the
+    header's N before any row is read."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith(CSV_HEADER_PREFIX):
-        raise ValueError(f"missing {CSV_HEADER_PREFIX!r} header in {path}")
-    n = int(lines[0][len(CSV_HEADER_PREFIX):])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = [np.array([float(v) for v in ln.split(",")]) for ln in lines[1:]]
-    M = np.vstack(rows)
+        lines = (ln.strip() for ln in fh)
+        header = next((ln for ln in lines if ln), "")
+        if not header.startswith(CSV_HEADER_PREFIX):
+            raise ValueError(f"missing {CSV_HEADER_PREFIX!r} header in {path}")
+        n = int(header[len(CSV_HEADER_PREFIX):])
+        _check_cap(n)
+        rows = [ln for ln in lines if ln]
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, found {len(rows)}")
+    M = np.vstack([np.array([float(v) for v in ln.split(",")]) for ln in rows])
     if M.shape != (n, n):
         raise ValueError(f"expected {n}x{n} matrix, got {M.shape}")
     return MarkovChain(M, label or path)

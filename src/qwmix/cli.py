@@ -128,9 +128,9 @@ def _check_payload(payload) -> None:
         raise ValueError("measurement row is not [label, number or null]")
 
 
-def _run_one(config: RunConfig, params: dict) -> dict:
-    key = cache_key(config.experiment, params, config.seed)
-    path = os.path.join(config.out_dir, f"{config.experiment}-{key[:12]}.json")
+def _run_one(config: RunConfig, params: dict, key: str, path: str) -> dict:
+    """The payload of one job, read from its result file at path when the
+    cache allows, else computed and written there."""
     if config.cache == "use" and os.path.exists(path):
         try:
             with open(path) as fh:
@@ -179,12 +179,19 @@ def command_run(config_path: str, seed, out_dir, cache) -> int:
     job_params = config.jobs()
     failures, errors = [], []
     for params in job_params:
+        key = cache_key(config.experiment, params, config.seed)
+        path = os.path.join(config.out_dir, f"{config.experiment}-{key[:12]}.json")
         try:
-            payload = _run_one(config, params)
+            payload = _run_one(config, params, key, path)
         except (ValueError, TypeError, KeyError) as exc:
             message = f"{type(exc).__name__}: {exc}"
             print(f"error: job {json.dumps(params, sort_keys=True)}: {message}", file=sys.stderr)
             errors.append([params, message])
+            continue
+        except OSError as exc:  # the result file could not be written
+            reason = f"cannot write {path}: {exc.strerror or exc}"
+            print(f"error: {reason}", file=sys.stderr)
+            errors.append([params, f"{type(exc).__name__}: {reason}"])
             continue
         result = payload["result"]
         failing = [a for a in result["assertions"] if not a[3]]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MarkovChain, NoMix, _threshold_time, atomic_write_text, save_csv
-from .config import DEFAULT_TAIL_TOL, default_horizon
+from .config import DEFAULT_TAIL_TOL
 from .walks import CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
@@ -43,7 +43,6 @@ GENERATED_TOL = 1e-9
 # P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and the P_c resolve
 # the identity, so sum_c |P_c y|^2 = |y|^2 = 1.
 CHI_RANK_TOL = 1e-13
-SMOOTH_FAMILIES = ("uniform_ct", "exponential", "uniform_dt", "geometric")
 
 
 @dataclass(frozen=True)
@@ -206,9 +205,8 @@ def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndar
     column of Q supported on one cluster costs that cluster's width.
     """
     V = walk.eigenvectors
-    owner = np.empty(walk.size, dtype=np.intp)
-    for c, members in enumerate(walk.clusters):
-        owner[list(members)] = c
+    sizes = [len(c) for c in walk.clusters]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     acc = np.zeros((walk.size, walk.size))
     for m in np.flatnonzero(np.abs(mu) > CHI_RANK_TOL):
         weights = Q[owner, m]
@@ -237,13 +235,11 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     acc = np.zeros((walk.base_size, walk.base_size))
     psi = walk.embed_matrix.copy()
     t_prev = 0
-    order = np.argsort(times)
-    for i in order:
-        t = int(times[i])
+    for t, w in zip(times, weights):  # rule_weights gives ascending times
         for _ in range(t - t_prev):
             psi = walk.step(psi)
         t_prev = t
-        acc += weights[i] * walk.project(psi)
+        acc += w * walk.project(psi)
     M = _check_generated(acc, walk.base_symmetric, trunc, "dt generated chain")
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     return GeneratedChain(MarkovChain(M, label), walk.walk_kind, walk.base_label, rule, trunc)
@@ -278,10 +274,9 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
 
 def repeated_mixing_time(G: GeneratedChain, horizon: int | None = None) -> int | NoMix:
     """Smallest number of measure-and-restart rounds after which the
-    composed chain is within 1/(2e) of uniform in worst-column TV."""
+    composed chain is within 1/(2e) of uniform in worst-column TV, or
+    NoMix(horizon); the horizon defaults to default_horizon(N)."""
     n = G.size
-    if horizon is None:
-        horizon = default_horizon(n)
     base_sym = np.abs(G.chain.entries - G.chain.entries.T).max() <= 1e-9 + G.truncation_error
     if not base_sym:
         raise ValueError("repeated mixing targets uniform; needs a symmetric generated chain")

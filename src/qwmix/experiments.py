@@ -101,15 +101,22 @@ def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def _tprime_value(tp: int | NoMix, horizon: int) -> tuple[float | None, float]:
-    """(measurement value, assertion lhs) for a repeated mixing time.
+def _tprime_value(tp: int | NoMix) -> tuple[float | None, float]:
+    """(measurement value, assertion lhs) for a repeated or classical
+    mixing time.
 
-    NoMix records a null measurement; horizon + 1 is a true lower bound
-    on the unreached mixing time, so ceiling assertions fail honestly.
+    NoMix records a null measurement; its horizon + 1 is a true lower
+    bound on the unreached mixing time, so ceiling assertions fail
+    honestly.
     """
     if isinstance(tp, NoMix):
-        return None, float(horizon + 1)
+        return None, float(tp.horizon + 1)
     return float(tp), float(tp)
+
+
+def _tprime(walk, rule) -> tuple[float | None, float]:
+    """_tprime_value of the repeated mixing time of walk measured under rule."""
+    return _tprime_value(repeated_mixing_time(generated_chain(walk, rule)))
 
 
 def _require_symmetric_irreducible(P: MarkovChain) -> None:
@@ -161,36 +168,25 @@ def measurement_equivalence_audit(P: MarkovChain, T: float) -> ExperimentResult:
     _require_symmetric_irreducible(P)
     n = P.size
     walk = quantize_ct(P)
-    horizon = default_horizon(n)
-    tp_avg = repeated_mixing_time(generated_chain(walk, uniform_ct_rule(T)), horizon)
-    tp_mem = repeated_mixing_time(generated_chain(walk, exponential_rule(T)), horizon)
+    tp_avg, _ = _tprime(walk, uniform_ct_rule(T))
+    tp_mem, _ = _tprime(walk, exponential_rule(T))
     parameters = {"chain": P.label, "T": T}
-    if isinstance(tp_avg, NoMix) or isinstance(tp_mem, NoMix):
-        which = []
-        if isinstance(tp_avg, NoMix):
-            which.append("uniform_ct")
-        if isinstance(tp_mem, NoMix):
-            which.append("exponential")
+    measurements = [("tprime_uniform_ct", tp_avg), ("tprime_exponential", tp_mem)]
+    if tp_avg is None or tp_mem is None:
+        which = [name for name, tp in zip(("uniform_ct", "exponential"), (tp_avg, tp_mem)) if tp is None]
         parameters["diagnosis"] = (
-            f"inconclusive: {'+'.join(which)} did not mix within horizon {horizon}; "
+            f"inconclusive: {'+'.join(which)} did not mix within horizon {default_horizon(n)}; "
             "raise T or the horizon"
         )
-        measurements = [
-            ("tprime_uniform_ct", None if isinstance(tp_avg, NoMix) else float(tp_avg)),
-            ("tprime_exponential", None if isinstance(tp_mem, NoMix) else float(tp_mem)),
-        ]
         return ExperimentResult(
             "measurement_equivalence_audit", parameters, tuple(measurements), ()
         )
     log_n = 1.0 + math.log(n)
     C = tp_mem / (tp_avg * log_n)
-    k = max(1, math.ceil(math.log(max(float(tp_mem), math.e))))
-    tp_avg_k = repeated_mixing_time(generated_chain(walk, uniform_ct_rule(k * T)), horizon)
-    meas_k, lhs_k = _tprime_value(tp_avg_k, horizon)
+    k = max(1, math.ceil(math.log(max(tp_mem, math.e))))
+    meas_k, lhs_k = _tprime(walk, uniform_ct_rule(k * T))
     c_prime = lhs_k / (tp_mem * (1.0 + math.log(tp_mem)) * log_n)
-    measurements = [
-        ("tprime_uniform_ct", float(tp_avg)),
-        ("tprime_exponential", float(tp_mem)),
+    measurements += [
         ("k", float(k)),
         ("tprime_uniform_ct_kT", meas_k),
         ("C", C),
@@ -222,7 +218,6 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
             raise ValueError(f"continuous cycle audit needs n >= 3, got {n}")
         P = standard_chain(build_graph("cycle", [n]))
         walk = quantize_ct(P)
-        horizon = default_horizon(n)
         for frac_label, frac in (("2/3", 2.0 / 3.0), ("5/6", 5.0 / 6.0), ("1", 1.0)):
             T = frac * (n / 2.0)
             for rule_fn, rule_name in (
@@ -230,8 +225,7 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
                 (uniform_ct_rule, "uniform_ct"),
                 (exponential_rule, "exponential"),
             ):
-                tp = repeated_mixing_time(generated_chain(walk, rule_fn(T)), horizon)
-                value, lhs = _tprime_value(tp, horizon)
+                value, lhs = _tprime(walk, rule_fn(T))
                 label = f"tprime_{rule_name}_frac_{frac_label}"
                 measurements.append((label, value))
                 assertions.append(make_assertion(f"ceiling_{rule_name}_frac_{frac_label}", lhs, CYCLE_AUDIT_CT_CEILING))
@@ -239,7 +233,6 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
         if n < 2:
             raise ValueError(f"coined cycle audit needs n >= 2, got {n}")
         walk = coined_walk("hadamard_cycle", n)
-        horizon = default_horizon(n)
         for frac_label, frac in (("2/3", 2.0 / 3.0), ("1", 1.0)):
             T = frac * (n / math.sqrt(2.0))
             for rule_name in ("uniform_dt", "geometric"):
@@ -247,8 +240,7 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
                     rule = uniform_dt_rule(max(1, round(T)))
                 else:
                     rule = geometric_rule(max(1.0, T))
-                tp = repeated_mixing_time(generated_chain(walk, rule), horizon)
-                value, lhs = _tprime_value(tp, horizon)
+                value, lhs = _tprime(walk, rule)
                 measurements.append((f"tprime_{rule_name}_frac_{frac_label}", value))
                 assertions.append(
                     make_assertion(f"ceiling_{rule_name}_frac_{frac_label}", lhs, CYCLE_AUDIT_HADAMARD_CEILING)
@@ -323,10 +315,8 @@ def lattice_scaling_sweep(n_values: list[int], d_values: list[int]) -> Experimen
             P = standard_chain(lattice(n, d))
             walk = quantize_ct(P)
             T = n * d / 2.0
-            horizon = default_horizon(size)
             for rule_fn, rule_name in ((delta_rule, "delta"), (uniform_ct_rule, "uniform_ct")):
-                tp = repeated_mixing_time(generated_chain(walk, rule_fn(T)), horizon)
-                value, lhs = _tprime_value(tp, horizon)
+                value, lhs = _tprime(walk, rule_fn(T))
                 tprime[(n, d, rule_name)] = lhs
                 cost[(n, d, rule_name)] = T * lhs
                 measurements.append((f"quantum_tprime_{rule_name}_n{n}_d{d}", value))
@@ -339,8 +329,7 @@ def lattice_scaling_sweep(n_values: list[int], d_values: list[int]) -> Experimen
                     )
                 )
             classical = lazy_chain(P) if n % 2 == 0 else P
-            tau = mixing_time(classical, default_horizon(size))
-            tau_v = float(tau) if not isinstance(tau, NoMix) else float(default_horizon(size) + 1)
+            _, tau_v = _tprime_value(mixing_time(classical))
             tau_classical[(n, d)] = tau_v
             measurements.append((f"classical_tau_n{n}_d{d}", tau_v))
     for d in d_values:
@@ -400,15 +389,11 @@ def grover_complete_graph_sweep(N_values: list[int]) -> ExperimentResult:
         P = standard_chain(build_graph("complete", [N]))
         walk = quantize_szegedy(P)
         T = int(math.ceil(math.sqrt(N)))
-        horizon = default_horizon(N)
-        tp = repeated_mixing_time(generated_chain(walk, uniform_dt_rule(T)), horizon)
-        value, lhs = _tprime_value(tp, horizon)
+        value, _ = _tprime(walk, uniform_dt_rule(T))
         measurements.append((f"tprime_N{N}", value))
-        tau = mixing_time(P)
-        tau_v = None if isinstance(tau, NoMix) else float(tau)
+        tau_v, lhs_tau = _tprime_value(mixing_time(P))
         measurements.append((f"classical_tau_N{N}", tau_v))
         if N >= 3:
-            lhs_tau = tau_v if tau_v is not None else float(default_horizon(N) + 1)
             assertions.append(make_assertion(f"classical_fast_N{N}", lhs_tau, 2.0))
         if N >= 3 and value is not None:
             fit_ns.append(N)
@@ -445,18 +430,15 @@ def hypercube_limit_audit(d_values: list[int]) -> ExperimentResult:
         P = standard_chain(hypercube(d))
         walk = quantize_ct(P)
         Pi = limit_chain(walk)
-        u = np.full((size, size), 1.0 / size)
-        dev = 0.5 * one_norm(Pi.entries - u)
+        dev = 0.5 * one_norm(Pi.entries - 1.0 / size)
         measurements.append((f"limit_deviation_d{d}", dev))
         if d >= 2:
             assertions.append(make_assertion(f"limit_nonuniform_d{d}", HYPERCUBE_LIMIT_FLOOR, dev))
         if d == 1:
             measurements.append(("base_period_d1", float(P.period)))
-        horizon = default_horizon(size)
-        tp = repeated_mixing_time(generated_chain(walk, uniform_ct_rule(10.0 * size)), horizon)
-        value, lhs = _tprime_value(tp, horizon)
+        value, lhs = _tprime(walk, uniform_ct_rule(10.0 * size))
         measurements.append((f"tprime_uniform_ct_d{d}", value))
-        assertions.append(make_assertion(f"repeated_mixes_d{d}", lhs, float(horizon)))
+        assertions.append(make_assertion(f"repeated_mixes_d{d}", lhs, float(default_horizon(size))))
     return ExperimentResult(
         "hypercube_limit_audit",
         {"d_values": list(d_values)},

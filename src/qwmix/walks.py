@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
-from .config import DEFAULT_CLUSTER_TOL, state_cap
-from .graphs import lattice, lattice_step
+from .config import DEFAULT_CLUSTER_TOL
+from .graphs import _check_cap, lattice, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -38,7 +38,8 @@ class CTWalk:
 
     eigenvalues are ascending; eigenvectors[:, k] is the k-th real
     orthonormal eigenvector; clusters groups indices of eigenvalues
-    closer than cluster_tolerance (single linkage).
+    closer than cluster_tolerance (single linkage), so each cluster is a
+    run of consecutive indices.
     """
 
     base: MarkovChain
@@ -52,7 +53,7 @@ class CTWalk:
         return self.base.size
 
     def cluster_values(self) -> np.ndarray:
-        return np.array([self.eigenvalues[list(c)].mean() for c in self.clusters])
+        return np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
 
 
 def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) -> CTWalk:
@@ -68,27 +69,23 @@ def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) 
     if ortho > EIGEN_RESIDUAL_TOL:
         raise ArithmeticError(f"eigenvector basis not orthonormal: {ortho}")
 
-    clusters: list[tuple[int, ...]] = []
-    current = [0]
-    for k in range(1, P.size):
-        if lam[k] - lam[k - 1] <= cluster_tolerance:
-            current.append(k)
-        else:
-            clusters.append(tuple(current))
-            current = [k]
-    clusters.append(tuple(current))
-    for c in clusters:
-        spread = lam[c[-1]] - lam[c[0]]
-        if spread > cluster_tolerance:
-            raise ValueError(
-                f"cluster tolerance {cluster_tolerance} chains a spread of {spread}; "
-                "pick a tolerance separating the true degeneracies"
-            )
+    # single linkage on the ascending spectrum: runs split where a gap
+    # exceeds the tolerance
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(lam) > cluster_tolerance) + 1))
+    ends = np.append(starts[1:], P.size)
+    spread = lam[ends - 1] - lam[starts]
+    wide = np.flatnonzero(spread > cluster_tolerance)
+    if wide.size:
+        raise ValueError(
+            f"cluster tolerance {cluster_tolerance} chains a spread of {spread[wide[0]]}; "
+            "pick a tolerance separating the true degeneracies"
+        )
+    clusters = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
     lam = lam.copy()
     V = V.copy()
     lam.setflags(write=False)
     V.setflags(write=False)
-    return CTWalk(P, lam, V, tuple(clusters), cluster_tolerance)
+    return CTWalk(P, lam, V, clusters, cluster_tolerance)
 
 
 def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
@@ -221,8 +218,7 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     right to left, so the factors are (S, R, S, R).
     """
     n = P.size
-    if n * n > state_cap():
-        raise ValueError(f"walk space {n * n} exceeds the configured cap")
+    _check_cap(n * n)
     if not P.is_irreducible:
         raise ValueError(f"chain {P.label!r} must be irreducible")
     sqrtP = np.sqrt(P.entries)
@@ -250,8 +246,7 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
     """
     if n < 2:
         raise ValueError(f"cycle walk needs n >= 2, got {n}")
-    if 2 * n > state_cap():
-        raise ValueError(f"walk space {2 * n} exceeds the configured cap")
+    _check_cap(2 * n)
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     # after the shift, coin 0 at x came from x+1 and coin 1 from x-1
     up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
@@ -268,12 +263,10 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
 
     Coin index 2j+s points along coordinate j with sign (-1)^s.
     """
+    coin_dim = 2 * d
+    _check_cap(n**d * coin_dim)
     G = lattice(n, d)
     N = G.n
-    coin_dim = 2 * d
-    dim = N * coin_dim
-    if dim > state_cap():
-        raise ValueError(f"walk space {dim} exceeds the configured cap")
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
     # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
     # and coin 2j at v from up_j(v) with coin 2j+1

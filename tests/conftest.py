@@ -4,12 +4,14 @@ The brute_* helpers deliberately avoid the library code paths they
 check: naive loops, itertools subset enumeration, coordinate tuples in
 place of index arrays, powers of the boolean support matrix in place of
 a graph search, full eigenpair sums with no clustering, degenerate
-eigenpairs found by comparing every pair of eigenvalues, and dense walk
+eigenpairs and eigenvalue clusters found by comparing every pair of
+eigenvalues, and dense walk
 unitaries built entry by entry where the library keeps coin, shift and
 reflection factors.
 """
 
 import itertools
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -21,7 +23,7 @@ from qwmix import (
     random_symmetric_chain,
     standard_chain,
 )
-from qwmix.graphs import complete, cycle, lattice
+from qwmix.graphs import StateCapError, complete, cycle, lattice
 
 MIX_THRESHOLD = 1.0 / (2.0 * np.e)
 RANDOM_CHAIN_SEED = 0xC0FFEE
@@ -143,6 +145,24 @@ def brute_limit_chain(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return out
 
 
+def brute_clusters(lam: np.ndarray, tol: float) -> list[tuple[int, ...]]:
+    """Single-linkage clusters of eigenvalue indices: the components of
+    the graph joining every pair i, j with |lam_i - lam_j| <= tol, merged
+    pair by pair with no sorting of the values; each cluster a sorted
+    tuple, ordered by first index."""
+    n = len(lam)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(n):
+            if abs(lam[i] - lam[j]) <= tol and label[i] != label[j]:
+                old, new = label[j], label[i]
+                label = [new if lab == old else lab for lab in label]
+    groups: dict[int, list[int]] = {}
+    for i, lab in enumerate(label):
+        groups.setdefault(lab, []).append(i)
+    return sorted(tuple(g) for g in groups.values())
+
+
 def brute_dt_average(U: np.ndarray, E: np.ndarray, base: int, weights) -> np.ndarray:
     """sum_t w_t |U^t E|^2 projected, via independent matrix powers."""
     dim = U.shape[0]
@@ -200,6 +220,17 @@ def brute_szegedy_unitary(P: MarkovChain) -> np.ndarray:
     idx = np.arange(dim)
     perm = (idx % n) * n + idx // n  # S column j has its 1 at row perm[j]
     return R[:, perm] @ R[:, perm]
+
+
+def refusal_peak(build) -> int:
+    """tracemalloc peak, in bytes, of a call that must raise StateCapError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateCapError):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import os
 import stat
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import atomic_write_text
-from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
+from qwmix.graphs import complete, cycle, hypercube, lattice, path
 
 from conftest import (
     MIX_THRESHOLD,
@@ -38,6 +37,7 @@ from conftest import (
     brute_mixing_time,
     brute_period,
     brute_reachable,
+    refusal_peak,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -127,6 +127,13 @@ def test_mixing_time_periodic_chain_reports_no_mix():
     result = mixing_time(P, horizon=50)
     assert isinstance(result, NoMix)
     assert result.horizon == 50
+
+
+def test_horizon_below_one_is_refused_by_every_search():
+    P = standard_chain(cycle(5))
+    for search in (mixing_time, verify_inequalities):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            search(P, horizon=0)
 
 
 def test_mixing_time_bound_from_distance():
@@ -328,14 +335,20 @@ def test_column_distance_bounds_mixing(seed):
 )
 def test_chain_constructors_refuse_past_cap_before_allocating(monkeypatch, build):
     monkeypatch.setenv("QWMIX_STATE_CAP", "100")
-    tracemalloc.start()
-    try:
-        with pytest.raises(StateCapError):
-            build(3000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert refusal_peak(lambda: build(3000)) < 2**20
+
+
+def test_markov_chain_refuses_past_cap_before_copying(monkeypatch):
+    entries = np.zeros((2000, 2000))
+    monkeypatch.setenv("QWMIX_STATE_CAP", "100")
+    assert refusal_peak(lambda: MarkovChain(entries)) < 2**20
+
+
+def test_load_csv_refuses_past_cap_after_header(tmp_path, monkeypatch):
+    out = str(tmp_path / "big.csv")
+    save_csv(uniform_projector_chain(400), out)
+    monkeypatch.setenv("QWMIX_STATE_CAP", "100")
+    assert refusal_peak(lambda: load_csv(out)) < 2**20
 
 
 @seed(7)

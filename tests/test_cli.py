@@ -224,6 +224,32 @@ def test_run_job_error_keeps_good_jobs(tmp_path, capsys, bad_chain):
     assert capsys.readouterr().out.count("cached ok") == 1
 
 
+def test_run_unwritable_result_is_a_job_error(tmp_path, capsys):
+    results = tmp_path / "results"
+    cfg = {
+        "experiment": "gap_inequality_audit",
+        "grid": {"chain": ["cycle:5", "cycle:7"], "T": [2.0], "k_values": [[1, 2]]},
+        "out": str(results),
+    }
+    blocked = {"T": 2.0, "chain": "cycle:5", "k_values": [1, 2]}
+    key = cache_key("gap_inequality_audit", blocked, 0)
+    blocked_path = results / f"gap_inequality_audit-{key[:12]}.json"
+    blocked_path.mkdir(parents=True)
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {blocked_path}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out.count("computed ok") == 1
+    summary = json.loads((results / "summary.json").read_text())
+    assert summary["jobs"] == 2
+    assert summary["all_hold"] is False
+    [(params, message)] = summary["errors"]
+    assert params == blocked
+    assert message.startswith(f"IsADirectoryError: cannot write {blocked_path}: ")
+    assert blocked_path.is_dir() and not list(blocked_path.iterdir())
+    assert sorted(f.name for f in results.iterdir() if f.suffix == ".tmp") == []
+
+
 def test_run_assertion_failure_and_job_error_exit_2(tmp_path, monkeypatch):
     import qwmix.experiments as exp
 

@@ -318,6 +318,14 @@ def test_repeated_mixing_reports_no_mix():
     assert result.horizon == 40
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_repeated_mixing_time_refuses_empty_horizon(horizon):
+    W = quantize_ct(standard_chain(hypercube(2)))
+    g = generated_chain(W, uniform_ct_rule(4.0))
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        repeated_mixing_time(g, horizon=horizon)
+
+
 def test_grover_cycle_uniform_dt_mixes_perfectly():
     for n in (5, 8, 13):
         W = coined_walk("grover_lattice", n, 1)

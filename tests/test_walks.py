@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import qwmix.walks as walks
 from qwmix import (
     DegenerateSpectrumError,
     DTWalk,
+    MarkovChain,
     bessel_j,
     coined_walk,
     ct_amplitude_row,
@@ -22,9 +23,15 @@ from qwmix import (
     szegedy_stationary_state,
     uniform_projector_chain,
 )
-from qwmix.graphs import complete, cycle, hypercube, path
+from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
-from conftest import brute_grover_unitary, brute_hadamard_unitary, brute_szegedy_unitary
+from conftest import (
+    brute_clusters,
+    brute_grover_unitary,
+    brute_hadamard_unitary,
+    brute_szegedy_unitary,
+    refusal_peak,
+)
 
 UNITARITY_TOL = 1e-9
 
@@ -232,6 +239,90 @@ def test_dense_unitary_refused_above_cap(monkeypatch):
         W.unitary
     with pytest.raises(ValueError, match="walk dimension 10 exceeds 8"):
         phase_gap(W)
+
+
+def test_grover_walk_refuses_past_cap_before_building_lattice(monkeypatch):
+    def no_lattice(n, d):
+        raise AssertionError("lattice built before the cap check")
+
+    monkeypatch.setattr(walks, "lattice", no_lattice)
+    monkeypatch.setenv("QWMIX_STATE_CAP", "100")
+    assert refusal_peak(lambda: walks.grover_lattice_walk(8, 2)) < 2**20
+
+
+def test_walk_builders_refuse_past_cap(monkeypatch):
+    monkeypatch.setenv("QWMIX_STATE_CAP", "20")
+    with pytest.raises(StateCapError, match="25 states"):
+        quantize_szegedy(standard_chain(cycle(5)))
+    with pytest.raises(StateCapError, match="22 states"):
+        coined_walk("hadamard_cycle", 11)
+
+
+def _check_clusters(P: MarkovChain, tol: float) -> None:
+    """quantize_ct's clusters and cluster values against brute_clusters on
+    the same eigensolve, or its spread error where a brute cluster spans
+    more than tol."""
+    lam = np.linalg.eigh(symmetrized_generator(P))[0]
+    expected = brute_clusters(lam, tol)
+    if any(lam[list(c)].max() - lam[list(c)].min() > tol for c in expected):
+        with pytest.raises(ValueError, match="chains a spread"):
+            quantize_ct(P, tol)
+        return
+    W = quantize_ct(P, tol)
+    assert W.clusters == tuple(expected)
+    assert all(type(i) is int for c in W.clusters for i in c)
+    values = np.array([lam[list(c)].mean() for c in expected])
+    assert W.cluster_values().tobytes() == values.tobytes()
+
+
+def _planted_chain(values: np.ndarray, seed: int) -> MarkovChain:
+    """Symmetric chain with spectrum {1} and values, in a random
+    orthonormal basis of the complement of the ones vector; |values| < 1/N
+    keeps every entry positive."""
+    n = len(values) + 1
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))
+    B = Q[:, 1:]
+    M = 1.0 / n + (B * values) @ B.T
+    return MarkovChain(0.5 * (M + M.T), "planted")
+
+
+@seed(11)
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-0.4, max_value=0.4),
+            st.lists(st.sampled_from([0.6, 0.0, 0.3, 0.9, 1.5]), max_size=3),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from([1e-8, 1e-6, 1e-4]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([(0.1, [0.9, 0.9])], 1e-6, 0)  # gaps under tol, spread over it
+def test_clusters_match_brute_on_planted_spectra(groups, tol, seed):
+    n = 1 + sum(len(gaps) + 1 for _, gaps in groups)
+    values = np.concatenate([centre / n + tol * np.cumsum([0.0] + gaps) for centre, gaps in groups])
+    _check_clusters(_planted_chain(values, seed), tol)
+
+
+@seed(12)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        st.builds(lambda n, d: standard_chain(lattice(n, d)), st.integers(3, 6), st.integers(1, 3)),
+        st.builds(
+            lambda s, n: random_symmetric_chain(n, np.random.default_rng(s)),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=2, max_value=24),
+        ),
+    ),
+    st.sampled_from([1e-8, 1e-3, 0.05, 0.2]),
+)
+def test_clusters_match_brute_on_chains(P, tol):
+    _check_clusters(P, tol)
 
 
 @seed(7)
