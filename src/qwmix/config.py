@@ -12,13 +12,15 @@ import os
 # Threshold for (worst-column) total-variation mixing, exactly 1/(2e).
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 
-# Dense-state cap: O(N^3) spectral work stays under about a minute.
-DEFAULT_STATE_CAP = 65536
+# The one size limit: every graph, chain, walk builder and dense walk
+# operator counts its states (or walk dimension) against it before it
+# allocates. A dense float64 chain at the default takes 128 MiB.
+DEFAULT_STATE_CAP = 4096
 
 # Eigenvalues closer than this are treated as one degenerate cluster.
 DEFAULT_CLUSTER_TOL = 1e-8
 
-# Truncation tail mass for infinite-support measurement rules.
+# Tail mass left out when the geometric rule's support is truncated.
 DEFAULT_TAIL_TOL = 1e-10
 
 def state_cap() -> int:

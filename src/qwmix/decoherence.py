@@ -56,7 +56,6 @@ class MeasurementRule:
 
     family: str
     T: float
-    tail_tolerance: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.family not in set(CT_FAMILIES) | set(DT_FAMILIES):
@@ -69,8 +68,6 @@ class MeasurementRule:
                 raise ValueError(f"geometric needs T >= 1, got {self.T}")
         elif self.T < 0.0:
             raise ValueError(f"T must be nonnegative, got {self.T}")
-        if not (0.0 < self.tail_tolerance < 1.0):
-            raise ValueError(f"tail_tolerance must lie in (0,1), got {self.tail_tolerance}")
 
 
 def delta_rule(T: float) -> MeasurementRule:
@@ -89,8 +86,8 @@ def uniform_dt_rule(T: int) -> MeasurementRule:
     return MeasurementRule("uniform_dt", float(T))
 
 
-def geometric_rule(T: float, tail_tolerance: float = DEFAULT_TAIL_TOL) -> MeasurementRule:
-    return MeasurementRule("geometric", float(T), tail_tolerance)
+def geometric_rule(T: float) -> MeasurementRule:
+    return MeasurementRule("geometric", float(T))
 
 
 def characteristic_function(rule: MeasurementRule, theta):
@@ -137,7 +134,7 @@ def characteristic_function(rule: MeasurementRule, theta):
 def rule_weights(rule: MeasurementRule) -> tuple[np.ndarray, np.ndarray, float]:
     """(times, weights, truncation_error) for a discrete-time rule.
 
-    Geometric support is truncated at ceil(T * ln(1/tail_tolerance)) and
+    Geometric support is truncated at ceil(T * ln(1/DEFAULT_TAIL_TOL)) and
     the kept weights renormalized; the entrywise error bound 2 * dropped
     mass is returned.
     """
@@ -150,7 +147,7 @@ def rule_weights(rule: MeasurementRule) -> tuple[np.ndarray, np.ndarray, float]:
         return np.arange(Ti), np.full(Ti, 1.0 / Ti), 0.0
     if rule.family == "geometric":
         p = 1.0 / rule.T
-        t_max = int(math.ceil(rule.T * math.log(1.0 / rule.tail_tolerance)))
+        t_max = int(math.ceil(rule.T * math.log(1.0 / DEFAULT_TAIL_TOL)))
         t = np.arange(t_max + 1)
         w = p * (1.0 - p) ** t
         captured = float(w.sum())

@@ -21,7 +21,6 @@ from .graphs import _check_cap, lattice, lattice_step
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
 PHASE_TOL = 1e-8
-PHASE_GAP_MAX_DIM = 4096
 
 
 class DegenerateSpectrumError(ValueError):
@@ -38,15 +37,14 @@ class CTWalk:
 
     eigenvalues are ascending; eigenvectors[:, k] is the k-th real
     orthonormal eigenvector; clusters groups indices of eigenvalues
-    closer than cluster_tolerance (single linkage), so each cluster is a
-    run of consecutive indices.
+    closer than quantize_ct's cluster tolerance (single linkage), so each
+    cluster is a run of consecutive indices.
     """
 
     base: MarkovChain
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
-    cluster_tolerance: float
 
     @property
     def size(self) -> int:
@@ -85,7 +83,7 @@ def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) 
     V = V.copy()
     lam.setflags(write=False)
     V.setflags(write=False)
-    return CTWalk(P, lam, V, clusters, cluster_tolerance)
+    return CTWalk(P, lam, V, clusters)
 
 
 def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
@@ -181,14 +179,11 @@ class DTWalk:
 
     @property
     def unitary(self) -> np.ndarray:
-        """Dense walk operator, the step applied to the identity; refused
-        above PHASE_GAP_MAX_DIM before anything is allocated."""
-        if self.dim > PHASE_GAP_MAX_DIM:
-            raise ValueError(f"walk dimension {self.dim} exceeds {PHASE_GAP_MAX_DIM}")
+        """Dense walk operator, the step applied to the identity; its
+        dimension is checked against the state cap before anything is
+        allocated."""
+        _check_cap(self.dim)
         return self.step(np.eye(self.dim))
-
-    def embed(self, x: int) -> np.ndarray:
-        return self.embed_matrix[:, x]
 
     def project(self, psi: np.ndarray) -> np.ndarray:
         """Position-register distribution of one wavefunction or of each
@@ -296,16 +291,15 @@ def coined_walk(kind: str, *params: int) -> DTWalk:
 def phase_gap(W) -> float:
     """Smallest nonzero eigenphase magnitude of a discrete walk unitary,
     or the smallest nonzero eigenvalue separation of a continuous walk
-    (the frequency that controls its measured dynamics)."""
+    (the frequency that controls its measured dynamics).
+
+    The clusters decide which eigenvalues of a continuous walk are equal,
+    so its gap is the smallest step between adjacent cluster values.
+    """
     if isinstance(W, CTWalk):
-        values = np.asarray(W.cluster_values())
-        if values.size > PHASE_GAP_MAX_DIM:
-            raise ValueError(f"walk dimension {values.size} exceeds {PHASE_GAP_MAX_DIM}")
-        diffs = np.abs(np.subtract.outer(values, values))
-        nz = diffs > PHASE_TOL
-        if not nz.any():
+        if len(W.clusters) == 1:
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
-        return float(diffs[nz].min())
+        return float(np.diff(W.cluster_values()).min())
     return eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
 
 

@@ -4,8 +4,8 @@ The brute_* helpers deliberately avoid the library code paths they
 check: naive loops, itertools subset enumeration, coordinate tuples in
 place of index arrays, powers of the boolean support matrix in place of
 a graph search, full eigenpair sums with no clustering, degenerate
-eigenpairs and eigenvalue clusters found by comparing every pair of
-eigenvalues, and dense walk
+eigenpairs, eigenvalue clusters and the continuous-time phase gap found
+by comparing every pair of eigenvalues, and dense walk
 unitaries built entry by entry where the library keeps coin, shift and
 reflection factors.
 """
@@ -161,6 +161,18 @@ def brute_clusters(lam: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     for i, lab in enumerate(label):
         groups.setdefault(lab, []).append(i)
     return sorted(tuple(g) for g in groups.values())
+
+
+def brute_ct_phase_gap(lam: np.ndarray, tol: float) -> float | None:
+    """Smallest |lam_i - lam_j| over every pair of eigenvalues farther
+    apart than tol, with no sorting and no clusters; None when no pair is."""
+    best = None
+    for a in lam:
+        for b in lam:
+            gap = abs(float(a) - float(b))
+            if gap > tol and (best is None or gap < best):
+                best = gap
+    return best
 
 
 def brute_dt_average(U: np.ndarray, E: np.ndarray, base: int, weights) -> np.ndarray:

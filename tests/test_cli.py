@@ -414,11 +414,9 @@ def test_walk_spectrum_solves_the_unitary_once(capsys, monkeypatch):
 
 
 def test_walk_spectrum_past_cap_exits_2(capsys, monkeypatch):
-    import qwmix.walks as walks
-
-    monkeypatch.setattr(walks, "PHASE_GAP_MAX_DIM", 8)
+    monkeypatch.setenv("QWMIX_STATE_CAP", "8")
     for kind, params in (("hadamard_cycle", "5"), ("szegedy", "cycle:3"), ("ct", "path:10")):
         assert main(["walk", "spectrum", kind, params]) == 2
         captured = capsys.readouterr()
-        assert "exceeds 8" in captured.err
+        assert "exceeds the configured cap of 8" in captured.err
         assert captured.out == ""

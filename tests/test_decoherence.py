@@ -32,6 +32,7 @@ from qwmix import (
     uniform_ct_rule,
     uniform_dt_rule,
 )
+from qwmix.config import DEFAULT_TAIL_TOL
 from qwmix.graphs import complete, cycle, hypercube, lattice, path
 
 from conftest import (
@@ -137,7 +138,7 @@ def test_rule_weights_uniform_dt():
 
 
 def test_rule_weights_geometric_truncation():
-    times, weights, err = rule_weights(geometric_rule(5.0, tail_tolerance=1e-8))
+    times, weights, err = rule_weights(geometric_rule(5.0))
     assert weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert 0.0 < err < 1e-7
     assert times[0] == 0
@@ -223,7 +224,7 @@ def test_dt_geometric_matches_long_sum():
     W = quantize_szegedy(P)
     T = 3.0
     p = 1.0 / T
-    g = generated_chain(W, geometric_rule(T, tail_tolerance=1e-12))
+    g = generated_chain(W, geometric_rule(T))
     weights = [(t, p * (1 - p) ** t) for t in range(300)]
     expected = brute_dt_average(brute_szegedy_unitary(P), W.embed_matrix, 4, weights)
     expected /= sum(w for _, w in weights)
@@ -435,13 +436,13 @@ def dt_walks_with_oracle(draw):
 def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
     W, U = walk_and_oracle
     p = 1.0 / T_geo
-    t_max = math.ceil(T_geo * math.log(1.0 / 1e-10))
+    t_max = math.ceil(T_geo * math.log(1.0 / DEFAULT_TAIL_TOL))
     geo = [(s, p * (1.0 - p) ** s) for s in range(t_max + 1)]
     mass = sum(w for _, w in geo)
     cases = [
         (delta_rule(t), [(t, 1.0)]),
         (uniform_dt_rule(T), [(s, 1.0 / T) for s in range(T)]),
-        (geometric_rule(T_geo, tail_tolerance=1e-10), [(s, w / mass) for s, w in geo]),
+        (geometric_rule(T_geo), [(s, w / mass) for s, w in geo]),
     ]
     for rule, weights in cases:
         got = generated_chain(W, rule).chain.entries

@@ -21,8 +21,11 @@ from qwmix.experiments import (
     run_experiment,
     tensor_power_identity_audit,
 )
+from qwmix.chains import uniform_projector_chain
 from qwmix.cli import ConfigError, RunConfig
 from qwmix.graphs import cycle, path
+
+from conftest import refusal_peak
 
 
 def _check_result_invariants(result):
@@ -195,3 +198,21 @@ def test_results_are_deterministic():
     b = lattice_scaling_sweep([4, 6], [2])
     assert a.to_dict() == b.to_dict()
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lattice_scaling_sweep([65], [2]),
+        lambda: grover_complete_graph_sweep([65]),
+        lambda: hypercube_limit_audit([13]),
+        lambda: tensor_power_identity_audit(cycle(5), 6, [1.0]),
+        lambda: cycle_threshold_audit(5000, "ct"),
+        lambda: cycle_threshold_audit(2049, "hadamard"),
+        lambda: uniform_projector_chain(4097),
+    ],
+    ids=["lattice", "grover", "hypercube", "tensor_power", "cycle_ct", "cycle_hadamard", "uniform"],
+)
+def test_experiments_refuse_past_default_cap_before_allocating(monkeypatch, build):
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    assert refusal_peak(build) < 2**20

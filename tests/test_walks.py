@@ -27,6 +27,7 @@ from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, pat
 
 from conftest import (
     brute_clusters,
+    brute_ct_phase_gap,
     brute_grover_unitary,
     brute_hadamard_unitary,
     brute_szegedy_unitary,
@@ -233,11 +234,13 @@ def test_dtwalk_step_applies_factors_in_order():
 
 
 def test_dense_unitary_refused_above_cap(monkeypatch):
-    W = coined_walk("hadamard_cycle", 5)
-    monkeypatch.setattr(walks, "PHASE_GAP_MAX_DIM", 8)
-    with pytest.raises(ValueError, match="walk dimension 10 exceeds 8"):
+    # a walk built directly: the builders refuse such a cap themselves
+    H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    W = DTWalk("custom", 5, 2, (H2[None], np.roll(np.arange(10), 3)), np.eye(10)[:, ::2])
+    monkeypatch.setenv("QWMIX_STATE_CAP", "8")
+    with pytest.raises(StateCapError, match="10 states exceeds the configured cap of 8"):
         W.unitary
-    with pytest.raises(ValueError, match="walk dimension 10 exceeds 8"):
+    with pytest.raises(StateCapError, match="10 states exceeds the configured cap of 8"):
         phase_gap(W)
 
 
@@ -367,6 +370,38 @@ def test_phase_gap_szegedy_cycles_track_gap():
 def test_phase_gap_ct_value():
     W = quantize_ct(standard_chain(cycle(5)))
     assert phase_gap(W) == pytest.approx(1.0 - np.cos(2 * np.pi / 5), abs=1e-9)
+
+
+@seed(13)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        st.builds(lambda n: MarkovChain(np.eye(n), "identity"), st.integers(1, 6)),
+        st.builds(uniform_projector_chain, st.integers(1, 12)),
+        st.builds(lambda n: standard_chain(complete(n)), st.integers(2, 12)),
+        st.builds(lambda n, d: standard_chain(lattice(n, d)), st.integers(3, 6), st.integers(1, 3)),
+        st.builds(
+            lambda n, d: lazy_chain(standard_chain(lattice(n, d))), st.integers(3, 6), st.integers(1, 3)
+        ),
+        st.builds(
+            lambda s, n: random_symmetric_chain(n, np.random.default_rng(s)),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=2, max_value=30),
+        ),
+    )
+)
+@example(MarkovChain(np.eye(1), "one state"))
+def test_ct_phase_gap_matches_all_pairs_oracle(P):
+    W = quantize_ct(P)
+    expected = brute_ct_phase_gap(np.linalg.eigvalsh(symmetrized_generator(P)), walks.PHASE_TOL)
+    if expected is None:
+        assert len(W.clusters) == 1
+        with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
+            phase_gap(W)
+    else:
+        # a cluster value moves off its members by the cluster's spread,
+        # which is rounding on these spectra
+        assert phase_gap(W) == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_phase_gap_identity_degenerate():
