@@ -17,7 +17,8 @@ per kept term and O(N^2) memory, with no stack of projectors. Terms
 with |mu_m| <= CHI_RANK_TOL are dropped, which moves no entry by more
 than CHI_RANK_TOL. The delta rule's chi has rank 2, so it costs two
 products; the long-time limit chain is the same sum with chi the
-identity.
+identity. H is real symmetric, so exp(-iHt) is complex-symmetric and every
+continuous-time chain here is symmetric, whatever the base chain.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class GeneratedChain:
         return self.chain.size
 
 
-def _check_generated(M: np.ndarray, symmetric_base: bool, trunc: float, what: str) -> np.ndarray:
+def _check_generated(M: np.ndarray, symmetric: bool, trunc: float, what: str) -> np.ndarray:
     tol = GENERATED_TOL + trunc
     if M.min() < -tol:
         raise ArithmeticError(f"{what}: negative entry {M.min()}")
@@ -179,17 +180,17 @@ def _check_generated(M: np.ndarray, symmetric_base: bool, trunc: float, what: st
     col_err = np.abs(M.sum(axis=0) - 1.0).max()
     if col_err > tol:
         raise ArithmeticError(f"{what}: column sums off by {col_err}")
-    if symmetric_base:
+    if symmetric:
         sym_err = np.abs(M - M.T).max()
         if sym_err > tol:
-            raise ArithmeticError(f"{what}: asymmetry {sym_err} with symmetric base")
+            raise ArithmeticError(f"{what}: asymmetry {sym_err} in a chain that must be symmetric")
         M = 0.5 * (M + M.T)
         row_err = np.abs(M.sum(axis=1) - 1.0).max()
         if row_err > tol:
             raise ArithmeticError(f"{what}: row sums off by {row_err}")
     # tiny float drift: renormalize columns so MarkovChain validation is exact
     M = M / M.sum(axis=0, keepdims=True)
-    if symmetric_base:
+    if symmetric:
         M = 0.5 * (M + M.T)
     return M
 
@@ -222,7 +223,7 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
     # Re phi is even, so chi is symmetric up to rounding
     mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
     acc = _spectral_square_sum(walk, mu, Q)
-    M = _check_generated(acc, walk.base.is_symmetric, 0.0, "ct generated chain")
+    M = _check_generated(acc, True, 0.0, "ct generated chain")
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     return GeneratedChain(MarkovChain(M, label), "ct", walk.base.label, rule, 0.0)
 
@@ -265,7 +266,7 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
     at a time (chi is the identity)."""
     C = len(walk.clusters)
     Pi = _spectral_square_sum(walk, np.ones(C), np.eye(C))
-    M = _check_generated(Pi, walk.base.is_symmetric, 0.0, "limit chain")
+    M = _check_generated(Pi, True, 0.0, "limit chain")
     return MarkovChain(M, f"limit({walk.base.label})")
 
 
@@ -273,12 +274,9 @@ def repeated_mixing_time(G: GeneratedChain, horizon: int | None = None) -> int |
     """Smallest number of measure-and-restart rounds after which the
     composed chain is within 1/(2e) of uniform in worst-column TV, or
     NoMix(horizon); the horizon defaults to default_horizon(N)."""
-    n = G.size
-    base_sym = np.abs(G.chain.entries - G.chain.entries.T).max() <= 1e-9 + G.truncation_error
-    if not base_sym:
+    if not G.chain.is_symmetric:
         raise ValueError("repeated mixing targets uniform; needs a symmetric generated chain")
-    u = np.full(n, 1.0 / n)
-    return _threshold_time(G.chain.entries, u, horizon)
+    return _threshold_time(G.chain.entries, G.chain.stationary, horizon)
 
 
 def export_generated(G: GeneratedChain, csv_path: str) -> tuple[str, str]:

@@ -417,8 +417,8 @@ def hypercube_limit_audit(d_values: list[int]) -> ExperimentResult:
     measurements = []
     assertions = []
     for d in d_values:
-        size = 2**d
         P = standard_chain(hypercube(d))
+        size = P.size
         walk = quantize_ct(P)
         Pi = limit_chain(walk)
         dev = 0.5 * one_norm(Pi.entries - 1.0 / size)

@@ -27,6 +27,18 @@ def _check_cap(n_states: int) -> None:
         raise StateCapError(f"{n_states} states exceeds the configured cap of {cap}")
 
 
+def _power_count(n: int, d: int) -> int:
+    """n**d states for n >= 1, multiplied out one factor at a time and
+    refused as soon as it passes the cap, before the power is formed."""
+    cap = state_cap()
+    count = 1
+    for _ in range(d if n > 1 else 0):
+        count *= n
+        if count > cap:
+            raise StateCapError(f"{n}^{d} states exceeds the configured cap of {cap}")
+    return count
+
+
 def _edge_set(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
     """Normalized (low, high) pairs of two index arrays, duplicates merged."""
     return frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
@@ -120,9 +132,9 @@ def lattice_step(n: int, d: int, j: int, sign: int) -> np.ndarray:
 def _lattice_edges(n: int, d: int) -> frozenset[tuple[int, int]]:
     """Edges of Z_n^d: every vertex joined to its +1 step along each
     coordinate, which also covers the -1 steps."""
-    _check_cap(n**d)
+    size = _power_count(n, d)
     steps = [lattice_step(n, d, j, 1) for j in range(d)]
-    return _edge_set(np.tile(np.arange(n**d), d), np.concatenate(steps))
+    return _edge_set(np.tile(np.arange(size), d), np.concatenate(steps))
 
 
 def cycle(n: int) -> Graph:
@@ -150,7 +162,7 @@ def hypercube(d: int) -> Graph:
     """Z_2^d with bit j of the vertex index as coordinate j: lattice(2, d)."""
     if d < 1:
         raise ValueError(f"hypercube needs d >= 1, got d={d}")
-    return Graph(1 << d, _lattice_edges(2, d), f"hypercube({d})")
+    return Graph(_power_count(2, d), _lattice_edges(2, d), f"hypercube({d})")
 
 
 def lattice(n: int, d: int) -> Graph:
@@ -159,7 +171,7 @@ def lattice(n: int, d: int) -> Graph:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
         raise ValueError(f"lattice needs d >= 1, got d={d}")
-    return Graph(n**d, _lattice_edges(n, d), f"lattice({n},{d})")
+    return Graph(_power_count(n, d), _lattice_edges(n, d), f"lattice({n},{d})")
 
 
 _BUILDERS = {
@@ -186,8 +198,7 @@ def cartesian_power(G: Graph, d: int) -> Graph:
     one coordinate by an edge of G. Coordinate 0 is least significant."""
     if d < 1:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
-    size = G.n**d
-    _check_cap(size)
+    size = _power_count(G.n, d)
     low, high = G._edge_array.T
     tails = [_vertices_along(G.n, d, j, low) for j in range(d)]
     heads = [_vertices_along(G.n, d, j, high) for j in range(d)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
-from .graphs import _check_cap, lattice, lattice_step
+from .graphs import _check_cap, _power_count, lattice, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -79,8 +79,6 @@ def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) 
             "pick a tolerance separating the true degeneracies"
         )
     clusters = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
-    lam = lam.copy()
-    V = V.copy()
     lam.setflags(write=False)
     V.setflags(write=False)
     return CTWalk(P, lam, V, clusters)
@@ -259,7 +257,7 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     Coin index 2j+s points along coordinate j with sign (-1)^s.
     """
     coin_dim = 2 * d
-    _check_cap(n**d * coin_dim)
+    _check_cap(_power_count(n, d) * coin_dim)
     G = lattice(n, d)
     N = G.n
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)

@@ -3,9 +3,10 @@
 The brute_* helpers deliberately avoid the library code paths they
 check: naive loops, itertools subset enumeration, coordinate tuples in
 place of index arrays, powers of the boolean support matrix in place of
-a graph search, full eigenpair sums with no clustering, degenerate
-eigenpairs, eigenvalue clusters and the continuous-time phase gap found
-by comparing every pair of eigenvalues, and dense walk
+a graph search, column distances compared one pair at a time, full
+eigenpair sums with no clustering, degenerate eigenpairs, eigenvalue
+clusters and the continuous-time phase gap found by comparing every pair
+of eigenvalues, and dense walk
 unitaries built entry by entry where the library keeps coin, shift and
 reflection factors.
 """
@@ -114,6 +115,17 @@ def brute_conductance(P: np.ndarray, pi: np.ndarray) -> float:
             Sc = [v for v in range(n) if v not in S]
             flow = Q[np.ix_(Sc, list(S))].sum()
             best = min(best, flow / mass)
+    return best
+
+
+def brute_pairwise_distance(P: np.ndarray) -> float:
+    """Largest total-variation distance 0.5 * sum_y |P[y, x] - P[y, z]|
+    over every pair of columns x, z, one pair at a time."""
+    n = P.shape[0]
+    best = 0.0
+    for x in range(n):
+        for z in range(n):
+            best = max(best, 0.5 * sum(abs(P[y, x] - P[y, z]) for y in range(n)))
     return best
 
 

@@ -35,6 +35,7 @@ from conftest import (
     MIX_THRESHOLD,
     brute_conductance,
     brute_mixing_time,
+    brute_pairwise_distance,
     brute_period,
     brute_reachable,
     refusal_peak,
@@ -183,6 +184,40 @@ def test_conductance_size_cap():
         conductance(standard_chain(cycle(21)))
 
 
+def test_conductance_refuses_one_state():
+    with pytest.raises(ValueError, match="N=1"):
+        conductance(MarkovChain(np.ones((1, 1)), "one"))
+
+
+def test_verify_inequalities_one_state_chain():
+    report = verify_inequalities(MarkovChain(np.ones((1, 1)), "one"))
+    assert report.phi is None
+    assert "conductance_lower" not in {c.name for c in report.bound_checks}
+    assert report.all_hold()
+
+
+# every bipartite chain tried with N <= 20: the absolute gap is 0, the
+# signed gap is not
+BIPARTITE_GRAPHS = (
+    [cycle(n) for n in range(2, 21, 2)]
+    + [path(n) for n in range(2, 21)]
+    + [hypercube(d) for d in range(1, 5)]
+    + [lattice(4, 2), complete(2)]
+)
+
+
+@pytest.mark.parametrize("G", BIPARTITE_GRAPHS, ids=lambda G: G.kind_tag)
+def test_verify_inequalities_bipartite_chains(G):
+    P = standard_chain(G)
+    assert P.period == 2
+    report = verify_inequalities(P)
+    checks = {c.name: c for c in report.bound_checks}
+    assert report.delta == pytest.approx(0.0, abs=1e-12)
+    assert checks["conductance_lower"].holds and checks["conductance_lower"].conclusive
+    assert checks["conductance_upper"].holds
+    assert [c.name for c in report.bound_checks if c.conclusive and not c.holds] == []
+
+
 def test_verify_inequalities_lazy_cycle():
     report = verify_inequalities(lazy_chain(standard_chain(cycle(9))))
     assert report.all_hold()
@@ -326,6 +361,34 @@ def test_column_distance_bounds_mixing(seed):
         return
     bound = mixing_time_bound_from_distance(d1)
     assert tau <= bound + 1e-9
+
+
+@seed(11)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        st.builds(
+            lambda n, s: random_symmetric_chain(n, np.random.default_rng(s)),
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=0, max_value=2**32 - 1),
+        ),
+        st.builds(
+            standard_chain,
+            st.one_of(
+                st.builds(cycle, st.integers(min_value=2, max_value=12)),
+                st.builds(complete, st.integers(min_value=2, max_value=8)),
+                st.builds(hypercube, st.integers(min_value=1, max_value=3)),
+            ),
+        ),
+        st.builds(
+            lambda n, hold: lazy_chain(standard_chain(path(n)), hold),
+            st.integers(min_value=2, max_value=12),
+            st.floats(min_value=0.05, max_value=0.95),
+        ),
+    )
+)
+def test_pairwise_column_distance_matches_all_pairs_oracle(P):
+    assert pairwise_column_distance(P) == pytest.approx(brute_pairwise_distance(P.entries), abs=1e-12)
 
 
 @pytest.mark.parametrize(

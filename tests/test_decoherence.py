@@ -19,6 +19,7 @@ from qwmix import (
     exponential_rule,
     generated_chain,
     geometric_rule,
+    lazy_chain,
     limit_chain,
     load_csv,
     one_norm,
@@ -393,6 +394,20 @@ def test_generated_ct_matches_unclustered_oracle(P, T):
         expected = brute_generated_ct(H, lambda th: characteristic_function(rule, th))
         got = generated_chain(W, rule).chain.entries
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
+def test_ct_chains_on_path_bases_are_symmetric(n):
+    # H is real symmetric, so exp(-iHt) is complex-symmetric even though
+    # the path chain itself is not symmetric
+    for P in (standard_chain(path(n)), lazy_chain(standard_chain(path(n)), 0.3)):
+        assert not P.is_symmetric
+        W = quantize_ct(P)
+        for rule in (delta_rule(1.7 * n), uniform_ct_rule(10.0 * n), exponential_rule(2.0 * n)):
+            G = generated_chain(W, rule)
+            assert G.chain.is_symmetric
+            assert not isinstance(repeated_mixing_time(G), NoMix)
+        assert limit_chain(W).is_symmetric
 
 
 @seed(6)

@@ -19,7 +19,9 @@ from qwmix.graphs import (
     path,
 )
 
-from conftest import brute_lattice_edges, brute_power_edges, brute_reachable
+from qwmix.walks import grover_lattice_walk
+
+from conftest import brute_lattice_edges, brute_power_edges, brute_reachable, refusal_peak
 
 
 def test_cycle_structure():
@@ -100,6 +102,28 @@ def test_state_cap_enforced(monkeypatch):
     with pytest.raises(StateCapError):
         cycle(101)
     assert cycle(100).n == 100
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hypercube(15000),
+        lambda: hypercube(10**7),
+        lambda: hypercube(14000),
+        lambda: lattice(2, 10**7),
+        lambda: lattice(3, 5000),
+        lambda: grover_lattice_walk(2, 10**6),
+        lambda: cartesian_power(cycle(3), 10**6),
+    ],
+    ids=["hypercube_15000", "hypercube_1e7", "hypercube_14000", "lattice_2_1e7", "lattice_3_5000",
+         "grover_2_1e6", "power_cycle3_1e6"],
+)
+def test_powers_refused_before_they_are_formed(monkeypatch, build):
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    with pytest.raises(StateCapError) as info:
+        build()
+    assert len(str(info.value)) < 200
+    assert refusal_peak(build) < 2**20
 
 
 def test_graph_rejects_bad_edges():
