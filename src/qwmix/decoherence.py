@@ -4,7 +4,10 @@ it generates.
 A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
-explicit, possibly truncated, time sums.
+explicit, possibly truncated, time sums. A walk that declares a lattice
+(n, d) commutes with the translations of Z_n^d, so only base state 0 is
+stepped and the chain is expanded from its column 0 through
+graphs.lattice_difference; other walks step every embedded start state.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -31,6 +34,7 @@ import numpy as np
 
 from .chains import MarkovChain, NoMix, _threshold_time, atomic_write_text, save_csv
 from .config import DEFAULT_TAIL_TOL
+from .graphs import lattice_difference
 from .walks import CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
@@ -230,14 +234,18 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     times, weights, trunc = rule_weights(rule)
-    acc = np.zeros((walk.base_size, walk.base_size))
-    psi = walk.embed_matrix.copy()
+    # a translation-invariant walk's chain is M[y, x] = c[y - x], with c its
+    # column 0, so only base state 0 is stepped
+    psi = walk.embed_matrix if walk.lattice is None else walk.embed_matrix[:, :1]
+    acc = np.zeros((walk.base_size, psi.shape[1]))
     t_prev = 0
     for t, w in zip(times, weights):  # rule_weights gives ascending times
         for _ in range(t - t_prev):
             psi = walk.step(psi)
         t_prev = t
         acc += w * walk.project(psi)
+    if walk.lattice is not None:
+        acc = acc[lattice_difference(*walk.lattice), 0]
     M = _check_generated(acc, walk.base_symmetric, trunc, "dt generated chain")
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     return GeneratedChain(MarkovChain(M, label), walk.walk_kind, walk.base_label, rule, trunc)

@@ -21,10 +21,16 @@ class StateCapError(ValueError):
     """Requested construction exceeds the configured dense-state cap."""
 
 
+def _shown(k: int) -> str:
+    """k in decimal, or its bit length when it is too long to print (the
+    interpreter refuses to format integers of more than 4300 digits)."""
+    return str(k) if k.bit_length() <= 64 else f"[{k.bit_length()}-bit number]"
+
+
 def _check_cap(n_states: int) -> None:
     cap = state_cap()
     if n_states > cap:
-        raise StateCapError(f"{n_states} states exceeds the configured cap of {cap}")
+        raise StateCapError(f"{_shown(n_states)} states exceeds the configured cap of {cap}")
 
 
 def _power_count(n: int, d: int) -> int:
@@ -35,7 +41,9 @@ def _power_count(n: int, d: int) -> int:
     for _ in range(d if n > 1 else 0):
         count *= n
         if count > cap:
-            raise StateCapError(f"{n}^{d} states exceeds the configured cap of {cap}")
+            raise StateCapError(
+                f"{_shown(n)}^{_shown(d)} states exceeds the configured cap of {cap}"
+            )
     return count
 
 
@@ -127,6 +135,18 @@ def lattice_step(n: int, d: int, j: int, sign: int) -> np.ndarray:
     """Index of every vertex of Z_n^d moved by sign (+1 or -1) along
     coordinate j."""
     return _vertices_along(n, d, j, (np.arange(n) + sign) % n)
+
+
+def lattice_difference(n: int, d: int) -> np.ndarray:
+    """D[y, x] = index of the vertex y - x of Z_n^d, so a chain that
+    commutes with the translations and has column 0 equal to c is c[D]."""
+    size = _power_count(n, d)
+    idx = np.arange(size)
+    D = np.zeros((size, size), dtype=np.intp)
+    for j in range(d):
+        digit = idx // n**j % n
+        D += (np.subtract.outer(digit, digit) % n) * n**j
+    return D
 
 
 def _lattice_edges(n: int, d: int) -> frozenset[tuple[int, int]]:

@@ -16,11 +16,16 @@ import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
-from .graphs import _check_cap, _power_count, lattice, lattice_step
+from .graphs import _check_cap, _power_count, lattice, lattice_difference, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
 PHASE_TOL = 1e-8
+# Szegedy discriminant eigenvalues within this of +-1 count as +-1 (phase
+# 0). eigvalsh's error is ~n * 1e-16 on an n x n discriminant of norm 1, and
+# the phase 2 arccos(1 - eps) ~ 2 sqrt(2 eps), so this treats phases below
+# ~2.8e-6 as zero where the dense path keeps phases above PHASE_TOL.
+DISCRIMINANT_TOL = 1e-12
 
 
 class DegenerateSpectrumError(ValueError):
@@ -115,6 +120,14 @@ class DTWalk:
 
     embed_matrix[:, x] is the initial wavefunction for base state x;
     projecting a wavefunction sums |psi|^2 over the sub register.
+
+    lattice = (n, d) claims that the base states are Z_n^d in the graphs
+    layout and that the step and the embedding commute with its
+    translations, so a generated chain is fixed by its column 0. The
+    constructor checks the claim: every permutation commutes with the d
+    unit translations, every block stack acts within one base state's
+    register and is the same at every base state, and every embedded
+    state is the translate of embed_matrix[:, 0].
     """
 
     walk_kind: str
@@ -124,6 +137,7 @@ class DTWalk:
     embed_matrix: np.ndarray
     base_label: str = "custom"
     base_symmetric: bool = True
+    lattice: tuple[int, int] | None = None
 
     def __post_init__(self):
         dim = self.dim
@@ -157,6 +171,34 @@ class DTWalk:
         norms = np.linalg.norm(self.embed_matrix, axis=0)
         if np.abs(norms - 1.0).max() > UNITARITY_TOL:
             raise ValueError("embedded states must have unit norm")
+        if self.lattice is not None:
+            self._check_translation_invariant()
+
+    def _check_translation_invariant(self):
+        n, d = self.lattice
+        N, r = self.base_size, self.register_dim
+        # n >= 2 gives n**d >= 2**d, so a d past N's bit length cannot match
+        if not (n >= 2 and 1 <= d <= N.bit_length() and n**d == N):
+            raise ValueError(f"lattice {self.lattice} does not have {N} base states")
+        sub = np.arange(r)
+        for j in range(d):
+            tau = (lattice_step(n, d, j, 1)[:, None] * r + sub).ravel()
+            for f in self.factors:
+                if f.ndim == 1 and not np.array_equal(f[tau], tau[f]):
+                    raise ValueError(f"permutation factor does not commute with translation {j}")
+        for f in self.factors:
+            if f.ndim == 3:
+                B, b, _ = f.shape
+                # one base state's register holds r // b whole blocks
+                same = r % b == 0 and (B == 1 or (f.reshape(N, r // b, b, b) == f[: r // b]).all())
+                if not same:
+                    raise ValueError(
+                        f"block stack of shape {f.shape} is not the same at every base state"
+                    )
+        E = self.embed_matrix.reshape(N, r, N)
+        translates = E[:, :, 0][lattice_difference(n, d)]  # [y, x, sub]
+        if not np.array_equal(E, translates.transpose(0, 2, 1)):
+            raise ValueError("embedded states are not the translates of embed_matrix[:, 0]")
 
     @property
     def dim(self) -> int:
@@ -214,16 +256,41 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     _check_cap(n * n)
     if not P.is_irreducible:
         raise ValueError(f"chain {P.label!r} must be irreducible")
-    sqrtP = np.sqrt(P.entries)
-    dim = n * n
-    cols = sqrtP.T  # cols[x] = |p_x>
-    R = 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(n)
-    idx = np.arange(dim)
-    swap = (idx % n) * n + idx // n  # an involution
+    cols = np.sqrt(P.entries).T  # cols[x] = |p_x>
+    swap, R = _swap(n), _reflections(cols)
     E = _block_embed(cols)
     return DTWalk(
         "szegedy", n, n, (swap, R, swap, R), E, base_label=P.label, base_symmetric=P.is_symmetric
     )
+
+
+def _swap(n: int) -> np.ndarray:
+    """The involution |x,y> -> |y,x> on n*n walk indices."""
+    idx = np.arange(n * n)
+    return (idx % n) * n + idx // n
+
+
+def _reflections(cols: np.ndarray) -> np.ndarray:
+    """Blocks 2 c_x c_x^T - I reflecting each x-block about cols[x]."""
+    return 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(cols.shape[1])
+
+
+def _szegedy_discriminant(W: DTWalk) -> np.ndarray | None:
+    """The n x n discriminant D = E^T E[swap] of a walk with the structure
+    of quantize_szegedy's, (swap, R, swap, R) with R the reflections about
+    the real embedded blocks; None for any other walk."""
+    n = W.base_size
+    E = W.embed_matrix
+    if W.register_dim != n or len(W.factors) != 4 or not np.isrealobj(E):
+        return None
+    cols = E.reshape(n, n, n)[np.arange(n), :, np.arange(n)]
+    swap, R = _swap(n), _reflections(cols)
+    expected = (swap, R, swap, R)
+    if not all(np.array_equal(f, g) for f, g in zip(W.factors, expected)):
+        return None
+    if not np.array_equal(E, _block_embed(cols)):
+        return None
+    return E.T @ E[swap]
 
 
 def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
@@ -246,7 +313,9 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
     shift = np.stack([up * 2, down * 2 + 1], axis=1).ravel()
     coin = np.array([1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0)])
     E = _block_embed(np.tile(coin, (n, 1)))
-    return DTWalk("hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})")
+    return DTWalk(
+        "hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})", lattice=(n, 1)
+    )
 
 
 def grover_lattice_walk(n: int, d: int) -> DTWalk:
@@ -269,7 +338,9 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
         shift[:, 2 * j] = lattice_step(n, d, j, 1) * coin_dim + 2 * j + 1
     E = _block_embed(np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim)))
     factors = (coin[None], shift.ravel())
-    return DTWalk(f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag)
+    return DTWalk(
+        f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag, lattice=(n, d)
+    )
 
 
 def coined_walk(kind: str, *params: int) -> DTWalk:
@@ -293,12 +364,27 @@ def phase_gap(W) -> float:
 
     The clusters decide which eigenvalues of a continuous walk are equal,
     so its gap is the smallest step between adjacent cluster values.
+    A Szegedy walk's eigenphases other than 0 are +-2 arccos(lam) over the
+    eigenvalues lam of its discriminant with |lam| < 1 (Szegedy's spectral
+    lemma), so its gap needs one n x n eigvalsh; eigenvalues within
+    DISCRIMINANT_TOL of +-1 are phase 0. Other discrete walks are
+    diagonalized densely.
     """
     if isinstance(W, CTWalk):
         if len(W.clusters) == 1:
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
         return float(np.diff(W.cluster_values()).min())
-    return eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+    D = _szegedy_discriminant(W)
+    if D is None:
+        return eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+    lam = np.linalg.eigvalsh(D)
+    # filter on lam, not on the phase: arccos turns a rounding error of
+    # 1e-16 in lam = 1 into a phase of ~1e-8
+    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
+    if not lam.size:
+        raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenphase")
+    phases = 2.0 * np.arccos(lam)
+    return float(np.minimum(phases, 2.0 * np.pi - phases).min())
 
 
 def eigenphase_gap(phases: np.ndarray) -> float:

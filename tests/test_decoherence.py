@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -463,3 +464,30 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
         got = generated_chain(W, rule).chain.entries
         expected = brute_dt_average(U, W.embed_matrix, W.base_size, weights)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def lattice_walks(draw):
+    """A Hadamard or Grover walk, both of which declare their lattice."""
+    if draw(st.booleans()):
+        return coined_walk("hadamard_cycle", draw(st.integers(min_value=2, max_value=40)))
+    n, d = draw(st.sampled_from([(3, 2), (4, 2), (5, 2), (3, 3), (2, 4)]))
+    return coined_walk("grover_lattice", n, d)
+
+
+@seed(12)
+@settings(deadline=None, max_examples=40)
+@given(
+    lattice_walks(),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=1.0, max_value=8.0),
+)
+def test_one_column_chain_matches_all_columns(W, t, T, T_geo):
+    assert W.lattice is not None
+    every_column = dataclasses.replace(W, lattice=None)
+    for rule in (delta_rule(t), uniform_dt_rule(T), geometric_rule(T_geo)):
+        got = generated_chain(W, rule)
+        expected = generated_chain(every_column, rule)
+        np.testing.assert_allclose(got.chain.entries, expected.chain.entries, rtol=0.0, atol=1e-12)
+        assert got.truncation_error == expected.truncation_error

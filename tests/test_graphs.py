@@ -15,13 +15,20 @@ from qwmix.graphs import (
     format_edge_list,
     hypercube,
     lattice,
+    lattice_difference,
     parse_edge_list,
     path,
 )
 
 from qwmix.walks import grover_lattice_walk
 
-from conftest import brute_lattice_edges, brute_power_edges, brute_reachable, refusal_peak
+from conftest import (
+    _tuple_index,
+    brute_lattice_edges,
+    brute_power_edges,
+    brute_reachable,
+    refusal_peak,
+)
 
 
 def test_cycle_structure():
@@ -202,3 +209,32 @@ def test_is_connected_matches_boolean_powers(n, rng_seed):
     for u, v in G.edges:
         A[u, v] = A[v, u] = True
     assert G.is_connected() == bool(brute_reachable(A).all())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path(10**5000),
+        lambda: cycle(10**5000),
+        lambda: complete(10**5000),
+        lambda: lattice(10**5000, 2),
+        lambda: lattice(2, 10**5000),
+        lambda: hypercube(10**5000),
+    ],
+    ids=["path", "cycle", "complete", "lattice_n", "lattice_d", "hypercube"],
+)
+def test_counts_too_long_to_print_are_refused(monkeypatch, build):
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    with pytest.raises(StateCapError, match="16610-bit number") as info:
+        build()
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_lattice_difference_matches_coordinate_tuples(n, d):
+    D = lattice_difference(n, d)
+    tuples = list(itertools.product(range(n), repeat=d))
+    for y in tuples:
+        for x in tuples:
+            diff = tuple((a - b) % n for a, b in zip(y, x))
+            assert D[_tuple_index(y, n), _tuple_index(x, n)] == _tuple_index(diff, n)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
@@ -408,3 +410,111 @@ def test_phase_gap_identity_degenerate():
     W = DTWalk("custom", 2, 2, (np.eye(4, dtype=complex)[None],), np.eye(4)[:, :2])
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
         phase_gap(W)
+
+
+def test_translation_invariant_walks_declare_their_lattice():
+    assert coined_walk("hadamard_cycle", 6).lattice == (6, 1)
+    assert coined_walk("grover_lattice", 3, 2).lattice == (3, 2)
+    assert quantize_szegedy(standard_chain(cycle(5))).lattice is None
+
+
+def _with_column_3_moved(W):
+    E = W.embed_matrix.copy()
+    E[6:8, 3] = [1.0, 0.0]  # still a unit vector in base state 3's register
+    return dataclasses.replace(W, embed_matrix=E)
+
+
+def _with_one_coin_changed(W):
+    blocks = np.tile(W.factors[0], (W.base_size, 1, 1))
+    blocks[2] = np.eye(2)
+    return dataclasses.replace(W, factors=(blocks,) + W.factors[1:])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(quantize_szegedy(standard_chain(cycle(5))), lattice=(5, 1)),
+         "does not commute with translation"),
+        (lambda: _with_column_3_moved(coined_walk("hadamard_cycle", 8)), "not the translates"),
+        (lambda: _with_one_coin_changed(coined_walk("hadamard_cycle", 8)),
+         "not the same at every base state"),
+        (lambda: dataclasses.replace(coined_walk("hadamard_cycle", 8), lattice=(4, 1)),
+         "does not have 8 base states"),
+        (lambda: dataclasses.replace(coined_walk("grover_lattice", 4, 2), lattice=(2, 4)),
+         "does not commute with translation"),
+    ],
+    ids=["szegedy_factors", "hadamard_column_3", "aperiodic_block_stack", "wrong_size",
+         "grover_wrong_layout"],
+)
+def test_dtwalk_refuses_false_lattice_claims(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_dtwalk_accepts_periodic_block_stack():
+    W = coined_walk("hadamard_cycle", 8)
+    blocks = np.tile(W.factors[0], (8, 1, 1))
+    periodic = dataclasses.replace(W, factors=(blocks,) + W.factors[1:])
+    psi = W.embed_matrix
+    np.testing.assert_array_equal(periodic.step(psi), W.step(psi))
+
+
+def _nonreversible_chain(n: int, seed: int) -> MarkovChain:
+    A = np.random.default_rng(seed).random((n, n)) + 0.05
+    return MarkovChain(A / A.sum(axis=0), f"nonreversible({n})")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_chain(cycle(5)),
+        lambda: standard_chain(cycle(9)),
+        lambda: standard_chain(cycle(4)),
+        lambda: standard_chain(cycle(8)),
+        lambda: standard_chain(path(7)),
+        lambda: standard_chain(complete(9)),
+        lambda: standard_chain(hypercube(3)),
+        lambda: standard_chain(lattice(4, 2)),
+        lambda: lazy_chain(standard_chain(cycle(6))),
+        lambda: random_symmetric_chain(10, np.random.default_rng(7)),
+        lambda: _nonreversible_chain(8, 3),
+    ],
+    ids=["cycle5", "cycle9", "cycle4", "cycle8", "path7", "complete9", "hypercube3",
+         "lattice4_2", "lazy_cycle6", "random_symmetric10", "nonreversible8"],
+)
+def test_szegedy_phase_gap_matches_dense_eigenphases(build):
+    """Szegedy's spectral lemma against the dense unitary's eigenphases."""
+    W = quantize_szegedy(build())
+    dense = walks.eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+    assert phase_gap(W) == pytest.approx(dense, rel=0.0, abs=1e-12)
+
+
+def test_nonreversible_test_chain_is_not_reversible():
+    P = _nonreversible_chain(8, 3)
+    flow = P.entries * P.stationary[None, :]
+    assert np.abs(flow - flow.T).max() > 1e-3
+
+
+def test_szegedy_phase_gap_degenerate_on_both_paths():
+    W = quantize_szegedy(standard_chain(complete(2)))
+    with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
+        phase_gap(W)
+    with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
+        walks.eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+
+
+@pytest.mark.parametrize(
+    "impostor",
+    [
+        lambda W: W.factors * 2,  # the walk squared: every phase doubles
+        lambda W: (W.factors[0], W.factors[1], W.factors[0], -W.factors[1]),  # phases move by pi
+    ],
+    ids=["squared", "negated_reflection"],
+)
+def test_szegedy_label_alone_does_not_select_the_lemma(impostor):
+    W = quantize_szegedy(standard_chain(complete(5)))
+    other = dataclasses.replace(W, factors=impostor(W))
+    assert other.walk_kind == "szegedy"
+    dense = walks.eigenphase_gap(np.angle(np.linalg.eigvals(other.unitary)))
+    assert phase_gap(other) == dense
+    assert abs(dense - phase_gap(W)) > 1e-3
