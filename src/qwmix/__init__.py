@@ -77,6 +77,7 @@ from .walks import (
     coined_walk,
     ct_amplitude_row,
     ct_propagator,
+    eigenphases,
     phase_gap,
     quantize_ct,
     quantize_szegedy,

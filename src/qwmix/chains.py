@@ -56,6 +56,9 @@ class MarkovChain:
             raise ValueError(f"entries must be square, got shape {shape}")
         _check_cap(shape[0])
         P = np.array(entries, dtype=np.float64)
+        # a NaN fails every comparison, so it would pass both checks below
+        if not np.isfinite(P).all():
+            raise ValueError("entries must be finite")
         low = P.min()
         if low < -ENTRY_CLAMP:
             raise ValueError(f"negative entry {low} below clamp tolerance")

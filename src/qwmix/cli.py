@@ -26,6 +26,7 @@ from .walks import (
     DegenerateSpectrumError,
     coined_walk,
     eigenphase_gap,
+    eigenphases,
     phase_gap,
     quantize_ct,
     quantize_szegedy,
@@ -309,10 +310,9 @@ def command_walk_spectrum(kind: str, params: str) -> int:
                 file=sys.stderr,
             )
             return 2
-        # eigenvalues of the CT Hamiltonian, eigenphases of a DT unitary
-        # (one eigensolve serves the listing and the gap); the dense
-        # unitary is refused above its cap before it is built
-        spectrum = walk.eigenvalues if kind == "ct" else np.angle(np.linalg.eigvals(walk.unitary))
+        # eigenvalues of the CT Hamiltonian, eigenphases of a DT walk from
+        # its structure (one solve serves the listing and the gap)
+        spectrum = walk.eigenvalues if kind == "ct" else eigenphases(walk)
         try:
             value = phase_gap(walk) if kind == "ct" else eigenphase_gap(spectrum)
             gap = f"{value:.17g}"

@@ -12,9 +12,9 @@ import os
 # Threshold for (worst-column) total-variation mixing, exactly 1/(2e).
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 
-# The one size limit: every graph, chain, walk builder and dense walk
-# operator counts its states (or walk dimension) against it before it
-# allocates. A dense float64 chain at the default takes 128 MiB.
+# The one size limit: every graph, chain and walk builder counts its
+# states (or walk dimension) against it before it allocates. A dense
+# float64 chain at the default takes 128 MiB.
 DEFAULT_STATE_CAP = 4096
 
 # Eigenvalues closer than this are treated as one degenerate cluster.

@@ -4,10 +4,10 @@ it generates.
 A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
-explicit, possibly truncated, time sums. A walk that declares a lattice
-(n, d) commutes with the translations of Z_n^d, so only base state 0 is
-stepped and the chain is expanded from its column 0 through
-graphs.lattice_difference; other walks step every embedded start state.
+explicit, possibly truncated, time sums of the factored step (no dense
+operator). A lattice (n, d) walk commutes with the translations of
+Z_n^d, so only base state 0 is stepped and the chain is expanded from its
+column 0 via graphs.lattice_difference; other walks step every start state.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -65,6 +65,8 @@ class MeasurementRule:
     def __post_init__(self):
         if self.family not in set(CT_FAMILIES) | set(DT_FAMILIES):
             raise ValueError(f"unknown rule family {self.family!r}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T}")
         if self.family == "uniform_dt":
             if self.T < 1 or abs(self.T - round(self.T)) > 1e-9:
                 raise ValueError(f"uniform_dt needs integer T >= 1, got {self.T}")
@@ -236,8 +238,10 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     times, weights, trunc = rule_weights(rule)
     # a translation-invariant walk's chain is M[y, x] = c[y - x], with c its
     # column 0, so only base state 0 is stepped
-    psi = walk.embed_matrix if walk.lattice is None else walk.embed_matrix[:, :1]
-    acc = np.zeros((walk.base_size, psi.shape[1]))
+    starts = np.arange(walk.base_size if walk.lattice is None else 1)
+    psi = np.zeros((walk.dim, starts.size), dtype=walk.embed.dtype)
+    psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed[starts]
+    acc = np.zeros((walk.base_size, starts.size))
     t_prev = 0
     for t, w in zip(times, weights):  # rule_weights gives ascending times
         for _ in range(t - t_prev):

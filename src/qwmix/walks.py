@@ -16,15 +16,15 @@ import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
-from .graphs import _check_cap, _power_count, lattice, lattice_difference, lattice_step
+from .graphs import _check_cap, _power_count, lattice, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
 PHASE_TOL = 1e-8
 # Szegedy discriminant eigenvalues within this of +-1 count as +-1 (phase
 # 0). eigvalsh's error is ~n * 1e-16 on an n x n discriminant of norm 1, and
-# the phase 2 arccos(1 - eps) ~ 2 sqrt(2 eps), so this treats phases below
-# ~2.8e-6 as zero where the dense path keeps phases above PHASE_TOL.
+# the phase 2 arccos(1 - eps) ~ 2 sqrt(2 eps), so a Szegedy walk's nonzero
+# phases are all above ~2.8e-6, well clear of PHASE_TOL.
 DISCRIMINANT_TOL = 1e-12
 
 
@@ -118,23 +118,25 @@ class DTWalk:
     blocks of length b; B == 1 broadcasts one block to all dim // b
     index blocks, otherwise B == dim // b.
 
-    embed_matrix[:, x] is the initial wavefunction for base state x;
-    projecting a wavefunction sums |psi|^2 over the sub register.
+    embed[x] is the register state (length register_dim) that base state
+    x starts in, at walk indices x * register_dim + sub; projecting a
+    wavefunction sums |psi|^2 over the sub register. No dense operator is
+    built: eigenphases reads the spectrum off the structure.
 
     lattice = (n, d) claims that the base states are Z_n^d in the graphs
     layout and that the step and the embedding commute with its
-    translations, so a generated chain is fixed by its column 0. The
-    constructor checks the claim: every permutation commutes with the d
-    unit translations, every block stack acts within one base state's
-    register and is the same at every base state, and every embedded
-    state is the translate of embed_matrix[:, 0].
+    translations, so a generated chain is fixed by its column 0 and the
+    spectrum splits into one block per momentum. The constructor checks
+    the claim: every permutation commutes with the d unit translations,
+    every block stack acts within one base state's register and is the
+    same at every base state, and every row of embed equals embed[0].
     """
 
     walk_kind: str
     base_size: int
     register_dim: int
     factors: tuple[np.ndarray, ...]
-    embed_matrix: np.ndarray
+    embed: np.ndarray
     base_label: str = "custom"
     base_symmetric: bool = True
     lattice: tuple[int, int] | None = None
@@ -164,11 +166,10 @@ class DTWalk:
                     raise ValueError(f"walk operator not unitary: block deviation {err}")
             else:
                 raise ValueError(f"factor of shape {f.shape} is not a permutation or a block stack")
-        if self.embed_matrix.shape != (dim, self.base_size):
-            raise ValueError(
-                f"embed_matrix shape {self.embed_matrix.shape} != ({dim}, {self.base_size})"
-            )
-        norms = np.linalg.norm(self.embed_matrix, axis=0)
+        shape = (self.base_size, self.register_dim)
+        if self.embed.shape != shape:
+            raise ValueError(f"embed shape {self.embed.shape} != {shape}")
+        norms = np.linalg.norm(self.embed, axis=1)
         if np.abs(norms - 1.0).max() > UNITARITY_TOL:
             raise ValueError("embedded states must have unit norm")
         if self.lattice is not None:
@@ -195,10 +196,8 @@ class DTWalk:
                     raise ValueError(
                         f"block stack of shape {f.shape} is not the same at every base state"
                     )
-        E = self.embed_matrix.reshape(N, r, N)
-        translates = E[:, :, 0][lattice_difference(n, d)]  # [y, x, sub]
-        if not np.array_equal(E, translates.transpose(0, 2, 1)):
-            raise ValueError("embedded states are not the translates of embed_matrix[:, 0]")
+        if not (self.embed == self.embed[0]).all():
+            raise ValueError("embedded states are not the translates of embed[0]")
 
     @property
     def dim(self) -> int:
@@ -217,14 +216,6 @@ class DTWalk:
                 psi = np.matmul(f.astype(dtype, copy=False), cols).reshape(psi.shape)
         return psi
 
-    @property
-    def unitary(self) -> np.ndarray:
-        """Dense walk operator, the step applied to the identity; its
-        dimension is checked against the state cap before anything is
-        allocated."""
-        _check_cap(self.dim)
-        return self.step(np.eye(self.dim))
-
     def project(self, psi: np.ndarray) -> np.ndarray:
         """Position-register distribution of one wavefunction or of each
         column of a wavefunction matrix."""
@@ -234,15 +225,6 @@ class DTWalk:
         else:
             out = prob.reshape(self.base_size, self.register_dim, psi.shape[1]).sum(axis=1)
         return out
-
-
-def _block_embed(blocks: np.ndarray) -> np.ndarray:
-    """Embed matrix whose column x holds blocks[x] at the walk indices
-    x * register_dim + sub, for blocks of shape (base_size, register_dim)."""
-    n, b = blocks.shape
-    E = np.zeros((n * b, n), dtype=blocks.dtype)
-    E.reshape(n, b, n)[np.arange(n), :, np.arange(n)] = blocks
-    return E
 
 
 def quantize_szegedy(P: MarkovChain) -> DTWalk:
@@ -258,9 +240,8 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
         raise ValueError(f"chain {P.label!r} must be irreducible")
     cols = np.sqrt(P.entries).T  # cols[x] = |p_x>
     swap, R = _swap(n), _reflections(cols)
-    E = _block_embed(cols)
     return DTWalk(
-        "szegedy", n, n, (swap, R, swap, R), E, base_label=P.label, base_symmetric=P.is_symmetric
+        "szegedy", n, n, (swap, R, swap, R), cols, base_label=P.label, base_symmetric=P.is_symmetric
     )
 
 
@@ -276,21 +257,19 @@ def _reflections(cols: np.ndarray) -> np.ndarray:
 
 
 def _szegedy_discriminant(W: DTWalk) -> np.ndarray | None:
-    """The n x n discriminant D = E^T E[swap] of a walk with the structure
-    of quantize_szegedy's, (swap, R, swap, R) with R the reflections about
-    the real embedded blocks; None for any other walk."""
+    """The n x n discriminant D[x, y] = <p_x|y> <x|p_y> = sqrt(P[y, x] P[x, y])
+    of a walk with the structure of quantize_szegedy's, (swap, R, swap, R)
+    with R the reflections about the real embedded states; None for any
+    other walk."""
     n = W.base_size
-    E = W.embed_matrix
-    if W.register_dim != n or len(W.factors) != 4 or not np.isrealobj(E):
+    cols = W.embed
+    if W.register_dim != n or len(W.factors) != 4 or not np.isrealobj(cols):
         return None
-    cols = E.reshape(n, n, n)[np.arange(n), :, np.arange(n)]
     swap, R = _swap(n), _reflections(cols)
     expected = (swap, R, swap, R)
     if not all(np.array_equal(f, g) for f, g in zip(W.factors, expected)):
         return None
-    if not np.array_equal(E, _block_embed(cols)):
-        return None
-    return E.T @ E[swap]
+    return cols * cols.T
 
 
 def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
@@ -312,7 +291,7 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
     up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
     shift = np.stack([up * 2, down * 2 + 1], axis=1).ravel()
     coin = np.array([1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0)])
-    E = _block_embed(np.tile(coin, (n, 1)))
+    E = np.tile(coin, (n, 1))
     return DTWalk(
         "hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})", lattice=(n, 1)
     )
@@ -336,7 +315,7 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     for j in range(d):
         shift[:, 2 * j + 1] = lattice_step(n, d, j, -1) * coin_dim + 2 * j
         shift[:, 2 * j] = lattice_step(n, d, j, 1) * coin_dim + 2 * j + 1
-    E = _block_embed(np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim)))
+    E = np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim))
     factors = (coin[None], shift.ravel())
     return DTWalk(
         f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag, lattice=(n, d)
@@ -357,39 +336,54 @@ def coined_walk(kind: str, *params: int) -> DTWalk:
     raise ValueError(f"unknown coined walk kind {kind!r}")
 
 
+def eigenphases(W: DTWalk) -> np.ndarray:
+    """All dim eigenphases of a discrete walk, read from its structure.
+
+    A lattice walk is block circulant, U[(x, .), (y, .)] = A[x - y], so its
+    spectrum is that of the r x r blocks fftn(A), one per momentum. A
+    Szegedy walk's phases are +-min(p, 2 pi - p), p = 2 arccos(lam), over
+    the discriminant eigenvalues |lam| < 1 - DISCRIMINANT_TOL (Szegedy's
+    spectral lemma), and 0 elsewhere. Any other walk is refused.
+    """
+    if W.lattice is not None:
+        n, d = W.lattice
+        r = W.register_dim
+        A = W.step(np.eye(W.dim, r)).reshape((n,) * d + (r, r))
+        blocks = np.fft.fftn(A, axes=tuple(range(d))).reshape(-1, r, r)
+        return np.angle(np.linalg.eigvals(blocks)).ravel()
+    D = _szegedy_discriminant(W)
+    if D is None:
+        raise ValueError(
+            f"walk {W.walk_kind!r} declares no spectral structure: "
+            "set its lattice or build it with quantize_szegedy"
+        )
+    lam = np.linalg.eigvalsh(D)
+    # filter on lam, not on the phase: arccos turns a rounding error of
+    # 1e-16 in lam = 1 into a phase of ~1e-8
+    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
+    p = 2.0 * np.arccos(lam)
+    p = np.minimum(p, 2.0 * np.pi - p)
+    return np.concatenate((p, -p, np.zeros(W.dim - 2 * p.size)))
+
+
 def phase_gap(W) -> float:
-    """Smallest nonzero eigenphase magnitude of a discrete walk unitary,
-    or the smallest nonzero eigenvalue separation of a continuous walk
-    (the frequency that controls its measured dynamics).
+    """Smallest nonzero eigenphase magnitude of a discrete walk, from
+    eigenphases, or the smallest nonzero eigenvalue separation of a
+    continuous walk (the frequency that controls its measured dynamics).
 
     The clusters decide which eigenvalues of a continuous walk are equal,
     so its gap is the smallest step between adjacent cluster values.
-    A Szegedy walk's eigenphases other than 0 are +-2 arccos(lam) over the
-    eigenvalues lam of its discriminant with |lam| < 1 (Szegedy's spectral
-    lemma), so its gap needs one n x n eigvalsh; eigenvalues within
-    DISCRIMINANT_TOL of +-1 are phase 0. Other discrete walks are
-    diagonalized densely.
     """
     if isinstance(W, CTWalk):
         if len(W.clusters) == 1:
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
         return float(np.diff(W.cluster_values()).min())
-    D = _szegedy_discriminant(W)
-    if D is None:
-        return eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
-    lam = np.linalg.eigvalsh(D)
-    # filter on lam, not on the phase: arccos turns a rounding error of
-    # 1e-16 in lam = 1 into a phase of ~1e-8
-    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
-    if not lam.size:
-        raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenphase")
-    phases = 2.0 * np.arccos(lam)
-    return float(np.minimum(phases, 2.0 * np.pi - phases).min())
+    return eigenphase_gap(eigenphases(W))
 
 
 def eigenphase_gap(phases: np.ndarray) -> float:
     """Smallest eigenphase magnitude above PHASE_TOL, for callers that
-    already hold the eigenphases of a discrete walk unitary."""
+    already hold the eigenphases of a discrete walk."""
     nz = np.abs(phases) > PHASE_TOL
     if not nz.any():
         raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenphase")

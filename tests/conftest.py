@@ -8,7 +8,9 @@ eigenpair sums with no clustering, degenerate eigenpairs, eigenvalue
 clusters and the continuous-time phase gap found by comparing every pair
 of eigenvalues, and dense walk
 unitaries built entry by entry where the library keeps coin, shift and
-reflection factors.
+reflection factors. dense_unitary and dense_embedding expand a walk's
+factored step and N x r embedding into the dense matrices the library
+never builds.
 """
 
 import itertools
@@ -244,6 +246,37 @@ def brute_szegedy_unitary(P: MarkovChain) -> np.ndarray:
     idx = np.arange(dim)
     perm = (idx % n) * n + idx // n  # S column j has its 1 at row perm[j]
     return R[:, perm] @ R[:, perm]
+
+
+def dense_unitary(W) -> np.ndarray:
+    """The walk operator of a DTWalk as a dense matrix: its step applied
+    to the identity."""
+    return W.step(np.eye(W.dim))
+
+
+def dense_embedding(W) -> np.ndarray:
+    """dim x N matrix whose column x is base state x's start state, the
+    row W.embed[x] placed at walk indices x * register_dim + sub."""
+    N, r = W.embed.shape
+    E = np.zeros((N * r, N), dtype=W.embed.dtype)
+    for x in range(N):
+        E[x * r : (x + 1) * r, x] = W.embed[x]
+    return E
+
+
+def assert_same_phases(got, expected, atol: float) -> None:
+    """Eigenphases agree as multisets on the circle. Both are rotated so
+    that the branch cut falls in the middle of the widest gap between the
+    expected phases, then sorted; a plain sort of the angles would pair a
+    phase near pi with its twin near -pi."""
+    s = np.sort(np.asarray(expected))
+    gaps = np.diff(np.append(s, s[0] + 2.0 * np.pi))
+    k = int(np.argmax(gaps))
+    rotation = np.exp(-1j * (s[k] + 0.5 * gaps[k] + np.pi))
+    a = np.sort(np.angle(np.exp(1j * np.asarray(got)) * rotation))
+    b = np.sort(np.angle(np.exp(1j * s) * rotation))
+    assert a.shape == b.shape
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=atol)
 
 
 def refusal_peak(build) -> int:

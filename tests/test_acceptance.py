@@ -53,6 +53,7 @@ from conftest import (
     brute_dt_average,
     brute_grover_unitary,
     brute_hadamard_unitary,
+    dense_embedding,
 )
 
 LATTICE_CORPUS = (
@@ -157,7 +158,7 @@ def test_criterion_02_sampled_versus_spectral():
         T = 6
         got = generated_chain(W, uniform_dt_rule(T)).chain.entries
         expected = brute_dt_average(
-            U, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
+            U, dense_embedding(W), W.base_size, [(t, 1.0 / T) for t in range(T)]
         )
         dt_dev = max(dt_dev, one_norm(got - expected))
     elapsed = time.monotonic() - start

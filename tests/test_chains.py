@@ -73,6 +73,17 @@ def test_chain_rejects_bad_columns():
         MarkovChain(np.array([[1.0, -0.2], [0.0, 1.2]]), "bad")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chain_rejects_non_finite_entries(bad):
+    # NaN fails every comparison, so it slips past the clamp and column checks
+    with pytest.raises(ValueError, match="finite"):
+        MarkovChain(np.full((3, 3), bad), "bad")
+    entries = np.full((2, 2), 0.5)
+    entries[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MarkovChain(entries, "bad")
+
+
 def test_disconnected_graph_rejected():
     from qwmix.graphs import Graph
 
@@ -317,6 +328,13 @@ def test_load_csv_rejects_bad_header(tmp_path):
     out = tmp_path / "bad.csv"
     out.write_text("0.5,0.5\n0.5,0.5\n")
     with pytest.raises(ValueError):
+        load_csv(str(out))
+
+
+def test_load_csv_rejects_non_finite_entries(tmp_path):
+    out = tmp_path / "nan.csv"
+    out.write_text("# column-stochastic N=3\n" + "nan,nan,nan\n" * 3)
+    with pytest.raises(ValueError, match="finite"):
         load_csv(str(out))
 
 

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qwmix import load_csv
+from qwmix import coined_walk, load_csv, phase_gap, quantize_szegedy
 import qwmix.cli as cli
 from qwmix.cli import RunConfig, ConfigError, cache_key, main
-from qwmix.experiments import Experiment, ExperimentResult, make_assertion
+from qwmix.experiments import Experiment, ExperimentResult, chain_from_spec, make_assertion
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -224,6 +225,22 @@ def test_run_job_error_keeps_good_jobs(tmp_path, capsys, bad_chain):
     assert capsys.readouterr().out.count("cached ok") == 1
 
 
+@pytest.mark.parametrize("horizon", ["NaN", "Infinity", "-Infinity"])
+def test_run_refuses_a_non_finite_horizon(tmp_path, capsys, horizon):
+    # json.load accepts these names, so the rule itself must refuse them
+    results = tmp_path / "results"
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"experiment": "measurement_equivalence_audit", '
+        f'"grid": {{"chain": ["cycle:5"], "T": [{horizon}]}}, "out": {json.dumps(str(results))}}}'
+    )
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not list(results.glob("measurement_equivalence_audit-*.json"))
+
+
 def test_run_unwritable_result_is_a_job_error(tmp_path, capsys):
     results = tmp_path / "results"
     cfg = {
@@ -399,18 +416,41 @@ def test_walk_spectrum(capsys):
     assert main(["walk", "spectrum", "warp", "3"]) == 2
 
 
-def test_walk_spectrum_solves_the_unitary_once(capsys, monkeypatch):
-    calls = []
-    eigvals = np.linalg.eigvals
+def test_walk_spectrum_solves_no_walk_sized_eigenproblem(capsys, monkeypatch):
+    shapes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
 
-    def counting_eigvals(a):
-        calls.append(a.shape)
-        return eigvals(a)
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    assert main(["walk", "spectrum", "szegedy", "cycle:4"]) == 0
-    assert calls == [(16, 16)]
-    assert capsys.readouterr().out.strip().splitlines()[-1].startswith("phase_gap ")
+        monkeypatch.setattr(np.linalg, name, recording)
+    for kind, params, build in (
+        ("szegedy", "cycle:4", lambda: quantize_szegedy(chain_from_spec("cycle:4"))),
+        ("hadamard_cycle", "6", lambda: coined_walk("hadamard_cycle", 6)),
+        ("grover_lattice", "3,2", lambda: coined_walk("grover_lattice", 3, 2)),
+    ):
+        walk = build()
+        shapes.clear()
+        assert main(["walk", "spectrum", kind, params]) == 0
+        assert shapes and all(walk.dim not in shape for shape in shapes), (kind, shapes)
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == walk.dim + 1
+        assert lines[-1] == f"phase_gap {phase_gap(walk):.17g}"
+
+
+@pytest.mark.parametrize("kind, params", [("hadamard_cycle", "2048"), ("grover_lattice", "32,2")])
+def test_walk_spectrum_at_the_default_cap_stays_small(kind, params, capsys, monkeypatch):
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        assert main(["walk", "spectrum", kind, params]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 4097 and lines[-1].startswith("phase_gap ")
+    assert peak < 16 * 2**20
 
 
 def test_walk_spectrum_past_cap_exits_2(capsys, monkeypatch):

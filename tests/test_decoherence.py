@@ -44,6 +44,7 @@ from conftest import (
     brute_grover_unitary,
     brute_hadamard_unitary,
     brute_szegedy_unitary,
+    dense_embedding,
 )
 
 GENERATED_TOL = 1e-9
@@ -59,6 +60,17 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         geometric_rule(0.5)
     assert delta_rule(0.0).T == 0.0
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [delta_rule, uniform_ct_rule, exponential_rule, uniform_dt_rule, geometric_rule],
+    ids=lambda build: build.__name__,
+)
+def test_rule_refuses_non_finite_horizon(build, T):
+    with pytest.raises(ValueError, match="finite"):
+        build(T)
 
 
 def test_characteristic_function_at_zero_is_exactly_one():
@@ -216,7 +228,7 @@ def test_dt_uniform_two_paths_agree():
         T = 7
         got = generated_chain(W, uniform_dt_rule(T)).chain.entries
         expected = brute_dt_average(
-            U, W.embed_matrix, W.base_size, [(t, 1.0 / T) for t in range(T)]
+            U, dense_embedding(W), W.base_size, [(t, 1.0 / T) for t in range(T)]
         )
         assert one_norm(got - expected) <= 1e-12
 
@@ -228,7 +240,7 @@ def test_dt_geometric_matches_long_sum():
     p = 1.0 / T
     g = generated_chain(W, geometric_rule(T))
     weights = [(t, p * (1 - p) ** t) for t in range(300)]
-    expected = brute_dt_average(brute_szegedy_unitary(P), W.embed_matrix, 4, weights)
+    expected = brute_dt_average(brute_szegedy_unitary(P), dense_embedding(W), 4, weights)
     expected /= sum(w for _, w in weights)
     np.testing.assert_allclose(g.chain.entries, expected, atol=1e-9)
     assert g.truncation_error <= 1e-10
@@ -241,7 +253,7 @@ def test_dt_delta_requires_integer_time():
         generated_chain(W, delta_rule(1.5))
     got = generated_chain(W, delta_rule(2.0)).chain.entries
     U2 = np.linalg.matrix_power(brute_szegedy_unitary(P), 2)
-    expected = W.project(U2 @ W.embed_matrix)
+    expected = W.project(U2 @ dense_embedding(W))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -462,7 +474,7 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
     ]
     for rule, weights in cases:
         got = generated_chain(W, rule).chain.entries
-        expected = brute_dt_average(U, W.embed_matrix, W.base_size, weights)
+        expected = brute_dt_average(U, dense_embedding(W), W.base_size, weights)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 

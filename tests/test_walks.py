@@ -14,6 +14,7 @@ from qwmix import (
     coined_walk,
     ct_amplitude_row,
     ct_propagator,
+    eigenphases,
     lazy_chain,
     phase_gap,
     quantize_ct,
@@ -28,11 +29,14 @@ from qwmix import (
 from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
 from conftest import (
+    assert_same_phases,
     brute_clusters,
     brute_ct_phase_gap,
     brute_grover_unitary,
     brute_hadamard_unitary,
     brute_szegedy_unitary,
+    dense_embedding,
+    dense_unitary,
     refusal_peak,
 )
 
@@ -113,7 +117,7 @@ def test_cycle_amplitudes_match_bessel_expansion():
 def test_szegedy_unitary():
     P = standard_chain(cycle(5))
     W = quantize_szegedy(P)
-    U = W.unitary
+    U = dense_unitary(W)
     np.testing.assert_allclose(U @ U.conj().T, np.eye(25), atol=UNITARITY_TOL)
     assert W.base_size == 5 and W.register_dim == 5
 
@@ -124,13 +128,14 @@ def test_szegedy_fixes_stationary_state():
         W = quantize_szegedy(P)
         psi = szegedy_stationary_state(P)
         assert np.abs(psi @ psi - 1.0) <= 1e-12
-        np.testing.assert_allclose(W.unitary @ psi, psi, atol=1e-9)
+        np.testing.assert_allclose(dense_unitary(W) @ psi, psi, atol=1e-9)
 
 
 def test_szegedy_embedding_projects_to_chain_step():
     P = standard_chain(cycle(5))
     W = quantize_szegedy(P)
-    E = W.embed_matrix
+    np.testing.assert_array_equal(W.embed, np.sqrt(P.entries).T)
+    E = dense_embedding(W)
     np.testing.assert_allclose((np.abs(E) ** 2).sum(axis=0), 1.0, atol=1e-12)
     # swap then project: one classical step from each start
     idx = np.arange(25)
@@ -140,20 +145,21 @@ def test_szegedy_embedding_projects_to_chain_step():
 
 def test_project_handles_vector_and_matrix():
     W = quantize_szegedy(standard_chain(cycle(4)))
-    psi = W.embed_matrix[:, 1]
+    E = dense_embedding(W)
+    psi = E[:, 1]
     dist = W.project(psi)
     assert dist.shape == (4,)
     assert dist.sum() == pytest.approx(1.0)
-    mat = W.project(W.embed_matrix)
+    mat = W.project(E)
     assert mat.shape == (4, 4)
     np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_hadamard_cycle_walk_unitary_and_driftless():
     W = coined_walk("hadamard_cycle", 9)
-    U = W.unitary
+    U = dense_unitary(W)
     np.testing.assert_allclose(U @ U.conj().T, np.eye(18), atol=UNITARITY_TOL)
-    psi = W.embed_matrix[:, 0]
+    psi = dense_embedding(W)[:, 0]
     for _ in range(4):
         psi = U @ psi
     dist = W.project(psi)
@@ -165,9 +171,8 @@ def test_hadamard_cycle_walk_unitary_and_driftless():
 def test_grover_lattice_walk_unitary():
     W = coined_walk("grover_lattice", 4, 2)
     dim = 16 * 4
-    np.testing.assert_allclose(
-        W.unitary @ W.unitary.conj().T, np.eye(dim), atol=UNITARITY_TOL
-    )
+    U = dense_unitary(W)
+    np.testing.assert_allclose(U @ U.conj().T, np.eye(dim), atol=UNITARITY_TOL)
     assert W.register_dim == 4
 
 
@@ -178,7 +183,7 @@ def test_grover_cycle_coin_is_flip():
     psi = np.zeros(10)
     psi[0 * 2 + 1] = 1.0  # at vertex 0, coin pointing up
     for step in (1, 2, 3):
-        psi = W.unitary @ psi
+        psi = dense_unitary(W) @ psi
         np.testing.assert_allclose(W.project(psi)[step], 1.0, atol=1e-12)
 
 
@@ -193,7 +198,7 @@ def test_dtwalk_validates_unitarity():
     M = np.eye(4)
     M[0, 0] = 2.0
     with pytest.raises(ValueError, match="not unitary"):
-        DTWalk("custom", 2, 2, (M[None],), np.eye(4)[:, :2])
+        DTWalk("custom", 2, 2, (M[None],), np.eye(2))
 
 
 @pytest.mark.parametrize(
@@ -217,7 +222,7 @@ def test_dtwalk_validates_unitarity():
 )
 def test_dtwalk_rejects_bad_factors(factors, message):
     with pytest.raises(ValueError, match=message):
-        DTWalk("custom", 2, 2, factors, np.eye(4)[:, :2])
+        DTWalk("custom", 2, 2, factors, np.eye(2))
 
 
 def test_dtwalk_step_applies_factors_in_order():
@@ -225,25 +230,36 @@ def test_dtwalk_step_applies_factors_in_order():
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
     blocks = np.stack([np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(3)])
     perm = rng.permutation(6)
-    W = DTWalk("custom", 3, 2, (blocks, perm, Q[None]), np.eye(6)[:, ::2])
+    W = DTWalk("custom", 3, 2, (blocks, perm, Q[None]), np.tile([1.0, 0.0], (3, 1)))
     dense_blocks = np.zeros((6, 6))
     for k in range(3):
         dense_blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
     expected = Q @ np.eye(6)[perm] @ dense_blocks
-    np.testing.assert_allclose(W.unitary, expected, atol=1e-14)
+    np.testing.assert_allclose(dense_unitary(W), expected, atol=1e-14)
     psi = rng.normal(size=6)
     np.testing.assert_allclose(W.step(psi), expected @ psi, atol=1e-14)
 
 
-def test_dense_unitary_refused_above_cap(monkeypatch):
-    # a walk built directly: the builders refuse such a cap themselves
+@pytest.mark.parametrize(
+    "embed, message",
+    [
+        (np.eye(4)[:, :2], r"embed shape \(4, 2\) != \(2, 2\)"),  # a dim x N embedding
+        (np.array([[1.0, 0.0], [1.0, 1.0]]), "unit norm"),
+    ],
+    ids=["dense_layout", "row_not_unit"],
+)
+def test_dtwalk_rejects_bad_embedding(embed, message):
+    with pytest.raises(ValueError, match=message):
+        DTWalk("custom", 2, 2, (np.eye(2)[None],), embed)
+
+
+def test_walk_without_spectral_structure_refused():
+    # a walk built directly, with no lattice claim and not Szegedy's factors
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    W = DTWalk("custom", 5, 2, (H2[None], np.roll(np.arange(10), 3)), np.eye(10)[:, ::2])
-    monkeypatch.setenv("QWMIX_STATE_CAP", "8")
-    with pytest.raises(StateCapError, match="10 states exceeds the configured cap of 8"):
-        W.unitary
-    with pytest.raises(StateCapError, match="10 states exceeds the configured cap of 8"):
-        phase_gap(W)
+    W = DTWalk("custom", 5, 2, (H2[None], np.roll(np.arange(10), 3)), np.tile([1.0, 0.0], (5, 1)))
+    for solve in (eigenphases, phase_gap):
+        with pytest.raises(ValueError, match="'custom' declares no spectral structure"):
+            solve(W)
 
 
 def test_grover_walk_refuses_past_cap_before_building_lattice(monkeypatch):
@@ -335,7 +351,7 @@ def test_clusters_match_brute_on_chains(P, tol):
 @given(st.integers(min_value=2, max_value=16))
 def test_hadamard_unitary_matches_dense_oracle(n):
     np.testing.assert_allclose(
-        coined_walk("hadamard_cycle", n).unitary, brute_hadamard_unitary(n), atol=1e-14
+        dense_unitary(coined_walk("hadamard_cycle", n)), brute_hadamard_unitary(n), atol=1e-14
     )
 
 
@@ -345,7 +361,7 @@ def test_hadamard_unitary_matches_dense_oracle(n):
 def test_grover_unitary_matches_dense_oracle(d, n):
     n = min(n, {1: 6, 2: 5, 3: 3}[d])
     np.testing.assert_allclose(
-        coined_walk("grover_lattice", n, d).unitary, brute_grover_unitary(n, d), atol=1e-14
+        dense_unitary(coined_walk("grover_lattice", n, d)), brute_grover_unitary(n, d), atol=1e-14
     )
 
 
@@ -355,7 +371,7 @@ def test_grover_unitary_matches_dense_oracle(d, n):
 def test_szegedy_unitary_matches_dense_oracle(seed, n):
     for P in (random_symmetric_chain(n, np.random.default_rng(seed)), standard_chain(path(n))):
         np.testing.assert_allclose(
-            quantize_szegedy(P).unitary, brute_szegedy_unitary(P), atol=1e-13
+            dense_unitary(quantize_szegedy(P)), brute_szegedy_unitary(P), atol=1e-13
         )
 
 
@@ -407,7 +423,8 @@ def test_ct_phase_gap_matches_all_pairs_oracle(P):
 
 
 def test_phase_gap_identity_degenerate():
-    W = DTWalk("custom", 2, 2, (np.eye(4, dtype=complex)[None],), np.eye(4)[:, :2])
+    identity = np.eye(2, dtype=complex)[None]
+    W = DTWalk("custom", 2, 2, (identity,), np.tile([1.0, 0.0], (2, 1)), lattice=(2, 1))
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
         phase_gap(W)
 
@@ -418,10 +435,10 @@ def test_translation_invariant_walks_declare_their_lattice():
     assert quantize_szegedy(standard_chain(cycle(5))).lattice is None
 
 
-def _with_column_3_moved(W):
-    E = W.embed_matrix.copy()
-    E[6:8, 3] = [1.0, 0.0]  # still a unit vector in base state 3's register
-    return dataclasses.replace(W, embed_matrix=E)
+def _with_row_3_moved(W):
+    E = W.embed.copy()
+    E[3] = [1.0, 0.0]  # still a unit vector in base state 3's register
+    return dataclasses.replace(W, embed=E)
 
 
 def _with_one_coin_changed(W):
@@ -435,7 +452,7 @@ def _with_one_coin_changed(W):
     [
         (lambda: dataclasses.replace(quantize_szegedy(standard_chain(cycle(5))), lattice=(5, 1)),
          "does not commute with translation"),
-        (lambda: _with_column_3_moved(coined_walk("hadamard_cycle", 8)), "not the translates"),
+        (lambda: _with_row_3_moved(coined_walk("hadamard_cycle", 8)), "not the translates"),
         (lambda: _with_one_coin_changed(coined_walk("hadamard_cycle", 8)),
          "not the same at every base state"),
         (lambda: dataclasses.replace(coined_walk("hadamard_cycle", 8), lattice=(4, 1)),
@@ -455,7 +472,7 @@ def test_dtwalk_accepts_periodic_block_stack():
     W = coined_walk("hadamard_cycle", 8)
     blocks = np.tile(W.factors[0], (8, 1, 1))
     periodic = dataclasses.replace(W, factors=(blocks,) + W.factors[1:])
-    psi = W.embed_matrix
+    psi = dense_embedding(W)
     np.testing.assert_array_equal(periodic.step(psi), W.step(psi))
 
 
@@ -485,8 +502,10 @@ def _nonreversible_chain(n: int, seed: int) -> MarkovChain:
 def test_szegedy_phase_gap_matches_dense_eigenphases(build):
     """Szegedy's spectral lemma against the dense unitary's eigenphases."""
     W = quantize_szegedy(build())
-    dense = walks.eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+    phases = np.angle(np.linalg.eigvals(dense_unitary(W)))
+    dense = walks.eigenphase_gap(phases)
     assert phase_gap(W) == pytest.approx(dense, rel=0.0, abs=1e-12)
+    assert_same_phases(eigenphases(W), phases, 1e-12)
 
 
 def test_nonreversible_test_chain_is_not_reversible():
@@ -500,7 +519,7 @@ def test_szegedy_phase_gap_degenerate_on_both_paths():
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
         phase_gap(W)
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
-        walks.eigenphase_gap(np.angle(np.linalg.eigvals(W.unitary)))
+        walks.eigenphase_gap(np.angle(np.linalg.eigvals(dense_unitary(W))))
 
 
 @pytest.mark.parametrize(
@@ -515,6 +534,29 @@ def test_szegedy_label_alone_does_not_select_the_lemma(impostor):
     W = quantize_szegedy(standard_chain(complete(5)))
     other = dataclasses.replace(W, factors=impostor(W))
     assert other.walk_kind == "szegedy"
-    dense = walks.eigenphase_gap(np.angle(np.linalg.eigvals(other.unitary)))
-    assert phase_gap(other) == dense
+    dense = walks.eigenphase_gap(np.angle(np.linalg.eigvals(dense_unitary(other))))
+    for solve in (eigenphases, phase_gap):
+        with pytest.raises(ValueError, match="declares no spectral structure"):
+            solve(other)
     assert abs(dense - phase_gap(W)) > 1e-3
+
+
+@st.composite
+def grover_walks(draw, max_dim=400):
+    """Grover walks on Z_n^d with n >= 2 and dim = n**d * 2d <= max_dim."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    n_max = max(n for n in range(2, max_dim) if n**d * 2 * d <= max_dim)
+    return coined_walk("grover_lattice", draw(st.integers(min_value=2, max_value=n_max)), d)
+
+
+@seed(15)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(
+        st.builds(lambda n: coined_walk("hadamard_cycle", n), st.integers(min_value=2, max_value=40)),
+        grover_walks(),
+    )
+)
+def test_lattice_eigenphases_match_dense_eigvals(W):
+    """One block per momentum against the dense unitary's eigenphases."""
+    assert_same_phases(eigenphases(W), np.angle(np.linalg.eigvals(dense_unitary(W))), 1e-12)
