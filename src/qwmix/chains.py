@@ -9,13 +9,12 @@ distance.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import MIX_THRESHOLD, default_horizon
+from .config import MIX_THRESHOLD, atomic_write_text, default_horizon
 from .graphs import Graph, _check_cap, breadth_first_levels
 
 COLUMN_SUM_TOL = 1e-10
@@ -446,22 +445,6 @@ def save_csv(P: MarkovChain, path: str) -> None:
     for row in P.entries:
         lines.append(",".join(f"{v:.17g}" for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write UTF-8 text to path through a temporary file that is unique per
-    writer and sits in the same directory. Mode "x" creates it exclusively,
-    as mkstemp does, but with the umask's mode rather than mkstemp's 0o600,
-    which would need the umask, and that is read only by setting it."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def load_csv(path: str, label: str | None = None) -> MarkovChain:

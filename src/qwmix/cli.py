@@ -4,6 +4,10 @@ chains, and inspect walk spectra.
 Exit codes: 0 all assertions hold, 1 at least one assertion failed,
 2 configuration or usage error, an output path that cannot be written,
 or a job that raised.
+
+Start-up loads only the standard library and the numpy-free config and
+registry modules. The numerical modules load inside the commands that
+compute: `run` on a cache miss, `chain export` and `walk spectrum`.
 """
 
 from __future__ import annotations
@@ -18,19 +22,8 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chains import atomic_write_text, save_csv
-from .experiments import EXPERIMENTS, chain_from_spec, check_experiment, run_experiment
-from .walks import (
-    DegenerateSpectrumError,
-    coined_walk,
-    eigenphase_gap,
-    eigenphases,
-    phase_gap,
-    quantize_ct,
-    quantize_szegedy,
-)
+from .config import atomic_write_text
+from .registry import EXPERIMENTS, check_experiment
 
 MAX_GRID_JOBS = 10_000
 CACHE_MODES = ("use", "ignore", "refresh")
@@ -142,6 +135,8 @@ def _run_one(config: RunConfig, params: dict, key: str, path: str) -> dict:
                 return stored
         except (ValueError, KeyError, TypeError, OSError):
             pass  # unreadable or malformed: a cache miss, recomputed below
+    from .experiments import run_experiment  # numpy loads only on a cache miss
+
     result = run_experiment(config.experiment, params)
     payload = {
         "experiment": config.experiment,
@@ -282,6 +277,9 @@ def command_report(result_dir: str) -> int:
 
 
 def command_chain_export(kind: str, params: str, out_path: str) -> int:
+    from .chains import save_csv
+    from .experiments import chain_from_spec
+
     spec = f"{kind}:{params}" if params else kind
     try:
         P = chain_from_spec(spec)
@@ -297,6 +295,19 @@ def command_chain_export(kind: str, params: str, out_path: str) -> int:
 
 
 def command_walk_spectrum(kind: str, params: str) -> int:
+    import numpy as np
+
+    from .experiments import chain_from_spec
+    from .walks import (
+        DegenerateSpectrumError,
+        coined_walk,
+        eigenphase_gap,
+        eigenphases,
+        phase_gap,
+        quantize_ct,
+        quantize_szegedy,
+    )
+
     try:
         if kind == "ct":
             walk = quantize_ct(chain_from_spec(params))

@@ -1,4 +1,5 @@
-"""Global numeric conventions shared by every module.
+"""Global conventions shared by every module: numeric thresholds, the
+state cap and how output files are written. Imports no numpy.
 
 Convention: Markov chains are column-stochastic. P[y, x] is the
 probability of moving from state x to state y, stationary vectors
@@ -40,3 +41,19 @@ def state_cap() -> int:
 def default_horizon(n: int) -> int:
     """Default mixing-time search horizon, ceil(10*N*(1+ln N))."""
     return int(math.ceil(10.0 * n * (1.0 + math.log(n)))) if n > 1 else 10
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write UTF-8 text to path through a temporary file that is unique per
+    writer and sits in the same directory. Mode "x" creates it exclusively,
+    as mkstemp does, but with the umask's mode rather than mkstemp's 0o600,
+    which would need the umask, and that is read only by setting it."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

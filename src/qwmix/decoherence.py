@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, NoMix, _threshold_time, atomic_write_text, save_csv
-from .config import DEFAULT_TAIL_TOL
+from .chains import MarkovChain, NoMix, _threshold_time, save_csv
+from .config import DEFAULT_TAIL_TOL, atomic_write_text
 from .graphs import lattice_difference
 from .walks import CTWalk, DTWalk, RuleFamilyError
 

@@ -37,6 +37,8 @@ from .decoherence import (
     uniform_dt_rule,
 )
 from .graphs import Graph, build_graph, cartesian_power, hypercube, lattice
+# re-exported: the one registry, shared with the CLI
+from .registry import EXPERIMENTS, Experiment, check_experiment, experiment_names
 from .walks import coined_walk, quantize_ct, quantize_szegedy
 
 ASSERT_TOL = 1e-12
@@ -459,76 +461,12 @@ def graph_from_spec(spec: str) -> Graph:
     return build_graph(kind, params)
 
 
-def _int_list(value) -> list[int]:
-    return [int(v) for v in value]
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """A registered experiment: its runner, its JSON parameters in
-    argument order with the parser of each, and its report description."""
-
-    run: Callable[..., ExperimentResult]
-    params: dict[str, Callable]
-    description: str
-
-
-EXPERIMENTS = {
-    "gap_inequality_audit": Experiment(
-        gap_inequality_audit,
-        {"chain": chain_from_spec, "T": float, "k_values": _int_list},
-        "sandwich between averaged-rule and memoryless-rule spectral gaps",
-    ),
-    "measurement_equivalence_audit": Experiment(
-        measurement_equivalence_audit,
-        {"chain": chain_from_spec, "T": float},
-        "equivalence of averaged and memoryless measurement mixing times",
-    ),
-    "cycle_threshold_audit": Experiment(
-        cycle_threshold_audit,
-        {"n": int, "walk": str},
-        "constant-round mixing of measured cycle walks inside the linear window",
-    ),
-    "tensor_power_identity_audit": Experiment(
-        tensor_power_identity_audit,
-        {"graph": graph_from_spec, "d": int, "t_values": lambda v: [float(t) for t in v]},
-        "generated chain of a graph power factorizes as a Kronecker power",
-    ),
-    "lattice_scaling_sweep": Experiment(
-        lattice_scaling_sweep,
-        {"n_values": _int_list, "d_values": _int_list},
-        "classical quadratic versus measured-quantum near-linear lattice mixing cost",
-    ),
-    "grover_complete_graph_sweep": Experiment(
-        grover_complete_graph_sweep,
-        {"N_values": _int_list},
-        "linear slowdown of the measured discrete walk on complete graphs",
-    ),
-    "hypercube_limit_audit": Experiment(
-        hypercube_limit_audit,
-        {"d_values": _int_list},
-        "nonuniform long-time hypercube limit with finite repeated mixing",
-    ),
-}
-
-
-def check_experiment(name, keys) -> Experiment:
-    """The registry entry of `name` once `keys` match its parameter names;
-    KeyError for an unknown experiment, ValueError for a key mismatch."""
-    if not isinstance(name, str) or name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; known: {experiment_names()}")
-    entry = EXPERIMENTS[name]
-    expected = sorted(entry.params)
-    if sorted(keys) != expected:
-        raise ValueError(f"keys {sorted(keys)} do not match parameters {expected} of {name!r}")
-    return entry
+def _resolve(fn: Callable | str) -> Callable:
+    """A registered runner or parser; a str names a function of this module."""
+    return globals()[fn] if isinstance(fn, str) else fn
 
 
 def run_experiment(name: str, params: dict) -> ExperimentResult:
     """Run a registered experiment from JSON-style parameters."""
     entry = check_experiment(name, params)
-    return entry.run(*(parse(params[key]) for key, parse in entry.params.items()))
-
-
-def experiment_names() -> list[str]:
-    return sorted(EXPERIMENTS)
+    return _resolve(entry.run)(*(_resolve(parse)(params[key]) for key, parse in entry.params.items()))

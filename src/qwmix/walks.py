@@ -130,6 +130,11 @@ class DTWalk:
     the claim: every permutation commutes with the d unit translations,
     every block stack acts within one base state's register and is the
     same at every base state, and every row of embed equals embed[0].
+
+    base_symmetric claims that every generated chain of the walk is
+    symmetric; the generated-chain checks then require it. A Szegedy
+    walk makes no such claim: its measured chain is not symmetric in
+    general, even on a symmetric base chain.
     """
 
     walk_kind: str
@@ -241,7 +246,7 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     cols = np.sqrt(P.entries).T  # cols[x] = |p_x>
     swap, R = _swap(n), _reflections(cols)
     return DTWalk(
-        "szegedy", n, n, (swap, R, swap, R), cols, base_label=P.label, base_symmetric=P.is_symmetric
+        "szegedy", n, n, (swap, R, swap, R), cols, base_label=P.label, base_symmetric=False
     )
 
 

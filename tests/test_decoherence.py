@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from qwmix import (
@@ -453,6 +453,11 @@ def dt_walks_with_oracle(draw):
     return quantize_szegedy(P), brute_szegedy_unitary(P)
 
 
+# A symmetric chain whose measured Szegedy chain is not symmetric (by
+# 0.03-0.05 under the example's rules); the seeded draws never reach one.
+SZEGEDY_ASYMMETRIC_BASE = random_symmetric_chain(7, np.random.default_rng(3))
+
+
 @seed(10)
 @settings(deadline=None, max_examples=30)
 @given(
@@ -460,6 +465,15 @@ def dt_walks_with_oracle(draw):
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=1, max_value=12),
     st.floats(min_value=1.0, max_value=4.0),
+)
+@example(
+    walk_and_oracle=(
+        quantize_szegedy(SZEGEDY_ASYMMETRIC_BASE),
+        brute_szegedy_unitary(SZEGEDY_ASYMMETRIC_BASE),
+    ),
+    t=4,
+    T=7,
+    T_geo=5.5,
 )
 def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
     W, U = walk_and_oracle

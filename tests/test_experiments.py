@@ -21,6 +21,7 @@ from qwmix.experiments import (
     run_experiment,
     tensor_power_identity_audit,
 )
+from qwmix import registry
 from qwmix.chains import uniform_projector_chain
 from qwmix.cli import ConfigError, RunConfig
 from qwmix.graphs import cycle, path
@@ -170,6 +171,7 @@ def test_hypercube_limit_audit_floor_exemption():
 
 
 def test_run_experiment_registry():
+    assert EXPERIMENTS is registry.EXPERIMENTS  # one registry, re-exported
     assert experiment_names() == sorted(EXPERIMENTS)
     for name, entry in EXPERIMENTS.items():
         assert entry.description

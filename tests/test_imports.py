@@ -1,0 +1,103 @@
+"""The package's lazy exports, and which commands load the numerical
+stack: `import qwmix`, `report`, a fully cached `run` and a config error
+load no numpy; a cold `run` does."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import qwmix
+
+# The names `qwmix` exported when it imported every submodule eagerly.
+EXPORTED = [
+    "Assertion", "BoundCheck", "CTWalk", "DTWalk", "DegenerateSpectrumError",
+    "ExperimentResult", "GeneratedChain", "Graph", "MarkovChain", "MeasurementRule",
+    "MixingReport", "NoMix", "NonReversibleError", "ReducibleChainError",
+    "RuleFamilyError", "StateCapError", "bessel_j", "build_graph", "cartesian_power",
+    "characteristic_function", "coined_walk", "complete", "conductance",
+    "ct_amplitude_row", "ct_propagator", "cycle", "cycle_threshold_audit", "delta_rule",
+    "distance_bound_from_entries", "eigenphases", "exponential_rule", "export_generated",
+    "format_edge_list", "gap_inequality_audit", "generated_chain", "geometric_rule",
+    "grover_complete_graph_sweep", "hypercube", "hypercube_limit_audit", "lattice",
+    "lattice_scaling_sweep", "lazy_chain", "limit_chain", "load_csv",
+    "measurement_equivalence_audit", "mixing_time", "mixing_time_bound_from_distance",
+    "one_norm", "pairwise_column_distance", "parse_edge_list", "path", "phase_gap",
+    "quantize_ct", "quantize_szegedy", "random_symmetric_chain", "repeated_mixing_time",
+    "rule_weights", "run_experiment", "save_csv", "spectral_gap", "standard_chain",
+    "stationary_distribution", "symmetrized_generator", "szegedy_stationary_state",
+    "tensor_power_identity_audit", "uniform_ct_rule", "uniform_dt_rule",
+    "uniform_projector_chain", "verify_inequalities",
+]
+NUMERICAL = {"numpy", "qwmix.chains"}
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qwmix.__file__)))
+
+
+def test_public_api_is_pinned():
+    assert sorted(qwmix.__all__) == EXPORTED
+    assert qwmix.__version__ == "0.1.0"
+    assert "__version__" not in qwmix.__all__
+    for name in qwmix.__all__:
+        value = getattr(qwmix, name)
+        assert value.__module__.startswith("qwmix.")
+        assert value is getattr(sys.modules[value.__module__], name), name
+        assert vars(qwmix)[name] is value  # resolved once, then a plain global
+    submodules = ["bessel", "chains", "config", "decoherence", "experiments", "graphs", "walks"]
+    assert set(EXPORTED + submodules) <= set(dir(qwmix))
+    for name in submodules:
+        assert getattr(qwmix, name) is sys.modules[f"qwmix.{name}"]
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from qwmix import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTED
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qwmix.no_such_name
+    assert not hasattr(qwmix, "eigenphase_gap")  # defined in walks, never exported
+    with pytest.raises(ImportError):
+        exec("from qwmix import no_such_name", {})
+
+
+def imported_modules(argv, cwd):
+    """Run `python -X importtime *argv` with this checkout's sources first
+    on the path; the completed process and the set of modules it imported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=300, check=False,
+    )
+    modules = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc, modules
+
+
+def test_only_commands_that_compute_load_numpy(tmp_path):
+    proc, modules = imported_modules(["-c", "import qwmix"], tmp_path)
+    assert proc.returncode == 0 and "qwmix" in modules
+    assert not modules & NUMERICAL
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "hypercube_limit_audit", "grid": {"d_values": [[1, 2]]}}))
+    run = ["-m", "qwmix", "run", str(config), "--out", "results"]
+    proc, modules = imported_modules(run, tmp_path)
+    assert proc.returncode == 0 and "computed ok" in proc.stdout
+    assert NUMERICAL <= modules  # a cold run computes
+
+    proc, modules = imported_modules([*run, "--cache", "use"], tmp_path)
+    assert proc.returncode == 0 and "cached ok" in proc.stdout
+    assert not modules & NUMERICAL
+
+    proc, modules = imported_modules(["-m", "qwmix", "report", "results"], tmp_path)
+    assert proc.returncode == 0 and (tmp_path / "results" / "report.md").is_file()
+    assert not modules & NUMERICAL
+
+    config.write_text(json.dumps({"experiment": "no_such_audit", "grid": {"x": [1]}}))
+    proc, modules = imported_modules(run, tmp_path)
+    assert proc.returncode == 2 and "unknown experiment" in proc.stderr
+    assert not modules & NUMERICAL
