@@ -4,6 +4,12 @@ Column-stochastic convention throughout: P[y, x] = Pr[x -> y], columns
 sum to 1, P @ pi == pi, and the matrix 1-norm is the max absolute
 column sum, so 0.5 * one_norm(P - Q) is a worst-column total-variation
 distance.
+
+A chain on Z_n^d that commutes with the translations says so in its
+lattice field, (n, d). Its column 0 c then fixes the whole chain,
+P[y, x] = c[y - x], and every column of P^t is a translate of column 0
+of P^t; the mixing search steps that one column and d(P) compares the
+other columns with it alone. The spectrum stays a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from .config import MIX_THRESHOLD, atomic_write_text, default_horizon
-from .graphs import Graph, _check_cap, breadth_first_levels
+from .graphs import (
+    Graph,
+    _check_cap,
+    breadth_first_levels,
+    _check_lattice_size,
+    lattice_difference,
+)
 
 COLUMN_SUM_TOL = 1e-10
 ENTRY_CLAMP = 1e-14
@@ -47,9 +59,17 @@ def one_norm(M: np.ndarray) -> float:
 
 
 class MarkovChain:
-    """Immutable column-stochastic matrix with cached spectral data."""
+    """Immutable column-stochastic matrix with cached spectral data.
 
-    def __init__(self, entries: np.ndarray, label: str = "custom"):
+    lattice = (n, d) claims that the states are Z_n^d in the graphs layout
+    and that the chain commutes with its translations; the constructor
+    checks it exactly against column 0 and raises ValueError when it is
+    false.
+    """
+
+    def __init__(
+        self, entries: np.ndarray, label: str = "custom", lattice: tuple[int, int] | None = None
+    ):
         shape = np.shape(entries)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"entries must be square, got shape {shape}")
@@ -66,9 +86,14 @@ class MarkovChain:
         err = np.abs(colsums - 1.0).max()
         if err > COLUMN_SUM_TOL:
             raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, off by {err}")
+        if lattice is not None:
+            _check_lattice_size(lattice, shape[0], "states")
+            if not np.array_equal(P, P[lattice_difference(*lattice), 0]):
+                raise ValueError(f"columns are not the translates of column 0 on lattice {lattice}")
         P.setflags(write=False)
         self.entries = P
         self.label = label
+        self.lattice = lattice
 
     @property
     def size(self) -> int:
@@ -172,14 +197,17 @@ def spectral_gap(P: MarkovChain) -> float:
 
 
 def pairwise_column_distance(P: MarkovChain) -> float:
-    """d(P): max over column pairs of the total-variation distance."""
+    """d(P): max over column pairs of the total-variation distance. On a
+    lattice chain a pair is a translate of (column 0, another column), so
+    column 0 alone is compared with every column."""
     M = P.entries
     n = P.size
+    firsts = 1 if P.lattice is not None else n
     best = 0.0
     # about 2 MiB of differences per chunk, made absolute in place
     chunk = max(1, min(n, 250_000 // max(1, n * n)))
-    for start in range(0, n, chunk):
-        diffs = M[:, start : start + chunk, None] - M[:, None, :]
+    for start in range(0, firsts, chunk):
+        diffs = M[:, start : min(start + chunk, firsts), None] - M[:, None, :]
         np.abs(diffs, out=diffs)
         best = max(best, 0.5 * float(diffs.sum(axis=0).max()))
     return best
@@ -192,21 +220,24 @@ class NoMix:
     horizon: int
 
 
-def _threshold_time(M: np.ndarray, pi: np.ndarray, horizon: int | None = None) -> int | NoMix:
-    """Smallest t <= horizon with worst-column TV(M^t, pi) <= 1/(2e), or
+def _threshold_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
+    """Smallest t <= horizon with worst-column TV(P^t, pi) <= 1/(2e), or
     NoMix(horizon). The horizon defaults to default_horizon(N) and must be
     at least 1; every mixing time searches through here.
 
     Worst-column TV to the stationary distribution is nonincreasing for
     time-homogeneous chains; violations beyond MONOTONE_TOL are internal
-    errors, so the first crossing time is also a stable crossing.
+    errors, so the first crossing time is also a stable crossing. A
+    lattice chain's stationary distribution is uniform and the columns of
+    P^t are translates of its column 0, so only that column is stepped.
     """
+    M = P.entries
     if horizon is None:
-        horizon = default_horizon(M.shape[0])
+        horizon = default_horizon(P.size)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    target = pi[:, None]
-    power = M
+    target = P.stationary[:, None]
+    power = M[:, :1] if P.lattice is not None else M
     prev = math.inf
     for t in range(1, horizon + 1):
         dist = 0.5 * one_norm(power - target)
@@ -228,7 +259,7 @@ def mixing_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
         raise ReducibleChainError(
             f"chain {P.label!r} is reducible: no path from state {witness[0]} to {witness[1]}"
         )
-    return _threshold_time(P.entries, P.stationary, horizon)
+    return _threshold_time(P, horizon)
 
 
 def mixing_time_bound_from_distance(alpha: float) -> int:
@@ -403,7 +434,7 @@ def standard_chain(G: Graph) -> MarkovChain:
         raise ValueError(f"graph {G.kind_tag} is disconnected")
     P = G.adjacency_matrix()
     P /= deg
-    return MarkovChain(P, f"P({G.kind_tag})")
+    return MarkovChain(P, f"P({G.kind_tag})", G.lattice)
 
 
 def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
@@ -411,7 +442,7 @@ def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
     if not (0.0 < hold < 1.0):
         raise ValueError(f"hold must lie in (0,1), got {hold}")
     M = hold * np.eye(P.size) + (1.0 - hold) * P.entries
-    return MarkovChain(M, f"lazy({P.label})")
+    return MarkovChain(M, f"lazy({P.label})", P.lattice)
 
 
 def uniform_projector_chain(n: int) -> MarkovChain:

@@ -6,8 +6,7 @@ generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
 explicit, possibly truncated, time sums of the factored step (no dense
 operator). A lattice (n, d) walk commutes with the translations of
-Z_n^d, so only base state 0 is stepped and the chain is expanded from its
-column 0 via graphs.lattice_difference; other walks step every start state.
+Z_n^d, so only base state 0 is stepped; other walks step every start state.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -22,6 +21,13 @@ than CHI_RANK_TOL. The delta rule's chi has rank 2, so it costs two
 products; the long-time limit chain is the same sum with chi the
 identity. H is real symmetric, so exp(-iHt) is complex-symmetric and every
 continuous-time chain here is symmetric, whatever the base chain.
+
+On a lattice base (base.lattice set) each term forms only its column 0,
+(V diag(Q[owner, m])) @ V[:1].T, N x k work for k kept eigenvectors
+instead of N x N x k. Every generated and limit chain is checked,
+renormalized and symmetrized on the columns it has (column 0 alone on a
+lattice), then expanded via graphs.lattice_difference and returned
+carrying the lattice claim, which MarkovChain verifies.
 """
 
 from __future__ import annotations
@@ -178,27 +184,47 @@ class GeneratedChain:
         return self.chain.size
 
 
-def _check_generated(M: np.ndarray, symmetric: bool, trunc: float, what: str) -> np.ndarray:
+def _generated_markov_chain(
+    cols: np.ndarray,
+    symmetric: bool,
+    trunc: float,
+    what: str,
+    label: str,
+    lattice: tuple[int, int] | None,
+) -> MarkovChain:
+    """Check, renormalize and (for a symmetric chain) symmetrize the
+    chain's columns, then build it. cols holds every column, or column 0
+    alone when lattice is set; the checks then run on that column, where
+    the transpose's column 0 is c[-z] and the row sums are the column sum,
+    and the column is expanded last, so the chain's columns are exact
+    translates of it."""
+    D = None if lattice is None else lattice_difference(*lattice)
+
+    def flip(A: np.ndarray) -> np.ndarray:
+        return A.T if D is None else A[D[0]]
+
     tol = GENERATED_TOL + trunc
-    if M.min() < -tol:
-        raise ArithmeticError(f"{what}: negative entry {M.min()}")
-    M = np.clip(M, 0.0, None)
+    if cols.min() < -tol:
+        raise ArithmeticError(f"{what}: negative entry {cols.min()}")
+    M = np.clip(cols, 0.0, None)
     col_err = np.abs(M.sum(axis=0) - 1.0).max()
     if col_err > tol:
         raise ArithmeticError(f"{what}: column sums off by {col_err}")
     if symmetric:
-        sym_err = np.abs(M - M.T).max()
+        sym_err = np.abs(M - flip(M)).max()
         if sym_err > tol:
             raise ArithmeticError(f"{what}: asymmetry {sym_err} in a chain that must be symmetric")
-        M = 0.5 * (M + M.T)
-        row_err = np.abs(M.sum(axis=1) - 1.0).max()
+        M = 0.5 * (M + flip(M))
+        row_err = np.abs(flip(M).sum(axis=0) - 1.0).max()
         if row_err > tol:
             raise ArithmeticError(f"{what}: row sums off by {row_err}")
     # tiny float drift: renormalize columns so MarkovChain validation is exact
     M = M / M.sum(axis=0, keepdims=True)
     if symmetric:
-        M = 0.5 * (M + M.T)
-    return M
+        M = 0.5 * (M + flip(M))
+    if D is not None:
+        M = M[D, 0]
+    return MarkovChain(M, label, lattice)
 
 
 def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -206,17 +232,19 @@ def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndar
     |mu_m| > CHI_RANK_TOL, where owner[j] is the cluster of eigenvector j.
 
     Eigenvectors of zero weight are left out of a term's product, so a
-    column of Q supported on one cluster costs that cluster's width.
+    column of Q supported on one cluster costs that cluster's width. On a
+    lattice base only column 0 is formed: the N x 1 block of each term.
     """
     V = walk.eigenvectors
+    starts = 1 if walk.base.lattice is not None else walk.size
     sizes = [len(c) for c in walk.clusters]
     owner = np.repeat(np.arange(len(sizes)), sizes)
-    acc = np.zeros((walk.size, walk.size))
+    acc = np.zeros((walk.size, starts))
     for m in np.flatnonzero(np.abs(mu) > CHI_RANK_TOL):
         weights = Q[owner, m]
         keep = np.flatnonzero(weights)
         Vk = V[:, keep]
-        term = (Vk * weights[keep]) @ Vk.T
+        term = (Vk * weights[keep]) @ Vk[:starts].T
         term *= term
         term *= mu[m]
         acc += term
@@ -229,9 +257,9 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
     # Re phi is even, so chi is symmetric up to rounding
     mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
     acc = _spectral_square_sum(walk, mu, Q)
-    M = _check_generated(acc, True, 0.0, "ct generated chain")
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
-    return GeneratedChain(MarkovChain(M, label), "ct", walk.base.label, rule, 0.0)
+    chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
+    return GeneratedChain(chain, "ct", walk.base.label, rule, 0.0)
 
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
@@ -248,11 +276,11 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
             psi = walk.step(psi)
         t_prev = t
         acc += w * walk.project(psi)
-    if walk.lattice is not None:
-        acc = acc[lattice_difference(*walk.lattice), 0]
-    M = _check_generated(acc, walk.base_symmetric, trunc, "dt generated chain")
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
-    return GeneratedChain(MarkovChain(M, label), walk.walk_kind, walk.base_label, rule, trunc)
+    chain = _generated_markov_chain(
+        acc, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
+    )
+    return GeneratedChain(chain, walk.walk_kind, walk.base_label, rule, trunc)
 
 
 def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedChain:
@@ -278,8 +306,9 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
     at a time (chi is the identity)."""
     C = len(walk.clusters)
     Pi = _spectral_square_sum(walk, np.ones(C), np.eye(C))
-    M = _check_generated(Pi, True, 0.0, "limit chain")
-    return MarkovChain(M, f"limit({walk.base.label})")
+    return _generated_markov_chain(
+        Pi, True, 0.0, "limit chain", f"limit({walk.base.label})", walk.base.lattice
+    )
 
 
 def repeated_mixing_time(G: GeneratedChain, horizon: int | None = None) -> int | NoMix:
@@ -288,7 +317,7 @@ def repeated_mixing_time(G: GeneratedChain, horizon: int | None = None) -> int |
     NoMix(horizon); the horizon defaults to default_horizon(N)."""
     if not G.chain.is_symmetric:
         raise ValueError("repeated mixing targets uniform; needs a symmetric generated chain")
-    return _threshold_time(G.chain.entries, G.chain.stationary, horizon)
+    return _threshold_time(G.chain, horizon)
 
 
 def export_generated(G: GeneratedChain, csv_path: str) -> tuple[str, str]:

@@ -9,7 +9,7 @@ index identities downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -81,11 +81,18 @@ def breadth_first_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.nda
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph: no self-loops, no duplicate edges."""
+    """Undirected simple graph: no self-loops, no duplicate edges.
+
+    lattice = (n, d) claims that the vertices are Z_n^d in the layout of
+    this module and that the edges commute with its translations, so the
+    graph's chains do too. standard_chain passes the claim on to
+    MarkovChain, which checks it; it takes no part in equality or hashing.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     kind_tag: str = "custom"
+    lattice: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -137,15 +144,24 @@ def lattice_step(n: int, d: int, j: int, sign: int) -> np.ndarray:
     return _vertices_along(n, d, j, (np.arange(n) + sign) % n)
 
 
+def _check_lattice_size(lattice: tuple[int, int], count: int, what: str) -> None:
+    """Refuse a lattice claim (n, d) unless n**d == count."""
+    n, d = lattice
+    # n >= 2 gives n**d >= 2**d, so a d past count's bit length cannot match
+    if not (n >= 2 and 1 <= d <= count.bit_length() and n**d == count):
+        raise ValueError(f"lattice {lattice} does not have {count} {what}")
+
+
 def lattice_difference(n: int, d: int) -> np.ndarray:
     """D[y, x] = index of the vertex y - x of Z_n^d, so a chain that
     commutes with the translations and has column 0 equal to c is c[D]."""
-    size = _power_count(n, d)
-    idx = np.arange(size)
-    D = np.zeros((size, size), dtype=np.intp)
+    _power_count(n, d)
+    step = np.subtract.outer(np.arange(n, dtype=np.intp), np.arange(n)) % n
+    D = np.zeros((1, 1), dtype=np.intp)
     for j in range(d):
-        digit = idx // n**j % n
-        D += (np.subtract.outer(digit, digit) % n) * n**j
+        # digit j joins as the most significant: rows (y_j, y'), columns (x_j, x')
+        low = D.shape[0]
+        D = (step[:, None, :, None] * low + D[None, :, None, :]).reshape(n * low, n * low)
     return D
 
 
@@ -161,7 +177,7 @@ def cycle(n: int) -> Graph:
     """Cycle Z_n; n = 2 degenerates to a single edge."""
     if n < 2:
         raise ValueError(f"cycle needs n >= 2, got n={n}")
-    return Graph(n, _lattice_edges(n, 1), f"cycle({n})")
+    return Graph(n, _lattice_edges(n, 1), f"cycle({n})", (n, 1))
 
 
 def path(n: int) -> Graph:
@@ -182,7 +198,7 @@ def hypercube(d: int) -> Graph:
     """Z_2^d with bit j of the vertex index as coordinate j: lattice(2, d)."""
     if d < 1:
         raise ValueError(f"hypercube needs d >= 1, got d={d}")
-    return Graph(_power_count(2, d), _lattice_edges(2, d), f"hypercube({d})")
+    return Graph(_power_count(2, d), _lattice_edges(2, d), f"hypercube({d})", (2, d))
 
 
 def lattice(n: int, d: int) -> Graph:
@@ -191,7 +207,7 @@ def lattice(n: int, d: int) -> Graph:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
         raise ValueError(f"lattice needs d >= 1, got d={d}")
-    return Graph(_power_count(n, d), _lattice_edges(n, d), f"lattice({n},{d})")
+    return Graph(_power_count(n, d), _lattice_edges(n, d), f"lattice({n},{d})", (n, d))
 
 
 _BUILDERS = {
@@ -215,7 +231,8 @@ def build_graph(kind: str, params: list[int]) -> Graph:
 
 def cartesian_power(G: Graph, d: int) -> Graph:
     """d-th Cartesian power: tuples adjacent iff they differ in exactly
-    one coordinate by an edge of G. Coordinate 0 is least significant."""
+    one coordinate by an edge of G. Coordinate 0 is least significant, so
+    the power of Z_n^k is Z_n^(kd) in the same layout and keeps the claim."""
     if d < 1:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
     size = _power_count(G.n, d)
@@ -223,7 +240,8 @@ def cartesian_power(G: Graph, d: int) -> Graph:
     tails = [_vertices_along(G.n, d, j, low) for j in range(d)]
     heads = [_vertices_along(G.n, d, j, high) for j in range(d)]
     edges = _edge_set(np.concatenate(tails), np.concatenate(heads))
-    out = Graph(size, edges, f"power({G.kind_tag},{d})")
+    claim = None if G.lattice is None else (G.lattice[0], G.lattice[1] * d)
+    out = Graph(size, edges, f"power({G.kind_tag},{d})", claim)
     # sanity: |V|^d vertices and summed coordinate degrees
     assert out.n == G.n**d
     deg_base = G.degrees()

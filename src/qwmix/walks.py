@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import MarkovChain, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
-from .graphs import _check_cap, _power_count, lattice, lattice_step
+from .graphs import _check_cap, _power_count, _check_lattice_size, lattice, lattice_step
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -181,11 +181,9 @@ class DTWalk:
             self._check_translation_invariant()
 
     def _check_translation_invariant(self):
+        _check_lattice_size(self.lattice, self.base_size, "base states")
         n, d = self.lattice
         N, r = self.base_size, self.register_dim
-        # n >= 2 gives n**d >= 2**d, so a d past N's bit length cannot match
-        if not (n >= 2 and 1 <= d <= N.bit_length() and n**d == N):
-            raise ValueError(f"lattice {self.lattice} does not have {N} base states")
         sub = np.arange(r)
         for j in range(d):
             tau = (lattice_step(n, d, j, 1)[:, None] * r + sub).ravel()

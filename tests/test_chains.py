@@ -29,7 +29,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import atomic_write_text
-from qwmix.graphs import complete, cycle, hypercube, lattice, path
+from qwmix.graphs import cartesian_power, complete, cycle, hypercube, lattice, parse_edge_list, path
 
 from conftest import (
     MIX_THRESHOLD,
@@ -507,3 +507,56 @@ def test_directed_cycle_period(k):
     if k >= 4:
         S[2, 0] = True  # a chord x -> x + 2 adds a cycle of length k - 1
         assert MarkovChain(S / S.sum(axis=0), "chord").period == 1 == brute_period(S)
+
+
+def test_markov_chain_accepts_a_true_lattice_claim():
+    entries = standard_chain(lattice(3, 2)).entries
+    P = MarkovChain(entries, lattice=(3, 2))
+    assert P.lattice == (3, 2)
+    assert MarkovChain(entries).lattice is None
+
+
+def _one_ulp_off(entries, y, x):
+    M = entries.copy()
+    M[y, x] = np.nextafter(M[y, x], 1.0)
+    return M
+
+
+@pytest.mark.parametrize(
+    "entries, claim, message",
+    [
+        (standard_chain(path(4)).entries, (4, 1), "not the translates of column 0"),
+        (standard_chain(lattice(3, 2)).entries, (9, 1), "not the translates of column 0"),
+        (_one_ulp_off(standard_chain(cycle(5)).entries, 4, 3), (5, 1), "not the translates of column 0"),
+        (standard_chain(cycle(6)).entries, (2, 3), "does not have 6 states"),
+        (standard_chain(cycle(8)).entries, (8, 2), "does not have 8 states"),
+        (standard_chain(cycle(4)).entries, (1, 4), "does not have 4 states"),
+        (standard_chain(cycle(4)).entries, (2, 10**6), "does not have 4 states"),
+    ],
+    ids=["path", "wrong_layout", "one_ulp", "wrong_size", "wrong_power", "n_one", "huge_d"],
+)
+def test_markov_chain_refuses_false_lattice_claims(entries, claim, message):
+    with pytest.raises(ValueError, match=message):
+        MarkovChain(entries, lattice=claim)
+
+
+def test_chain_constructors_carry_the_lattice_claim(tmp_path):
+    assert standard_chain(cycle(7)).lattice == (7, 1)
+    assert standard_chain(hypercube(3)).lattice == (2, 3)
+    assert standard_chain(lattice(4, 3)).lattice == (4, 3)
+    assert standard_chain(cartesian_power(cycle(5), 2)).lattice == (5, 2)
+    assert lazy_chain(standard_chain(lattice(4, 2))).lattice == (4, 2)
+    assert lazy_chain(standard_chain(lattice(4, 2)), 0.3).lattice == (4, 2)
+    out = str(tmp_path / "cycle.csv")
+    save_csv(standard_chain(cycle(5)), out)
+    unclaimed = [
+        standard_chain(path(5)),
+        standard_chain(complete(5)),
+        standard_chain(parse_edge_list("3\n0 1\n1 2\n0 2\n")),
+        lazy_chain(standard_chain(path(5))),
+        load_csv(out),
+        random_symmetric_chain(5, np.random.default_rng(0)),
+        uniform_projector_chain(5),
+    ]
+    for P in unclaimed:
+        assert P.lattice is None, P.label

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -9,6 +10,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from qwmix import (
+    MarkovChain,
     MeasurementRule,
     NoMix,
     RuleFamilyError,
@@ -23,7 +25,9 @@ from qwmix import (
     lazy_chain,
     limit_chain,
     load_csv,
+    mixing_time,
     one_norm,
+    pairwise_column_distance,
     quantize_ct,
     quantize_szegedy,
     random_symmetric_chain,
@@ -48,6 +52,7 @@ from conftest import (
 )
 
 GENERATED_TOL = 1e-9
+CT_RULES = (delta_rule, uniform_ct_rule, exponential_rule)
 
 
 def test_rule_validation():
@@ -517,3 +522,50 @@ def test_one_column_chain_matches_all_columns(W, t, T, T_geo):
         expected = generated_chain(every_column, rule)
         np.testing.assert_allclose(got.chain.entries, expected.chain.entries, rtol=0.0, atol=1e-12)
         assert got.truncation_error == expected.truncation_error
+        assert got.chain.lattice == W.lattice
+        assert expected.chain.lattice is None
+
+
+@st.composite
+def lattice_shapes(draw):
+    """(n, d) with d in 1..3 and N = n**d <= 256."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    return draw(st.integers(min_value=2 if d > 1 else 3, max_value={1: 64, 2: 16, 3: 6}[d])), d
+
+
+@seed(14)
+@settings(deadline=None, max_examples=25)
+@given(lattice_shapes(), st.integers(0, 2**32 - 1))
+@example((16, 2), 1)
+@example((6, 3), 2)
+@example((64, 1), 3)
+def test_one_column_path_matches_dense_path(shape, relabel_seed):
+    """A lattice chain runs on column 0; the same chain with its states
+    relabeled by a random permutation carries no claim and runs every
+    column. The two give the same tau, T' and verdicts, and the same
+    d(P) and chains to 1e-12."""
+    P = standard_chain(lattice(*shape))
+    perm = np.random.default_rng(relabel_seed).permutation(P.size)
+    relabel = np.ix_(perm, perm)
+    relabeled = MarkovChain(P.entries[relabel], P.label)
+    assert P.lattice == shape and relabeled.lattice is None
+    n, d = shape
+
+    # tau of P and of its lazy chain; a periodic P runs to the horizon
+    horizon = 2 * n * n
+    for one_column, dense in ((P, relabeled), (lazy_chain(P), lazy_chain(relabeled))):
+        assert mixing_time(one_column, horizon) == mixing_time(dense, horizon)
+        assert pairwise_column_distance(one_column) == pytest.approx(
+            pairwise_column_distance(dense), rel=0.0, abs=1e-12
+        )
+
+    walk, dense_walk = quantize_ct(P), quantize_ct(relabeled)
+    for T, rule_fn in itertools.product((0.3 * n * d, 0.5 * n * d, 1.3 * n * d), CT_RULES):
+        rule = rule_fn(T)
+        got, expected = generated_chain(walk, rule), generated_chain(dense_walk, rule)
+        assert got.chain.lattice == P.lattice and expected.chain.lattice is None
+        np.testing.assert_allclose(got.chain.entries[relabel], expected.chain.entries, rtol=0.0, atol=1e-12)
+        assert repeated_mixing_time(got) == repeated_mixing_time(expected), rule
+    got = limit_chain(walk)
+    assert got.lattice == P.lattice
+    np.testing.assert_allclose(got.entries[relabel], limit_chain(dense_walk).entries, rtol=0.0, atol=1e-12)

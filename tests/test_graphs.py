@@ -238,3 +238,24 @@ def test_lattice_difference_matches_coordinate_tuples(n, d):
         for x in tuples:
             diff = tuple((a - b) % n for a, b in zip(y, x))
             assert D[_tuple_index(y, n), _tuple_index(x, n)] == _tuple_index(diff, n)
+
+
+def test_translation_invariant_graphs_declare_their_lattice():
+    assert cycle(7).lattice == (7, 1)
+    assert cycle(2).lattice == (2, 1)
+    assert hypercube(3).lattice == (2, 3)
+    assert lattice(4, 3).lattice == (4, 3)
+    assert cartesian_power(cycle(5), 3).lattice == (5, 3)
+    assert cartesian_power(lattice(3, 2), 2).lattice == (3, 4)
+    assert cartesian_power(hypercube(2), 3).lattice == (2, 6)
+    for G in (path(5), complete(5), parse_edge_list(format_edge_list(cycle(5))),
+              cartesian_power(path(3), 2), cartesian_power(complete(3), 2)):
+        assert G.lattice is None, G.kind_tag
+
+
+def test_lattice_claim_takes_no_part_in_equality():
+    G = cycle(6)
+    unclaimed = Graph(G.n, G.edges, G.kind_tag)
+    assert unclaimed.lattice is None
+    assert G == unclaimed and hash(G) == hash(unclaimed)
+    assert cartesian_power(cycle(4), 2) == Graph(16, lattice(4, 2).edges, "power(cycle(4),2)")
