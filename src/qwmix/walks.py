@@ -61,7 +61,19 @@ class CTWalk:
 
 def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) -> CTWalk:
     """Continuous-time quantization: eigensolve H and group degenerate
-    eigenvalues."""
+    eigenvalues.
+
+    A chain with the lattice claim has its generated chains built from
+    column 0, which needs every cluster to be a whole eigenspace (a sum of
+    eigenspaces is fine): only then does each cluster projector commute
+    with the translations. A tolerance below DEFAULT_CLUSTER_TOL can split
+    a degenerate eigenspace at rounding level, so it is refused there.
+    """
+    if P.lattice is not None and cluster_tolerance < DEFAULT_CLUSTER_TOL:
+        raise ValueError(
+            f"cluster tolerance {cluster_tolerance} is below {DEFAULT_CLUSTER_TOL}; on lattice "
+            f"{P.lattice} it could split a degenerate eigenspace and break translation invariance"
+        )
     H = symmetrized_generator(P)
     lam, V = np.linalg.eigh(H)
 

@@ -296,6 +296,16 @@ def _check_clusters(P: MarkovChain, tol: float) -> None:
     assert W.cluster_values().tobytes() == values.tobytes()
 
 
+def test_lattice_chain_refuses_a_splitting_cluster_tolerance():
+    # Z_4^2's spectrum is degenerate; a zero tolerance could split an
+    # eigenspace at rounding level, and column 0 would then not fix the chain
+    P = standard_chain(lattice(4, 2))
+    with pytest.raises(ValueError, match="could split a degenerate eigenspace"):
+        quantize_ct(P, 0.0)
+    assert quantize_ct(P, 1e-3).base.lattice == (4, 2)
+    quantize_ct(MarkovChain(P.entries, P.label), 0.0)  # no claim, nothing to break
+
+
 def _planted_chain(values: np.ndarray, seed: int) -> MarkovChain:
     """Symmetric chain with spectrum {1} and values, in a random
     orthonormal basis of the complement of the ones vector; |values| < 1/N
