@@ -21,7 +21,6 @@ _EXPORTS_BY_MODULE = {
         "NonReversibleError",
         "ReducibleChainError",
         "conductance",
-        "distance_bound_from_entries",
         "lazy_chain",
         "load_csv",
         "mixing_time",

@@ -45,10 +45,6 @@ class NonReversibleError(ValueError):
     """Detailed balance fails beyond tolerance."""
 
 
-class HypothesisViolatedError(ValueError):
-    """A stated precondition on the chain's entries does not hold."""
-
-
 class InternalCheckError(AssertionError):
     """A mathematically guaranteed internal invariant failed."""
 
@@ -268,29 +264,6 @@ def mixing_time_bound_from_distance(alpha: float) -> int:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     return int(math.ceil(math.log(2.0 * math.e) / math.log(1.0 / alpha)))
-
-
-def distance_bound_from_entries(P: MarkovChain, beta: float, gamma: float) -> float:
-    """1 - gamma*(2*beta - 1), valid when every column has at least
-    beta*N entries that are >= gamma/N."""
-    if not beta > 0.5:
-        raise ValueError(f"beta must exceed 1/2, got {beta}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    n = P.size
-    floor = gamma / n - 1e-15
-    counts = (P.entries >= floor).sum(axis=0)
-    bad = np.nonzero(counts < beta * n - 1e-12)[0]
-    if bad.size:
-        x = int(bad[0])
-        raise HypothesisViolatedError(
-            f"column {x} has only {int(counts[x])} entries >= gamma/N, needs {beta * n}"
-        )
-    bound = 1.0 - gamma * (2.0 * beta - 1.0)
-    d = pairwise_column_distance(P)
-    if d > bound + SANDWICH_TOL:
-        raise InternalCheckError(f"entry bound {bound} below measured d(P)={d}")
-    return bound
 
 
 def conductance(P: MarkovChain) -> float:

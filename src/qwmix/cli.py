@@ -20,26 +20,21 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import atomic_write_text
 from .registry import EXPERIMENTS, check_experiment
 
 MAX_GRID_JOBS = 10_000
-CACHE_MODES = ("use", "ignore", "refresh")
+CACHE_MODES = ("use", "refresh")
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    experiment: str
-    grid: dict
-    seed: int
-    out_dir: str
-    cache: str
+class RunConfig(namedtuple("RunConfig", "experiment grid seed out_dir cache")):
+    __slots__ = ()
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":

@@ -9,8 +9,7 @@ index identities downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,11 +46,6 @@ def _power_count(n: int, d: int) -> int:
     return count
 
 
-def _edge_set(u: np.ndarray, v: np.ndarray) -> frozenset[tuple[int, int]]:
-    """Normalized (low, high) pairs of two index arrays, duplicates merged."""
-    return frozenset(zip(np.minimum(u, v).tolist(), np.maximum(u, v).tolist()))
-
-
 def breadth_first_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Breadth-first levels from vertex 0 along the arcs tails[k] -> heads[k]
     on vertices 0..n-1; an unreached vertex has level -1."""
@@ -79,54 +73,65 @@ def breadth_first_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.nda
     return level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
+
+    edges, an (E, 2) integer array-like of vertex pairs in any orientation
+    and order, is stored as a read-only int64 array of its distinct pairs
+    (u, v) with u < v, sorted. Graphs compare and hash by identity.
 
     lattice = (n, d) claims that the vertices are Z_n^d in the layout of
     this module and that the edges commute with its translations, so the
     graph's chains do too. standard_chain passes the claim on to
-    MarkovChain, which checks it; it takes no part in equality or hashing.
+    MarkovChain, which checks it.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     kind_tag: str = "custom"
-    lattice: tuple[int, int] | None = field(default=None, compare=False)
+    lattice: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"vertex_count must be positive, got {self.n}")
-        for (u, v) in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for {self.n} vertices")
-            if u > v:
-                raise ValueError(f"edge ({u},{v}) not normalized")
-
-    @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """The edges as an (E, 2) integer array."""
-        return np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        _check_cap(self.n)  # the keys u * n + v below fit in an int64 for n < 3.0e9
+        E = np.asarray(self.edges)
+        E = E.reshape(0, 2).astype(np.int64) if E.shape == (0,) else E
+        if E.ndim != 2 or E.shape[1] != 2 or not np.issubdtype(E.dtype, np.integer):
+            raise ValueError(f"edges must be (E, 2) integers, not {type(self.edges).__name__}")
+        loops = E[E[:, 0] == E[:, 1]]
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0, 0]}")
+        stray = E[((E < 0) | (E >= self.n)).any(axis=1)]
+        if stray.size:
+            raise ValueError(f"edge {tuple(stray[0].tolist())} out of range for {self.n} vertices")
+        # sorting the keys u * n + v sorts the pairs by (u, v) and makes repeats adjacent
+        E = E.astype(np.int64, copy=False)
+        key = np.minimum(E[:, 0], E[:, 1]) * self.n
+        key += np.maximum(E[:, 0], E[:, 1])
+        key.sort()
+        key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
+        edges = np.column_stack(np.divmod(key, self.n))
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_array.ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def neighbors(self, v: int) -> list[int]:
-        E = self._edge_array
+        E = self.edges
         return sorted(E[E[:, 0] == v, 1].tolist() + E[E[:, 1] == v, 0].tolist())
 
     def adjacency_matrix(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
-        u, v = self._edge_array.T
+        u, v = self.edges.T
         A[u, v] = 1.0
         A[v, u] = 1.0
         return A
 
     def is_connected(self) -> bool:
-        u, v = self._edge_array.T
-        level = breadth_first_levels(self.n, np.concatenate([u, v]), np.concatenate([v, u]))
+        level = breadth_first_levels(self.n, self.edges.ravel(), self.edges[:, ::-1].ravel())
         return bool((level >= 0).all())
 
 
@@ -165,12 +170,12 @@ def lattice_difference(n: int, d: int) -> np.ndarray:
     return D
 
 
-def _lattice_edges(n: int, d: int) -> frozenset[tuple[int, int]]:
+def _lattice_edges(n: int, d: int) -> np.ndarray:
     """Edges of Z_n^d: every vertex joined to its +1 step along each
     coordinate, which also covers the -1 steps."""
     size = _power_count(n, d)
     steps = [lattice_step(n, d, j, 1) for j in range(d)]
-    return _edge_set(np.tile(np.arange(size), d), np.concatenate(steps))
+    return np.column_stack((np.tile(np.arange(size), d), np.concatenate(steps)))
 
 
 def cycle(n: int) -> Graph:
@@ -184,14 +189,14 @@ def path(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"path needs n >= 2, got n={n}")
     _check_cap(n)
-    return Graph(n, _edge_set(np.arange(n - 1), np.arange(1, n)), f"path({n})")
+    return Graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))), f"path({n})")
 
 
 def complete(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"complete needs N >= 2, got N={n}")
     _check_cap(n)
-    return Graph(n, _edge_set(*np.triu_indices(n, 1)), f"complete({n})")
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)), f"complete({n})")
 
 
 def hypercube(d: int) -> Graph:
@@ -236,12 +241,10 @@ def cartesian_power(G: Graph, d: int) -> Graph:
     if d < 1:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
     size = _power_count(G.n, d)
-    low, high = G._edge_array.T
-    tails = [_vertices_along(G.n, d, j, low) for j in range(d)]
-    heads = [_vertices_along(G.n, d, j, high) for j in range(d)]
-    edges = _edge_set(np.concatenate(tails), np.concatenate(heads))
+    # the edge (low, high) of G along coordinate j, at every setting of the others
+    pairs = [np.column_stack([_vertices_along(G.n, d, j, x) for x in G.edges.T]) for j in range(d)]
     claim = None if G.lattice is None else (G.lattice[0], G.lattice[1] * d)
-    out = Graph(size, edges, f"power({G.kind_tag},{d})", claim)
+    out = Graph(size, np.concatenate(pairs), f"power({G.kind_tag},{d})", claim)
     # sanity: |V|^d vertices and summed coordinate degrees
     assert out.n == G.n**d
     deg_base = G.degrees()
@@ -273,11 +276,8 @@ def parse_edge_list(text: str) -> Graph:
         if e in edges:
             raise ValueError(f"duplicate edge {u} {v} rejected")
         edges.add(e)
-    return Graph(n, frozenset(edges), "custom")
+    return Graph(n, list(edges), "custom")
 
 
 def format_edge_list(G: Graph) -> str:
-    lines = [str(G.n)]
-    for (u, v) in sorted(G.edges):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([str(G.n), *(f"{u} {v}" for u, v in G.edges.tolist())]) + "\n"

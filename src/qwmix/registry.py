@@ -8,20 +8,16 @@ config and writing a report load none of the numerical modules.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(namedtuple("Experiment", "run params description")):
     """A registered experiment: its runner, its JSON parameters in
     argument order with the parser of each, and its report description.
     A runner or parser given as a str names a function of
     qwmix.experiments."""
 
-    run: Callable | str
-    params: dict[str, Callable | str]
-    description: str
+    __slots__ = ()
 
 
 def _int_list(value) -> list[int]:

@@ -42,8 +42,8 @@ class CTWalk:
 
     eigenvalues are ascending; eigenvectors[:, k] is the k-th real
     orthonormal eigenvector; clusters groups indices of eigenvalues
-    closer than quantize_ct's cluster tolerance (single linkage), so each
-    cluster is a run of consecutive indices.
+    closer than DEFAULT_CLUSTER_TOL (single linkage), so each cluster is a
+    run of consecutive indices.
     """
 
     base: MarkovChain
@@ -59,21 +59,15 @@ class CTWalk:
         return np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
 
 
-def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) -> CTWalk:
-    """Continuous-time quantization: eigensolve H and group degenerate
-    eigenvalues.
+def quantize_ct(P: MarkovChain) -> CTWalk:
+    """Continuous-time quantization: eigensolve H and group eigenvalues
+    within DEFAULT_CLUSTER_TOL of each other (single linkage).
 
     A chain with the lattice claim has its generated chains built from
     column 0, which needs every cluster to be a whole eigenspace (a sum of
     eigenspaces is fine): only then does each cluster projector commute
-    with the translations. A tolerance below DEFAULT_CLUSTER_TOL can split
-    a degenerate eigenspace at rounding level, so it is refused there.
+    with the translations.
     """
-    if P.lattice is not None and cluster_tolerance < DEFAULT_CLUSTER_TOL:
-        raise ValueError(
-            f"cluster tolerance {cluster_tolerance} is below {DEFAULT_CLUSTER_TOL}; on lattice "
-            f"{P.lattice} it could split a degenerate eigenspace and break translation invariance"
-        )
     H = symmetrized_generator(P)
     lam, V = np.linalg.eigh(H)
 
@@ -86,14 +80,14 @@ def quantize_ct(P: MarkovChain, cluster_tolerance: float = DEFAULT_CLUSTER_TOL) 
 
     # single linkage on the ascending spectrum: runs split where a gap
     # exceeds the tolerance
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(lam) > cluster_tolerance) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(lam) > DEFAULT_CLUSTER_TOL) + 1))
     ends = np.append(starts[1:], P.size)
     spread = lam[ends - 1] - lam[starts]
-    wide = np.flatnonzero(spread > cluster_tolerance)
+    wide = np.flatnonzero(spread > DEFAULT_CLUSTER_TOL)
     if wide.size:
         raise ValueError(
-            f"cluster tolerance {cluster_tolerance} chains a spread of {spread[wide[0]]}; "
-            "pick a tolerance separating the true degeneracies"
+            f"cluster tolerance {DEFAULT_CLUSTER_TOL} chains a spread of {spread[wide[0]]}; "
+            "the spectrum has no clean degeneracies at that scale"
         )
     clusters = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
     lam.setflags(write=False)

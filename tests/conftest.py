@@ -65,6 +65,12 @@ def brute_power_edges(base_edges, n: int, d: int) -> frozenset:
     return frozenset(edges)
 
 
+def edge_set(G) -> set:
+    """A graph's edge array as a set of (u, v) tuples, to compare with the
+    brute_* edge sets."""
+    return set(map(tuple, G.edges.tolist()))
+
+
 def brute_reachable(S: np.ndarray) -> np.ndarray:
     """R[y, x] is True when the support S (S[y, x]: an arc x -> y) has a
     path of length 0..N from x to y: the boolean (I + S)^N."""
@@ -279,15 +285,24 @@ def assert_same_phases(got, expected, atol: float) -> None:
     np.testing.assert_allclose(a, b, rtol=0.0, atol=atol)
 
 
-def refusal_peak(build) -> int:
-    """tracemalloc peak, in bytes, of a call that must raise StateCapError."""
+def traced_peak(build) -> int:
+    """tracemalloc peak, in bytes, of a call."""
     tracemalloc.start()
     try:
-        with pytest.raises(StateCapError):
-            build()
+        build()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def refusal_peak(build) -> int:
+    """tracemalloc peak, in bytes, of a call that must raise StateCapError."""
+
+    def refused():
+        with pytest.raises(StateCapError):
+            build()
+
+    return traced_peak(refused)
 
 
 @pytest.fixture(scope="session")

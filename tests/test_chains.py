@@ -12,7 +12,6 @@ from qwmix import (
     NonReversibleError,
     ReducibleChainError,
     conductance,
-    distance_bound_from_entries,
     lazy_chain,
     load_csv,
     mixing_time,
@@ -87,7 +86,7 @@ def test_chain_rejects_non_finite_entries(bad):
 def test_disconnected_graph_rejected():
     from qwmix.graphs import Graph
 
-    G = Graph(4, frozenset({(0, 1), (2, 3)}), "two-edges")
+    G = Graph(4, [(0, 1), (2, 3)], "two-edges")
     with pytest.raises(ValueError):
         standard_chain(G)
 
@@ -154,19 +153,6 @@ def test_mixing_time_bound_from_distance():
     assert mixing_time_bound_from_distance(0.9) == 17
     with pytest.raises(ValueError):
         mixing_time_bound_from_distance(1.0)
-
-
-def test_distance_bound_from_entries():
-    P = uniform_projector_chain(4)
-    assert distance_bound_from_entries(P, beta=1.0, gamma=1.0) == pytest.approx(0.0)
-    Q = standard_chain(complete(3))
-    # two of three entries per column are 1/2 = (3/2)/3
-    assert distance_bound_from_entries(Q, beta=2.0 / 3.0, gamma=1.5) == pytest.approx(0.5)
-    assert distance_bound_from_entries(Q, beta=2.0 / 3.0, gamma=0.5) == pytest.approx(5.0 / 6.0)
-    with pytest.raises(ValueError):
-        distance_bound_from_entries(Q, beta=0.5, gamma=1.0)
-    with pytest.raises(ValueError):
-        distance_bound_from_entries(Q, beta=0.9, gamma=1.5)
 
 
 def test_pairwise_column_distance_uniform_projector():

@@ -115,6 +115,12 @@ def test_run_refresh_recomputes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", path, "--cache", "refresh"]) == 0
     assert capsys.readouterr().out.count("computed ok") == 4
+    # `ignore` ran the same code as `refresh` and is gone, as flag and as key
+    with pytest.raises(SystemExit) as info:
+        main(["run", path, "--cache", "ignore"])
+    assert info.value.code == 2
+    assert main(["run", write_config(tmp_path, dict(cfg, cache="ignore"))]) == 2
+    assert "cache must be one of" in capsys.readouterr().err
 
 
 def test_run_seed_changes_cache_key(tmp_path, capsys):

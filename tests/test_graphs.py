@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from qwmix.chains import standard_chain
 from qwmix.graphs import (
     Graph,
     StateCapError,
@@ -27,7 +28,9 @@ from conftest import (
     brute_lattice_edges,
     brute_power_edges,
     brute_reachable,
+    edge_set,
     refusal_peak,
+    traced_peak,
 )
 
 
@@ -41,7 +44,7 @@ def test_cycle_structure():
 
 def test_cycle_two_vertices_single_edge():
     G = cycle(2)
-    assert G.edges == frozenset({(0, 1)})
+    assert edge_set(G) == {(0, 1)}
 
 
 def test_path_structure():
@@ -85,7 +88,7 @@ def test_lattice_degree():
 
 
 def test_lattice_one_dimension_is_cycle():
-    assert lattice(7, 1).edges == cycle(7).edges
+    assert edge_set(lattice(7, 1)) == edge_set(cycle(7))
 
 
 def test_adjacency_symmetry():
@@ -109,6 +112,8 @@ def test_state_cap_enforced(monkeypatch):
     with pytest.raises(StateCapError):
         cycle(101)
     assert cycle(100).n == 100
+    with pytest.raises(StateCapError):
+        parse_edge_list("101\n0 1\n")
 
 
 @pytest.mark.parametrize(
@@ -134,10 +139,51 @@ def test_powers_refused_before_they_are_formed(monkeypatch, build):
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(0, 3)}), "bad")
-    with pytest.raises(ValueError):
-        Graph(3, frozenset({(1, 1)}), "bad")
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 3)], "bad")
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 1), (-1, 2)], "bad")
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph(3, [(0, 1), (1, 1)], "bad")
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [{(0, 1)}, frozenset({(0, 1)}), [(0, 1, 2)], [0, 1], [(0.0, 1.0)], np.zeros((0, 3), dtype=int), "01"],
+    ids=["set", "frozenset", "triple", "flat", "float", "zero_by_three", "str"],
+)
+def test_graph_takes_only_integer_pairs(edges):
+    with pytest.raises(ValueError, match=r"\(E, 2\) integers"):
+        Graph(3, edges)
+
+
+def test_graph_stores_each_pair_once_sorted():
+    G = Graph(5, [(3, 2), (1, 0), (0, 1), (2, 3), (4, 0), (1, 0)])
+    assert G.edges.dtype == np.int64
+    assert G.edges.tolist() == [[0, 1], [0, 4], [2, 3]]
+    with pytest.raises(ValueError, match="read-only"):
+        G.edges[0, 0] = 2
+    same = Graph(5, np.array([[0, 1], [0, 4], [2, 3]], dtype=np.int32))
+    assert np.array_equal(same.edges, G.edges) and same.edges.dtype == np.int64
+
+
+def test_edgeless_graph():
+    for n in (1, 3):
+        G = Graph(n, [])
+        assert G.edges.shape == (0, 2) and G.degrees().tolist() == [0] * n
+        assert G.is_connected() == (n == 1)
+        assert format_edge_list(G) == f"{n}\n"
+
+
+def test_graphs_compare_by_identity():
+    G = cycle(5)
+    assert G == G and G != cycle(5)
+    assert len({G, cycle(5)}) == 2
+
+
+def test_standard_chain_of_a_capped_complete_graph_stays_small():
+    # the pair arrays, not Python tuples, carry the 523,776 edges of complete(1024)
+    assert traced_peak(lambda: standard_chain(complete(1024))) < 96 * 2**20
 
 
 def test_edge_list_round_trip():
@@ -145,7 +191,7 @@ def test_edge_list_round_trip():
     text = format_edge_list(G)
     H = parse_edge_list(text)
     assert H.n == G.n
-    assert H.edges == G.edges
+    assert np.array_equal(H.edges, G.edges)
 
 
 def test_parse_edge_list_rejects_duplicates():
@@ -160,7 +206,7 @@ def test_parse_edge_list_rejects_duplicates():
 @given(st.integers(min_value=3, max_value=24))
 def test_cycle_edge_list_round_trip(n):
     G = cycle(n)
-    assert parse_edge_list(format_edge_list(G)).edges == G.edges
+    assert edge_set(parse_edge_list(format_edge_list(G))) == edge_set(G)
 
 
 @seed(2)
@@ -177,16 +223,16 @@ def test_cartesian_power_degree_sum(n, d):
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=3))
 def test_builders_match_coordinate_tuple_edges(n, d):
     expected = brute_lattice_edges(n, d)
-    assert lattice(n, d).edges == expected
-    assert cartesian_power(cycle(n), d).edges == expected
-    assert cycle(n).edges == brute_lattice_edges(n, 1)
-    assert hypercube(d).edges == brute_lattice_edges(2, d)
+    assert edge_set(lattice(n, d)) == expected
+    assert edge_set(cartesian_power(cycle(n), d)) == expected
+    assert edge_set(cycle(n)) == brute_lattice_edges(n, 1)
+    assert edge_set(hypercube(d)) == brute_lattice_edges(2, d)
     path_edges = {(x, x + 1) for x in range(n - 1)}
     complete_edges = set(itertools.combinations(range(n), 2))
-    assert path(n).edges == path_edges
-    assert complete(n).edges == complete_edges
+    assert edge_set(path(n)) == path_edges
+    assert edge_set(complete(n)) == complete_edges
     for base, edges in ((path(n), path_edges), (complete(n), complete_edges)):
-        assert cartesian_power(base, d).edges == brute_power_edges(edges, n, d)
+        assert edge_set(cartesian_power(base, d)) == brute_power_edges(edges, n, d)
     # the array views agree with the edge set
     G = lattice(n, d)
     A = np.zeros((G.n, G.n))
@@ -204,7 +250,7 @@ def test_is_connected_matches_boolean_powers(n, rng_seed):
     rng = np.random.default_rng(rng_seed)
     pairs = list(itertools.combinations(range(n), 2))
     keep = rng.random(len(pairs)) < rng.choice([0.1, 0.3, 0.6])
-    G = Graph(n, frozenset(p for p, k in zip(pairs, keep) if k), "random")
+    G = Graph(n, [p for p, k in zip(pairs, keep) if k], "random")
     A = np.zeros((n, n), dtype=bool)
     for u, v in G.edges:
         A[u, v] = A[v, u] = True
@@ -253,9 +299,11 @@ def test_translation_invariant_graphs_declare_their_lattice():
         assert G.lattice is None, G.kind_tag
 
 
-def test_lattice_claim_takes_no_part_in_equality():
+def test_lattice_claim_rides_along_with_identical_edges():
     G = cycle(6)
     unclaimed = Graph(G.n, G.edges, G.kind_tag)
     assert unclaimed.lattice is None
-    assert G == unclaimed and hash(G) == hash(unclaimed)
-    assert cartesian_power(cycle(4), 2) == Graph(16, lattice(4, 2).edges, "power(cycle(4),2)")
+    assert np.array_equal(G.edges, unclaimed.edges)
+    power = cartesian_power(cycle(4), 2)
+    assert power.lattice == lattice(4, 2).lattice == (4, 2)
+    assert np.array_equal(power.edges, lattice(4, 2).edges)

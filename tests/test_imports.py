@@ -1,6 +1,7 @@
 """The package's lazy exports, and which commands load the numerical
 stack: `import qwmix`, `report`, a fully cached `run` and a config error
-load no numpy; a cold `run` does."""
+load no numpy; a cold `run` does. `report` and a fully cached `run` load
+no `dataclasses` (and through it `inspect`) either."""
 
 import json
 import os
@@ -19,7 +20,7 @@ EXPORTED = [
     "RuleFamilyError", "StateCapError", "bessel_j", "build_graph", "cartesian_power",
     "characteristic_function", "coined_walk", "complete", "conductance",
     "ct_amplitude_row", "ct_propagator", "cycle", "cycle_threshold_audit", "delta_rule",
-    "distance_bound_from_entries", "eigenphases", "exponential_rule", "export_generated",
+    "eigenphases", "exponential_rule", "export_generated",
     "format_edge_list", "gap_inequality_audit", "generated_chain", "geometric_rule",
     "grover_complete_graph_sweep", "hypercube", "hypercube_limit_audit", "lattice",
     "lattice_scaling_sweep", "lazy_chain", "limit_chain", "load_csv",
@@ -32,6 +33,8 @@ EXPORTED = [
     "uniform_projector_chain", "verify_inequalities",
 ]
 NUMERICAL = {"numpy", "qwmix.chains"}
+# what a command that only reads and writes JSON must not load
+START_UP = NUMERICAL | {"dataclasses", "inspect"}
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qwmix.__file__)))
 
 
@@ -91,11 +94,11 @@ def test_only_commands_that_compute_load_numpy(tmp_path):
 
     proc, modules = imported_modules([*run, "--cache", "use"], tmp_path)
     assert proc.returncode == 0 and "cached ok" in proc.stdout
-    assert not modules & NUMERICAL
+    assert not modules & START_UP
 
     proc, modules = imported_modules(["-m", "qwmix", "report", "results"], tmp_path)
     assert proc.returncode == 0 and (tmp_path / "results" / "report.md").is_file()
-    assert not modules & NUMERICAL
+    assert not modules & START_UP
 
     config.write_text(json.dumps({"experiment": "no_such_audit", "grid": {"x": [1]}}))
     proc, modules = imported_modules(run, tmp_path)

@@ -26,6 +26,7 @@ from qwmix import (
     szegedy_stationary_state,
     uniform_projector_chain,
 )
+from qwmix.config import DEFAULT_CLUSTER_TOL
 from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
 from conftest import (
@@ -279,31 +280,22 @@ def test_walk_builders_refuse_past_cap(monkeypatch):
         coined_walk("hadamard_cycle", 11)
 
 
-def _check_clusters(P: MarkovChain, tol: float) -> None:
+def _check_clusters(P: MarkovChain) -> None:
     """quantize_ct's clusters and cluster values against brute_clusters on
     the same eigensolve, or its spread error where a brute cluster spans
-    more than tol."""
+    more than the tolerance."""
+    tol = DEFAULT_CLUSTER_TOL
     lam = np.linalg.eigh(symmetrized_generator(P))[0]
     expected = brute_clusters(lam, tol)
     if any(lam[list(c)].max() - lam[list(c)].min() > tol for c in expected):
         with pytest.raises(ValueError, match="chains a spread"):
-            quantize_ct(P, tol)
+            quantize_ct(P)
         return
-    W = quantize_ct(P, tol)
+    W = quantize_ct(P)
     assert W.clusters == tuple(expected)
     assert all(type(i) is int for c in W.clusters for i in c)
     values = np.array([lam[list(c)].mean() for c in expected])
     assert W.cluster_values().tobytes() == values.tobytes()
-
-
-def test_lattice_chain_refuses_a_splitting_cluster_tolerance():
-    # Z_4^2's spectrum is degenerate; a zero tolerance could split an
-    # eigenspace at rounding level, and column 0 would then not fix the chain
-    P = standard_chain(lattice(4, 2))
-    with pytest.raises(ValueError, match="could split a degenerate eigenspace"):
-        quantize_ct(P, 0.0)
-    assert quantize_ct(P, 1e-3).base.lattice == (4, 2)
-    quantize_ct(MarkovChain(P.entries, P.label), 0.0)  # no claim, nothing to break
 
 
 def _planted_chain(values: np.ndarray, seed: int) -> MarkovChain:
@@ -329,14 +321,14 @@ def _planted_chain(values: np.ndarray, seed: int) -> MarkovChain:
         min_size=1,
         max_size=5,
     ),
-    st.sampled_from([1e-8, 1e-6, 1e-4]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example([(0.1, [0.9, 0.9])], 1e-6, 0)  # gaps under tol, spread over it
-def test_clusters_match_brute_on_planted_spectra(groups, tol, seed):
+@example([(0.1, [0.9, 0.9])], 0)  # gaps under the tolerance, spread over it
+def test_clusters_match_brute_on_planted_spectra(groups, seed):
+    # the gaps are in units of the tolerance
     n = 1 + sum(len(gaps) + 1 for _, gaps in groups)
-    values = np.concatenate([centre / n + tol * np.cumsum([0.0] + gaps) for centre, gaps in groups])
-    _check_clusters(_planted_chain(values, seed), tol)
+    steps = [centre / n + DEFAULT_CLUSTER_TOL * np.cumsum([0.0] + gaps) for centre, gaps in groups]
+    _check_clusters(_planted_chain(np.concatenate(steps), seed))
 
 
 @seed(12)
@@ -350,10 +342,9 @@ def test_clusters_match_brute_on_planted_spectra(groups, tol, seed):
             st.integers(min_value=2, max_value=24),
         ),
     ),
-    st.sampled_from([1e-8, 1e-3, 0.05, 0.2]),
 )
-def test_clusters_match_brute_on_chains(P, tol):
-    _check_clusters(P, tol)
+def test_clusters_match_brute_on_chains(P):
+    _check_clusters(P)
 
 
 @seed(7)
