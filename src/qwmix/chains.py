@@ -6,10 +6,12 @@ column sum, so 0.5 * one_norm(P - Q) is a worst-column total-variation
 distance.
 
 A chain on Z_n^d that commutes with the translations says so in its
-lattice field, (n, d). Its column 0 c then fixes the whole chain,
-P[y, x] = c[y - x], and every column of P^t is a translate of column 0
-of P^t; the mixing search steps that one column and d(P) compares the
-other columns with it alone. The spectrum stays a dense eigensolve.
+lattice field, (n, d). Its column 0 c then is the whole chain,
+P[y, x] = c[y - x] (Levin, Peres & Wilmer, sections 12.3-12.4): such a
+chain stores c and forms its N x N entries only when they are read. Its
+eigenvalues are the Fourier transform fftn(c), one per wave vector; column
+0 of P^t is the inverse transform of fftn(c)**t, which the mixing search
+steps; and d(P) compares the translates of c with c.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .graphs import (
     breadth_first_levels,
     _check_lattice_size,
     lattice_difference,
+    lattice_negation,
+    lattice_sum,
 )
 
 COLUMN_SUM_TOL = 1e-10
@@ -34,6 +38,11 @@ ENTRY_CLAMP = 1e-14
 SANDWICH_TOL = 1e-12
 MONOTONE_TOL = 1e-9
 REVERSIBILITY_TOL = 1e-10
+# The Fourier spectrum of a symmetric column is real; an imaginary part
+# above this is not rounding.
+FOURIER_IMAG_TOL = 1e-12
+# Columns of P^t formed per batch by the Fourier mixing search, times N.
+FOURIER_BATCH_ENTRIES = 1 << 18
 CONDUCTANCE_MAX_STATES = 20
 
 
@@ -54,13 +63,32 @@ def one_norm(M: np.ndarray) -> float:
     return float(np.abs(M).sum(axis=0).max())
 
 
+def _checked_stochastic(P: np.ndarray) -> np.ndarray:
+    """P (a square matrix or one column) with its rounding-level negative
+    entries set to 0, after refusing a non-finite or negative entry and a
+    column that does not sum to 1."""
+    # a NaN fails every comparison, so it would pass both checks below
+    if not np.isfinite(P).all():
+        raise ValueError("entries must be finite")
+    low = P.min()
+    if low < -ENTRY_CLAMP:
+        raise ValueError(f"negative entry {low} below clamp tolerance")
+    P[P < 0] = 0.0
+    colsums = P.sum(axis=0)
+    err = np.abs(colsums - 1.0).max()
+    if err > COLUMN_SUM_TOL:
+        raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, off by {err}")
+    return P
+
+
 class MarkovChain:
     """Immutable column-stochastic matrix with cached spectral data.
 
     lattice = (n, d) claims that the states are Z_n^d in the graphs layout
     and that the chain commutes with its translations; the constructor
     checks it exactly against column 0 and raises ValueError when it is
-    false.
+    false. A claimed chain keeps its column 0 in column; chains built by
+    this package from a column (_from_column) form entries on first read.
     """
 
     def __init__(
@@ -70,38 +98,58 @@ class MarkovChain:
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"entries must be square, got shape {shape}")
         _check_cap(shape[0])
-        P = np.array(entries, dtype=np.float64)
-        # a NaN fails every comparison, so it would pass both checks below
-        if not np.isfinite(P).all():
-            raise ValueError("entries must be finite")
-        low = P.min()
-        if low < -ENTRY_CLAMP:
-            raise ValueError(f"negative entry {low} below clamp tolerance")
-        P[P < 0] = 0.0
-        colsums = P.sum(axis=0)
-        err = np.abs(colsums - 1.0).max()
-        if err > COLUMN_SUM_TOL:
-            raise ValueError(f"columns must sum to 1 within {COLUMN_SUM_TOL}, off by {err}")
+        P = _checked_stochastic(np.array(entries, dtype=np.float64))
+        column = None
         if lattice is not None:
             _check_lattice_size(lattice, shape[0], "states")
             if not np.array_equal(P, P[lattice_difference(*lattice), 0]):
                 raise ValueError(f"columns are not the translates of column 0 on lattice {lattice}")
+            column = P[:, 0].copy()
+            column.setflags(write=False)
         P.setflags(write=False)
         self.entries = P
+        self.column = column
+        self.size = shape[0]
         self.label = label
         self.lattice = lattice
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
+    @classmethod
+    def _from_column(cls, column: np.ndarray, label: str, lattice: tuple[int, int]) -> MarkovChain:
+        """The chain on Z_n^d whose column 0 is column, true to its claim
+        by construction; entries are formed on first read."""
+        _check_cap(column.size)
+        _check_lattice_size(lattice, column.size, "states")
+        c = _checked_stochastic(np.array(column, dtype=np.float64))
+        c.setflags(write=False)
+        self = cls.__new__(cls)
+        self.column = c
+        self.size = c.size
+        self.label = label
+        self.lattice = lattice
+        return self
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """P[y, x] = column[y - x]; read only on a chain built from its column."""
+        P = self.column[lattice_difference(*self.lattice)]
+        P.setflags(write=False)
+        return P
 
     @cached_property
     def is_symmetric(self) -> bool:
+        if self.lattice is not None:  # P[x, y] = c[x - y] = c[-(y - x)]
+            c = self.column
+            return bool(np.abs(c - c[lattice_negation(*self.lattice)]).max() <= 1e-13)
         return bool(np.abs(self.entries - self.entries.T).max() <= 1e-13)
 
     @cached_property
     def _support_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tails, heads) of the support arcs x -> y, one per P[y, x] > 0."""
+        """(tails, heads) of the support arcs x -> y, one per P[y, x] > 0;
+        on a lattice chain the arcs x -> x + z, z in the support of column 0."""
+        if self.lattice is not None:
+            steps = np.flatnonzero(self.column > 0)
+            tails = np.repeat(np.arange(self.size), steps.size)
+            return tails, lattice_sum(*self.lattice, tails, np.tile(steps, self.size))
         heads, tails = np.divmod(np.flatnonzero(self.entries > 0), self.size)
         return tails, heads
 
@@ -112,6 +160,10 @@ class MarkovChain:
         reach = breadth_first_levels(self.size, tails, heads) >= 0
         if not reach.all():
             return (0, int(np.nonzero(~reach)[0][0]))
+        if self.lattice is not None:
+            # what 0 reaches is the group its steps generate, so all of it
+            # reaches 0 as well
+            return None
         reach_to_0 = breadth_first_levels(self.size, heads, tails) >= 0
         if not reach_to_0.all():
             return (int(np.nonzero(~reach_to_0)[0][0]), 0)
@@ -175,8 +227,33 @@ def symmetrized_generator(P: MarkovChain) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+def fourier_spectrum(P: MarkovChain) -> np.ndarray:
+    """Eigenvalues of a lattice chain, one per wave vector k of Z_n^d,
+    flat in the graphs layout (k = 0 first): fftn of column 0, symmetrized
+    as symmetrized_generator symmetrizes H. The stationary law is uniform,
+    so a chain that is not symmetric is not reversible."""
+    n, d = P.lattice
+    c = P.column
+    flipped = c[lattice_negation(n, d)]
+    asym = np.abs(c - flipped).max()
+    if asym > REVERSIBILITY_TOL:
+        raise NonReversibleError(
+            f"chain {P.label!r} is not reversible: column 0 asymmetry {asym:.3e} "
+            f"at state {int(np.argmax(np.abs(c - flipped)))}"
+        )
+    lam = np.fft.fftn((0.5 * (c + flipped)).reshape((n,) * d)).ravel()
+    imag = np.abs(lam.imag).max()
+    if imag > FOURIER_IMAG_TOL:
+        raise InternalCheckError(f"spectrum of a symmetric column has imaginary part {imag}")
+    return lam.real
+
+
 def _deflated_spectrum(P: MarkovChain) -> np.ndarray:
     """Eigenvalues of the symmetrized chain with sqrt(pi) deflated (its 1 becomes 0)."""
+    if P.lattice is not None:
+        mu = fourier_spectrum(P)
+        mu[0] = 0.0  # k = 0 carries the uniform eigenvector
+        return mu
     H = symmetrized_generator(P)
     s = np.sqrt(P.stationary)
     return np.linalg.eigvalsh(H - np.outer(s, s))
@@ -225,18 +302,16 @@ def _threshold_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
     time-homogeneous chains; violations beyond MONOTONE_TOL are internal
     errors, so the first crossing time is also a stable crossing. A
     lattice chain's stationary distribution is uniform and the columns of
-    P^t are translates of its column 0, so only that column is stepped.
+    P^t are translates of its column 0, irfftn(rfftn(c)**t), so only that
+    column is formed, for a batch of consecutive t at a time.
     """
-    M = P.entries
     if horizon is None:
         horizon = default_horizon(P.size)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    target = P.stationary[:, None]
-    power = M[:, :1] if P.lattice is not None else M
+    distances = _lattice_distances(P) if P.lattice is not None else _dense_distances(P)
     prev = math.inf
-    for t in range(1, horizon + 1):
-        dist = 0.5 * one_norm(power - target)
+    for t, dist in zip(range(1, horizon + 1), distances):
         if dist > prev + MONOTONE_TOL:
             raise InternalCheckError(
                 f"TV distance increased from {prev} to {dist} at step {t}"
@@ -244,8 +319,38 @@ def _threshold_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
         prev = dist
         if dist <= MIX_THRESHOLD:
             return t
-        power = M @ power
     return NoMix(horizon)
+
+
+def _dense_distances(P: MarkovChain):
+    """Worst-column TV(P^t, pi) for t = 1, 2, ..., stepping every column."""
+    M = P.entries
+    target = P.stationary[:, None]
+    power = M
+    while True:
+        yield 0.5 * one_norm(power - target)
+        power = M @ power
+
+
+def _lattice_distances(P: MarkovChain):
+    """TV(column 0 of P^t, pi) for t = 1, 2, ..., in batches of columns
+    that start at 4 (a measured chain mixes in a few rounds) and double up
+    to FOURIER_BATCH_ENTRIES // N."""
+    n, d = P.lattice
+    shape = (n,) * d
+    axes = tuple(range(1, d + 1))
+    target = P.stationary
+    f = np.fft.rfftn(P.column.reshape(shape))
+    last = np.ones_like(f)  # the transform of P^(t-1)
+    most = max(1, FOURIER_BATCH_ENTRIES // P.size)
+    batch = min(4, most)
+    while True:
+        powers = np.cumprod(np.broadcast_to(f, (batch,) + f.shape), axis=0)
+        powers *= last
+        last = powers[-1]
+        columns = np.fft.irfftn(powers, s=shape, axes=axes).reshape(batch, -1)
+        yield from (0.5 * np.abs(columns - target).sum(axis=1)).tolist()
+        batch = min(2 * batch, most)
 
 
 def mixing_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
@@ -325,7 +430,8 @@ class MixingReport:
 
 def verify_inequalities(P: MarkovChain, horizon: int | None = None) -> MixingReport:
     """Audit the relaxation-time bounds, the conductance sandwich (for
-    2 <= N <= 20), and the column-distance sandwich from one eigensolve.
+    2 <= N <= 20), and the column-distance sandwich from one spectrum (an
+    eigensolve, or a lattice chain's Fourier transform).
 
     The relaxation checks reported are the discrete-time sandwich
     log(1/(2*eps)) / log(1/(1 - delta)) <= tau_mix and
@@ -391,7 +497,10 @@ def verify_inequalities(P: MarkovChain, horizon: int | None = None) -> MixingRep
             BoundCheck("conductance_upper", delta, 2.0 * phi, delta <= 2.0 * phi + SANDWICH_TOL)
         )
 
-    tv = 0.5 * one_norm(P.entries - pi[:, None])
+    if P.lattice is not None:  # every column is a translate of column 0
+        tv = 0.5 * float(np.abs(P.column - pi).sum())
+    else:
+        tv = 0.5 * one_norm(P.entries - pi[:, None])
     checks.append(BoundCheck("column_distance_lower", tv, d, tv <= d + SANDWICH_TOL))
     checks.append(BoundCheck("column_distance_upper", d, 2.0 * tv, d <= 2.0 * tv + SANDWICH_TOL))
     return MixingReport(tau, delta, d, phi, tuple(checks))
@@ -405,6 +514,10 @@ def standard_chain(G: Graph) -> MarkovChain:
         raise ValueError(f"graph {G.kind_tag} has an isolated vertex")
     if not G.is_connected():
         raise ValueError(f"graph {G.kind_tag} is disconnected")
+    if G.lattice is not None:
+        column = np.zeros(G.n)
+        column[G.neighbors(0)] = 1.0 / deg[0]
+        return MarkovChain._from_column(column, f"P({G.kind_tag})", G.lattice)
     P = G.adjacency_matrix()
     P /= deg
     return MarkovChain(P, f"P({G.kind_tag})", G.lattice)
@@ -414,6 +527,10 @@ def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
     """Mix in a holding probability: hold*I + (1-hold)*P."""
     if not (0.0 < hold < 1.0):
         raise ValueError(f"hold must lie in (0,1), got {hold}")
+    if P.lattice is not None:
+        c = (1.0 - hold) * P.column
+        c[0] = hold + c[0]
+        return MarkovChain._from_column(c, f"lazy({P.label})", P.lattice)
     M = hold * np.eye(P.size) + (1.0 - hold) * P.entries
     return MarkovChain(M, f"lazy({P.label})", P.lattice)
 

@@ -5,7 +5,7 @@ A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
 explicit, possibly truncated, time sums of the factored step (no dense
-operator). A lattice (n, d) walk commutes with the translations of
+operator), accumulated in walk space and measured once. A lattice (n, d) walk commutes with the translations of
 Z_n^d, so only base state 0 is stepped; other walks step every start state.
 
 Continuous-time chains are evaluated in closed form through the rule's
@@ -22,12 +22,15 @@ products; the long-time limit chain is the same sum with chi the
 identity. H is real symmetric, so exp(-iHt) is complex-symmetric and every
 continuous-time chain here is symmetric, whatever the base chain.
 
-On a lattice base (base.lattice set) each term forms only its column 0,
-(V diag(Q[owner, m])) @ V[:1].T, N x k work for k kept eigenvectors
-instead of N x N x k. Every generated and limit chain is checked,
-renormalized and symmetrized on the columns it has (column 0 alone on a
-lattice), then expanded via graphs.lattice_difference and returned
-carrying the lattice claim, which MarkovChain verifies.
+On a lattice base every operator here is diagonal in the characters of
+Z_n^d, so no eigenvector is formed: the walk holds the Fourier grid index
+of each eigenvalue, term m is the convolution with its column 0,
+a_m = ifftn(Q[owner(k), m]) over the wave vectors k (real, as owner is
+even in k), and the chain's column 0 is sum_m mu_m a_m**2, from batched
+inverse transforms over the stacked term grids. Every generated and limit
+chain is checked, renormalized and symmetrized on the columns it has
+(column 0 alone on a lattice, through a length-N negation index) and
+returned carrying the lattice claim.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, NoMix, _threshold_time, save_csv
+from .chains import FOURIER_BATCH_ENTRIES, MarkovChain, NoMix, _threshold_time, save_csv
 from .config import DEFAULT_TAIL_TOL, atomic_write_text
-from .graphs import lattice_difference
+from .graphs import lattice_negation
 from .walks import CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
@@ -194,14 +197,13 @@ def _generated_markov_chain(
 ) -> MarkovChain:
     """Check, renormalize and (for a symmetric chain) symmetrize the
     chain's columns, then build it. cols holds every column, or column 0
-    alone when lattice is set; the checks then run on that column, where
-    the transpose's column 0 is c[-z] and the row sums are the column sum,
-    and the column is expanded last, so the chain's columns are exact
-    translates of it."""
-    D = None if lattice is None else lattice_difference(*lattice)
+    alone (length N) when lattice is set; the checks then run on that
+    column, where the transpose's column 0 is c[-z] and the row sums are
+    the column sum, and the chain is built from the column."""
+    neg = None if lattice is None else lattice_negation(*lattice)
 
     def flip(A: np.ndarray) -> np.ndarray:
-        return A.T if D is None else A[D[0]]
+        return A.T if neg is None else A[neg]
 
     tol = GENERATED_TOL + trunc
     if cols.min() < -tol:
@@ -222,9 +224,9 @@ def _generated_markov_chain(
     M = M / M.sum(axis=0, keepdims=True)
     if symmetric:
         M = 0.5 * (M + flip(M))
-    if D is not None:
-        M = M[D, 0]
-    return MarkovChain(M, label, lattice)
+    if lattice is not None:
+        return MarkovChain._from_column(M, label, lattice)
+    return MarkovChain(M, label)
 
 
 def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -232,23 +234,54 @@ def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndar
     |mu_m| > CHI_RANK_TOL, where owner[j] is the cluster of eigenvector j.
 
     Eigenvectors of zero weight are left out of a term's product, so a
-    column of Q supported on one cluster costs that cluster's width. On a
-    lattice base only column 0 is formed: the N x 1 block of each term.
+    column of Q supported on one cluster costs that cluster's width.
     """
     V = walk.eigenvectors
-    starts = 1 if walk.base.lattice is not None else walk.size
-    sizes = [len(c) for c in walk.clusters]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    acc = np.zeros((walk.size, starts))
+    owner = _owners(walk)
+    acc = np.zeros((walk.size, walk.size))
     for m in np.flatnonzero(np.abs(mu) > CHI_RANK_TOL):
         weights = Q[owner, m]
         keep = np.flatnonzero(weights)
         Vk = V[:, keep]
-        term = (Vk * weights[keep]) @ Vk[:starts].T
+        term = (Vk * weights[keep]) @ Vk.T
         term *= term
         term *= mu[m]
         acc += term
     return acc
+
+
+def _fourier_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Column 0 of the same sum on a lattice walk: term m is the
+    convolution whose column 0 is a_m = ifftn(Q[owner(k), m]) over the
+    wave vectors k, and the column is sum_m mu_m a_m**2. Q[owner(k), m] is
+    real and even in k, so its transform is real and irfftn forms it from
+    half the grid, FOURIER_BATCH_ENTRIES // N terms per call."""
+    n, d = walk.base.lattice
+    shape = (n,) * d
+    owner = np.empty(walk.size, dtype=np.intp)
+    owner[walk.grid_index] = _owners(walk)
+    half = owner.reshape(shape)[..., : n // 2 + 1]
+    terms = np.flatnonzero(np.abs(mu) > CHI_RANK_TOL)
+    batch = max(1, FOURIER_BATCH_ENTRIES // walk.size)
+    acc = np.zeros(walk.size)
+    for start in range(0, terms.size, batch):
+        m = terms[start : start + batch]
+        grids = np.moveaxis(Q[:, m][half], -1, 0)
+        a = np.fft.irfftn(grids, s=shape, axes=tuple(range(1, d + 1))).reshape(m.size, -1)
+        a *= a
+        acc += mu[m] @ a
+    return acc
+
+
+def _owners(walk: CTWalk) -> np.ndarray:
+    """owner[j], the cluster of eigenvalue j."""
+    return np.repeat(np.arange(len(walk.clusters)), [len(c) for c in walk.clusters])
+
+
+def _square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    if walk.grid_index is not None:
+        return _fourier_square_sum(walk, mu, Q)
+    return _spectral_square_sum(walk, mu, Q)
 
 
 def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
@@ -256,7 +289,7 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
     chi = np.real(characteristic_function(rule, np.subtract.outer(values, values)))
     # Re phi is even, so chi is symmetric up to rounding
     mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
-    acc = _spectral_square_sum(walk, mu, Q)
+    acc = _square_sum(walk, mu, Q)
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
     return GeneratedChain(chain, "ct", walk.base.label, rule, 0.0)
@@ -269,16 +302,23 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     starts = np.arange(walk.base_size if walk.lattice is None else 1)
     psi = np.zeros((walk.dim, starts.size), dtype=walk.embed.dtype)
     psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed[starts]
-    acc = np.zeros((walk.base_size, starts.size))
+    # sum w |psi|^2 over the rule's times in walk space, then measure once
+    acc = np.zeros(psi.shape)
     t_prev = 0
     for t, w in zip(times, weights):  # rule_weights gives ascending times
         for _ in range(t - t_prev):
             psi = walk.step(psi)
         t_prev = t
-        acc += w * walk.project(psi)
+        acc += w * np.abs(psi) ** 2
+    acc = acc.reshape(walk.base_size, walk.register_dim, -1).sum(axis=1)
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(
-        acc, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
+        acc if walk.lattice is None else acc[:, 0],
+        walk.base_symmetric,
+        trunc,
+        "dt generated chain",
+        label,
+        walk.lattice,
     )
     return GeneratedChain(chain, walk.walk_kind, walk.base_label, rule, trunc)
 
@@ -305,7 +345,7 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
     entrywise squares of the eigenvalue-cluster projectors, one cluster
     at a time (chi is the identity)."""
     C = len(walk.clusters)
-    Pi = _spectral_square_sum(walk, np.ones(C), np.eye(C))
+    Pi = _square_sum(walk, np.ones(C), np.eye(C))
     return _generated_markov_chain(
         Pi, True, 0.0, "limit chain", f"limit({walk.base.label})", walk.base.lattice
     )

@@ -9,6 +9,7 @@ index identities downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,10 @@ class Graph:
 
     lattice = (n, d) claims that the vertices are Z_n^d in the layout of
     this module and that the edges commute with its translations, so the
-    graph's chains do too. standard_chain passes the claim on to
-    MarkovChain, which checks it.
+    graph's chains do too. The constructor checks it from the edges: the
+    edge set must map onto itself under each unit translation, which
+    generate the rest. standard_chain builds a claimed graph's chain from
+    vertex 0's neighbours alone.
     """
 
     n: int
@@ -115,6 +118,17 @@ class Graph:
         edges = np.column_stack(np.divmod(key, self.n))
         edges.setflags(write=False)
         object.__setattr__(self, "edges", edges)
+        if self.lattice is not None:
+            _check_lattice_size(self.lattice, self.n, "vertices")
+            for j in range(self.lattice[1]):
+                moved = lattice_step(*self.lattice, j, 1)[edges]
+                moved_key = np.minimum(moved[:, 0], moved[:, 1]) * self.n
+                moved_key += np.maximum(moved[:, 0], moved[:, 1])
+                moved_key.sort()
+                if not np.array_equal(moved_key, key):
+                    raise ValueError(
+                        f"edges do not commute with translation {j} of lattice {self.lattice}"
+                    )
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -147,6 +161,26 @@ def lattice_step(n: int, d: int, j: int, sign: int) -> np.ndarray:
     """Index of every vertex of Z_n^d moved by sign (+1 or -1) along
     coordinate j."""
     return _vertices_along(n, d, j, (np.arange(n) + sign) % n)
+
+
+def lattice_sum(n: int, d: int, x, z, sign: int = 1) -> np.ndarray:
+    """Index of the vertex x + sign * z of Z_n^d (sign +1 or -1), digit by
+    digit, broadcast over the index arrays x and z."""
+    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(z)), dtype=np.int64)
+    place = 1
+    for _ in range(d):
+        out += ((x // place + sign * (z // place)) % n) * place
+        place *= n
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def lattice_negation(n: int, d: int) -> np.ndarray:
+    """Index of -z for every vertex z of Z_n^d: every coordinate negated.
+    Read-only, and cached: every chain on the lattice reads it."""
+    neg = lattice_sum(n, d, 0, np.arange(_power_count(n, d)), -1)
+    neg.setflags(write=False)
+    return neg
 
 
 def _check_lattice_size(lattice: tuple[int, int], count: int, what: str) -> None:

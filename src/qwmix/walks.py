@@ -10,13 +10,21 @@ position register).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chains import MarkovChain, symmetrized_generator
+from .chains import MarkovChain, fourier_spectrum, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
-from .graphs import _check_cap, _power_count, _check_lattice_size, lattice, lattice_step
+from .graphs import (
+    _check_cap,
+    _power_count,
+    _check_lattice_size,
+    lattice,
+    lattice_negation,
+    lattice_step,
+)
 
 UNITARITY_TOL = 1e-9
 EIGEN_RESIDUAL_TOL = 1e-9
@@ -44,39 +52,84 @@ class CTWalk:
     orthonormal eigenvector; clusters groups indices of eigenvalues
     closer than DEFAULT_CLUSTER_TOL (single linkage), so each cluster is a
     run of consecutive indices.
+
+    On a lattice base, grid_index[k] is the wave vector of eigenvalue k,
+    as a flat index of the Fourier grid in the graphs layout, and
+    eigenvectors, the real Fourier basis, is formed on first read.
     """
 
     base: MarkovChain
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
+    grid_index: np.ndarray | None = None
+    _eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.base.size
 
     def cluster_values(self) -> np.ndarray:
-        return np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
+        return self._cluster_values
+
+    @cached_property
+    def _cluster_values(self) -> np.ndarray:
+        values = np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The N x N eigenvector matrix. For wave vector k, the pair k, -k
+        takes sqrt(2/N) cos(2 pi k.x / n) (the smaller flat index) and
+        sqrt(2/N) sin(2 pi k.x / n); a k with 2k = 0 takes cos / sqrt(N)."""
+        if self.grid_index is None:
+            return self._eigenvectors
+        n, d = self.base.lattice
+        N = self.size
+        k = self.grid_index
+        x = np.arange(N)
+        # k.x mod n, digit by digit
+        dot = np.zeros((N, N), dtype=np.int64)
+        place = 1
+        for _ in range(d):
+            dot += np.multiply.outer(x // place % n, k // place % n)
+            place *= n
+        angle = (2.0 * np.pi / n) * (dot % n)
+        neg = lattice_negation(n, d)[k]
+        scale = np.where(k == neg, 1.0, np.sqrt(2.0)) / np.sqrt(N)
+        V = np.where(k <= neg, np.cos(angle), np.sin(angle)) * scale
+        V.setflags(write=False)
+        return V
 
 
 def quantize_ct(P: MarkovChain) -> CTWalk:
-    """Continuous-time quantization: eigensolve H and group eigenvalues
-    within DEFAULT_CLUSTER_TOL of each other (single linkage).
+    """Continuous-time quantization: eigensolve H, or take a lattice
+    chain's Fourier spectrum, and group eigenvalues within
+    DEFAULT_CLUSTER_TOL of each other (single linkage).
 
-    A chain with the lattice claim has its generated chains built from
-    column 0, which needs every cluster to be a whole eigenspace (a sum of
-    eigenspaces is fine): only then does each cluster projector commute
-    with the translations.
+    A chain with the lattice claim solves nothing: its eigenvalues are
+    chains.fourier_spectrum's, sorted, and its generated chains are built
+    on the Fourier grid, which needs every cluster to be a whole
+    eigenspace; at a tolerance far above rounding it is, and the pair
+    k, -k always shares a cluster.
     """
-    H = symmetrized_generator(P)
-    lam, V = np.linalg.eigh(H)
-
-    resid = np.abs(H @ V - V * lam[None, :]).max()
-    if resid > EIGEN_RESIDUAL_TOL:
-        raise ArithmeticError(f"eigensolve residual {resid} too large")
-    ortho = np.abs(V.T @ V - np.eye(P.size)).max()
-    if ortho > EIGEN_RESIDUAL_TOL:
-        raise ArithmeticError(f"eigenvector basis not orthonormal: {ortho}")
+    if P.lattice is not None:
+        spectrum = fourier_spectrum(P)
+        grid_index = np.argsort(spectrum, kind="stable")
+        grid_index.setflags(write=False)
+        lam = spectrum[grid_index]
+        V = None
+    else:
+        grid_index = None
+        H = symmetrized_generator(P)
+        lam, V = np.linalg.eigh(H)
+        resid = np.abs(H @ V - V * lam[None, :]).max()
+        if resid > EIGEN_RESIDUAL_TOL:
+            raise ArithmeticError(f"eigensolve residual {resid} too large")
+        ortho = np.abs(V.T @ V - np.eye(P.size)).max()
+        if ortho > EIGEN_RESIDUAL_TOL:
+            raise ArithmeticError(f"eigenvector basis not orthonormal: {ortho}")
+        V.setflags(write=False)
 
     # single linkage on the ascending spectrum: runs split where a gap
     # exceeds the tolerance
@@ -91,8 +144,7 @@ def quantize_ct(P: MarkovChain) -> CTWalk:
         )
     clusters = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
     lam.setflags(write=False)
-    V.setflags(write=False)
-    return CTWalk(P, lam, V, clusters)
+    return CTWalk(P, lam, clusters, grid_index, V)
 
 
 def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
@@ -221,8 +273,13 @@ class DTWalk:
             else:
                 dtype = np.result_type(f, psi)
                 b = f.shape[-1]
+                f = f.astype(dtype, copy=False)
                 cols = psi.astype(dtype, copy=False).reshape(self.dim // b, b, -1)
-                psi = np.matmul(f.astype(dtype, copy=False), cols).reshape(psi.shape)
+                if f.shape[0] == 1 and cols.shape[2] == 1:
+                    # one block for all on one wavefunction: a single product
+                    psi = (cols.reshape(-1, b) @ f[0].T).reshape(psi.shape)
+                else:
+                    psi = np.matmul(f, cols).reshape(psi.shape)
         return psi
 
     def project(self, psi: np.ndarray) -> np.ndarray:

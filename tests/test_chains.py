@@ -546,3 +546,59 @@ def test_chain_constructors_carry_the_lattice_claim(tmp_path):
     ]
     for P in unclaimed:
         assert P.lattice is None, P.label
+
+
+def test_lattice_chain_is_its_column():
+    # standard_chain and lazy_chain of a claimed graph build the column
+    # alone; the entries are its translates, formed on first read
+    P = standard_chain(lattice(4, 3))
+    assert "entries" not in vars(P)
+    expected = np.zeros(P.size)
+    expected[[1, 3, 4, 12, 16, 48]] = 1.0 / 6.0  # +-e_j at 4**j
+    assert np.array_equal(P.column, expected)
+    for hold in (0.5, 0.3):
+        L = lazy_chain(P, hold)
+        assert "entries" not in vars(L)
+        assert np.array_equal(L.entries, lazy_chain(MarkovChain(P.entries), hold).entries)
+    # on Z_2^d the steps +-e_j land on one vertex: degree d
+    H = standard_chain(hypercube(3))
+    assert np.array_equal(H.column, [0, 1 / 3, 1 / 3, 0, 1 / 3, 0, 0, 0])
+    assert not P.column.flags.writeable and not P.entries.flags.writeable
+
+
+def test_claimed_chain_that_is_not_symmetric_is_not_reversible():
+    # a drifting walk on Z_5: translation-invariant, doubly stochastic and
+    # not reversible, so neither its Fourier spectrum nor its walk exists
+    drift = np.roll(0.7 * np.eye(5), 1, axis=0) + np.roll(0.3 * np.eye(5), -1, axis=0)
+    P = MarkovChain(drift, "drift", lattice=(5, 1))
+    assert not P.is_symmetric
+    with pytest.raises(NonReversibleError, match="not reversible"):
+        spectral_gap(P)
+    with pytest.raises(NonReversibleError, match="not reversible"):
+        verify_inequalities(P)
+    # its mixing time still runs on the column
+    assert mixing_time(P) == mixing_time(MarkovChain(drift, "drift"))
+
+
+@pytest.mark.parametrize(
+    "G", [cycle(6), cycle(7), hypercube(4), lattice(3, 3), lattice(5, 2)], ids=lambda G: G.kind_tag
+)
+def test_claimed_chain_support_matches_dense(G):
+    # irreducibility, period and the stationary law of a claimed chain come
+    # from its column; without the claim they come from the entries
+    for P in (standard_chain(G), lazy_chain(standard_chain(G), 0.3)):
+        dense = MarkovChain(P.entries, P.label)
+        assert P.irreducibility_witness == dense.irreducibility_witness is None
+        assert P.period == dense.period
+        assert np.array_equal(P.stationary, dense.stationary)
+        assert P.is_symmetric and dense.is_symmetric
+
+
+def test_claimed_chain_on_a_subgroup_is_reducible():
+    # steps +-2 on Z_6 reach only the even states
+    c = np.zeros(6)
+    c[[2, 4]] = 0.5
+    P = MarkovChain._from_column(c, "even", (6, 1))
+    assert P.irreducibility_witness == (0, 1)
+    with pytest.raises(ReducibleChainError):
+        mixing_time(P)

@@ -445,7 +445,9 @@ def test_walk_spectrum_solves_no_walk_sized_eigenproblem(capsys, monkeypatch):
         assert lines[-1] == f"phase_gap {phase_gap(walk):.17g}"
 
 
-@pytest.mark.parametrize("kind, params", [("hadamard_cycle", "2048"), ("grover_lattice", "32,2")])
+@pytest.mark.parametrize(
+    "kind, params", [("hadamard_cycle", "2048"), ("grover_lattice", "32,2"), ("ct", "lattice:64,2")]
+)
 def test_walk_spectrum_at_the_default_cap_stays_small(kind, params, capsys, monkeypatch):
     monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
     tracemalloc.start()
@@ -457,6 +459,12 @@ def test_walk_spectrum_at_the_default_cap_stays_small(kind, params, capsys, monk
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4097 and lines[-1].startswith("phase_gap ")
     assert peak < 16 * 2**20
+    if kind == "ct":
+        # the walk on Z_64^2: (1/d) sum_j cos(2 pi k_j / n) over the wave vectors k
+        c = np.cos(2.0 * np.pi * np.arange(64) / 64)
+        expected = np.sort(np.add.outer(c, c).ravel() / 2.0)
+        got = np.array([float(line) for line in lines[:-1]])
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 def test_walk_spectrum_past_cap_exits_2(capsys, monkeypatch):

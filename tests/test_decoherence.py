@@ -27,16 +27,17 @@ from qwmix import (
     load_csv,
     mixing_time,
     one_norm,
-    pairwise_column_distance,
     quantize_ct,
     quantize_szegedy,
     random_symmetric_chain,
     repeated_mixing_time,
     rule_weights,
+    spectral_gap,
     standard_chain,
     symmetrized_generator,
     uniform_ct_rule,
     uniform_dt_rule,
+    verify_inequalities,
 )
 from qwmix.config import DEFAULT_TAIL_TOL
 from qwmix.graphs import complete, cycle, hypercube, lattice, path
@@ -292,23 +293,42 @@ def test_limit_chain_matches_pairwise_oracle():
         np.testing.assert_allclose(limit_chain(quantize_ct(P)).entries, expected, rtol=0.0, atol=1e-12)
 
 
+def _traced_peak(build, *args):
+    tracemalloc.start()
+    try:
+        out = build(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ct_kernels_need_no_projector_stack():
     # lattice(16,2) has 41 eigenvalue clusters, so a stack of cluster
-    # projectors alone would take 41 N^2 floats. The claimed chain runs the
-    # column-0 kernel and the same entries without the claim the N x N one;
-    # both get the same budget.
+    # projectors alone would take 41 N^2 floats. Its entries without the
+    # claim run the N x N kernel, under eight N x N arrays.
     P = standard_chain(lattice(16, 2))
-    for W in (quantize_ct(P), quantize_ct(MarkovChain(P.entries, P.label))):
-        budget = 8 * W.size**2 * 8  # eight N x N float64 arrays
-        calls = [(generated_chain, W, rule(8.0)) for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
-        for build, *args in calls + [(limit_chain, W)]:
-            tracemalloc.start()
-            try:
-                build(*args)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < budget, (build.__name__, W.base.lattice, args[1:], peak)
+    W = quantize_ct(MarkovChain(P.entries, P.label))
+    budget = 8 * W.size**2 * 8
+    calls = [(generated_chain, W, rule(8.0)) for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
+    for build, *args in calls + [(limit_chain, W)]:
+        _, peak = _traced_peak(build, *args)
+        assert peak < budget, (build.__name__, args[1:], peak)
+
+    # A claimed chain runs on its column and Fourier grid: on lattice(32,2)
+    # every step, from the graph's chain on, stays under one N x N float64
+    # array (8 MiB), and no chain forms its entries.
+    P, peak = _traced_peak(standard_chain, lattice(32, 2))
+    budget = P.size**2 * 8
+    assert peak < budget, ("standard_chain", peak)
+    W, peak = _traced_peak(quantize_ct, P)
+    assert peak < budget, ("quantize_ct", peak)
+    calls = [(generated_chain, W, rule(32.0)) for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
+    for build, *args in calls + [(limit_chain, W)]:
+        out, peak = _traced_peak(build, *args)
+        assert peak < budget, (build.__name__, args[1:], peak)
+        chain = out if isinstance(out, MarkovChain) else out.chain
+        assert chain.lattice == (32, 2) and "entries" not in vars(chain)
+    assert "entries" not in vars(P) and "eigenvectors" not in vars(W)
 
 
 def test_uniform_ct_converges_to_limit():
@@ -536,17 +556,30 @@ def lattice_shapes(draw):
     return draw(st.integers(min_value=2 if d > 1 else 3, max_value={1: 64, 2: 16, 3: 6}[d])), d
 
 
+def _same_bound(a: float, b: float) -> bool:
+    """Equal to rounding; a relaxation bound of order 1/delta with delta at
+    rounding level (a periodic chain) counts as infinite on either side."""
+    if max(a, b) > 1e12:
+        return min(a, b) > 1e12
+    return a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
 @seed(14)
 @settings(deadline=None, max_examples=25)
 @given(lattice_shapes(), st.integers(0, 2**32 - 1))
 @example((16, 2), 1)
 @example((6, 3), 2)
 @example((64, 1), 3)
+@example((2, 6), 4)
+@example((7, 2), 5)
+@example((5, 1), 6)
+@example((3, 4), 7)
 def test_one_column_path_matches_dense_path(shape, relabel_seed):
-    """A lattice chain runs on column 0; the same chain with its states
-    relabeled by a random permutation carries no claim and runs every
-    column. The two give the same tau, T' and verdicts, and the same
-    d(P) and chains to 1e-12."""
+    """A lattice chain runs on column 0 and its Fourier grid; the same
+    chain with its states relabeled by a random permutation carries no
+    claim and runs the dense eigensolve and every column. The two give the
+    same tau, T', clusters and verdicts, and the same gaps, bounds, d(P)
+    and chains to 1e-12."""
     P = standard_chain(lattice(*shape))
     perm = np.random.default_rng(relabel_seed).permutation(P.size)
     relabel = np.ix_(perm, perm)
@@ -554,16 +587,27 @@ def test_one_column_path_matches_dense_path(shape, relabel_seed):
     assert P.lattice == shape and relabeled.lattice is None
     n, d = shape
 
-    # tau of P and of its lazy chain; a periodic P runs to the horizon
+    # every field of the audit of P and of its lazy chain; a periodic P
+    # runs to the horizon
     horizon = 2 * n * n
     for one_column, dense in ((P, relabeled), (lazy_chain(P), lazy_chain(relabeled))):
-        assert mixing_time(one_column, horizon) == mixing_time(dense, horizon)
-        assert pairwise_column_distance(one_column) == pytest.approx(
-            pairwise_column_distance(dense), rel=0.0, abs=1e-12
-        )
+        got, expected = verify_inequalities(one_column, horizon), verify_inequalities(dense, horizon)
+        assert got.tau_mix == expected.tau_mix
+        assert (got.phi is None) == (expected.phi is None)
+        pairs = [(got.delta, expected.delta), (got.d_of_P, expected.d_of_P)]
+        for value, oracle in pairs + ([(got.phi, expected.phi)] if got.phi is not None else []):
+            assert value == pytest.approx(oracle, rel=0.0, abs=1e-12)
+        assert spectral_gap(one_column) == got.delta
+        assert [c.name for c in got.bound_checks] == [c.name for c in expected.bound_checks]
+        for check, oracle in zip(got.bound_checks, expected.bound_checks):
+            assert (check.holds, check.conclusive) == (oracle.holds, oracle.conclusive), check
+            assert _same_bound(check.lhs, oracle.lhs) and _same_bound(check.rhs, oracle.rhs), check
 
     walk, dense_walk = quantize_ct(P), quantize_ct(relabeled)
-    for T, rule_fn in itertools.product((0.3 * n * d, 0.5 * n * d, 1.3 * n * d), CT_RULES):
+    assert [len(c) for c in walk.clusters] == [len(c) for c in dense_walk.clusters]
+    np.testing.assert_allclose(walk.cluster_values(), dense_walk.cluster_values(), rtol=0.0, atol=1e-12)
+    Ts = (0.3 * n * d, 0.5 * n * d, 1.3 * n * d, 2.9 * n * d)
+    for T, rule_fn in itertools.product(Ts, CT_RULES):
         rule = rule_fn(T)
         got, expected = generated_chain(walk, rule), generated_chain(dense_walk, rule)
         assert got.chain.lattice == P.lattice and expected.chain.lattice is None
@@ -572,3 +616,40 @@ def test_one_column_path_matches_dense_path(shape, relabel_seed):
     got = limit_chain(walk)
     assert got.lattice == P.lattice
     np.testing.assert_allclose(got.entries[relabel], limit_chain(dense_walk).entries, rtol=0.0, atol=1e-12)
+
+
+def _lattice_sweep_op(n: int, d: int) -> None:
+    """One point of the lattice sweep: the standard chain, its walk, the
+    three continuous-time chains at T = n d / 2 with their T', the limit
+    chain and the audit of the lazy chain."""
+    P = standard_chain(lattice(n, d))
+    W = quantize_ct(P)
+    for rule_fn in CT_RULES:
+        repeated_mixing_time(generated_chain(W, rule_fn(n * d / 2.0)))
+    limit_chain(W)
+    verify_inequalities(lazy_chain(P))
+
+
+def test_lattice_chains_solve_no_state_sized_eigenproblem(monkeypatch):
+    shapes = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+
+        def recording(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    _lattice_sweep_op(16, 2)
+    # only the C x C characteristic matrices of the rules are solved
+    assert shapes and all(256 not in shape for shape in shapes), shapes
+
+
+def test_lattice_point_at_the_cap():
+    # lattice(64,2), N = 4096: 545 clusters, T' = 2 for the delta and the
+    # uniform rule at T = n d / 2, and tau = 1265 for the lazy chain
+    P = standard_chain(lattice(64, 2))
+    W = quantize_ct(P)
+    assert len(W.clusters) == 545
+    for rule in (delta_rule(64.0), uniform_ct_rule(64.0)):
+        assert repeated_mixing_time(generated_chain(W, rule)) == 2, rule
+    assert mixing_time(lazy_chain(P)) == 1265

@@ -307,3 +307,26 @@ def test_lattice_claim_rides_along_with_identical_edges():
     power = cartesian_power(cycle(4), 2)
     assert power.lattice == lattice(4, 2).lattice == (4, 2)
     assert np.array_equal(power.edges, lattice(4, 2).edges)
+
+
+@pytest.mark.parametrize(
+    "n, edges, claim, message",
+    [
+        (4, path(4).edges, (4, 1), "do not commute with translation 0"),
+        (9, cycle(9).edges, (3, 2), "do not commute with translation 0"),
+        (16, lattice(4, 2).edges[1:], (4, 2), "do not commute with translation"),
+        (6, cycle(6).edges, (2, 3), "does not have 6 vertices"),
+        (4, cycle(4).edges, (1, 4), "does not have 4 vertices"),
+    ],
+    ids=["path", "cycle_as_torus", "one_edge_short", "wrong_size", "n_one"],
+)
+def test_graph_refuses_a_false_lattice_claim(n, edges, claim, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, edges, "claimed", claim)
+
+
+def test_graph_accepts_true_lattice_claims():
+    graphs = [cycle(2), cycle(9), hypercube(4), lattice(4, 2), lattice(3, 3),
+              cartesian_power(cycle(5), 2), cartesian_power(hypercube(2), 2)]
+    for G in graphs:
+        assert Graph(G.n, G.edges[::-1], G.kind_tag, G.lattice).lattice == G.lattice

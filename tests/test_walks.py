@@ -26,6 +26,7 @@ from qwmix import (
     szegedy_stationary_state,
     uniform_projector_chain,
 )
+from qwmix.chains import fourier_spectrum
 from qwmix.config import DEFAULT_CLUSTER_TOL
 from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
@@ -71,6 +72,24 @@ def test_ct_eigables_reconstruct_generator():
     H = symmetrized_generator(P)
     V, lam = W.eigenvectors, W.eigenvalues
     np.testing.assert_allclose((V * lam) @ V.T, H, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "G", [cycle(2), cycle(7), cycle(8), hypercube(3), lattice(4, 3), lattice(5, 2)], ids=lambda G: G.kind_tag
+)
+def test_claimed_walk_reads_a_real_fourier_basis(G):
+    # a lattice walk solves nothing; its eigenvectors, formed on first
+    # read, are the cos/sin pairs and still diagonalize H
+    P = standard_chain(G)
+    W = quantize_ct(P)
+    assert W.grid_index is not None and "eigenvectors" not in vars(W)
+    V, lam = W.eigenvectors, W.eigenvalues
+    np.testing.assert_allclose(V.T @ V, np.eye(P.size), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose((V * lam) @ V.T, symmetrized_generator(P), rtol=0.0, atol=1e-12)
+    assert np.array_equal(lam, np.sort(lam))
+    dense = quantize_ct(MarkovChain(P.entries, P.label))
+    assert dense.grid_index is None
+    np.testing.assert_allclose(lam, dense.eigenvalues, rtol=0.0, atol=1e-12)
 
 
 def test_ct_cluster_projectors_resolve_identity():
@@ -282,10 +301,15 @@ def test_walk_builders_refuse_past_cap(monkeypatch):
 
 def _check_clusters(P: MarkovChain) -> None:
     """quantize_ct's clusters and cluster values against brute_clusters on
-    the same eigensolve, or its spread error where a brute cluster spans
-    more than the tolerance."""
+    the same spectrum, or its spread error where a brute cluster spans
+    more than the tolerance. A lattice chain's spectrum is its sorted
+    Fourier grid, which must match the dense eigensolve."""
     tol = DEFAULT_CLUSTER_TOL
     lam = np.linalg.eigh(symmetrized_generator(P))[0]
+    if P.lattice is not None:
+        fourier = np.sort(fourier_spectrum(P))
+        np.testing.assert_allclose(fourier, lam, rtol=0.0, atol=1e-12)
+        lam = fourier
     expected = brute_clusters(lam, tol)
     if any(lam[list(c)].max() - lam[list(c)].min() > tol for c in expected):
         with pytest.raises(ValueError, match="chains a spread"):
