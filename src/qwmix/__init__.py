@@ -22,7 +22,6 @@ _EXPORTS_BY_MODULE = {
         "ReducibleChainError",
         "conductance",
         "lazy_chain",
-        "load_csv",
         "mixing_time",
         "mixing_time_bound_from_distance",
         "one_norm",
@@ -41,7 +40,6 @@ _EXPORTS_BY_MODULE = {
         "MeasurementRule",
         "characteristic_function",
         "delta_rule",
-        "export_generated",
         "exponential_rule",
         "generated_chain",
         "geometric_rule",
@@ -70,10 +68,8 @@ _EXPORTS_BY_MODULE = {
         "cartesian_power",
         "complete",
         "cycle",
-        "format_edge_list",
         "hypercube",
         "lattice",
-        "parse_edge_list",
         "path",
     ),
     "walks": (
@@ -83,12 +79,10 @@ _EXPORTS_BY_MODULE = {
         "RuleFamilyError",
         "coined_walk",
         "ct_amplitude_row",
-        "ct_propagator",
         "eigenphases",
         "phase_gap",
         "quantize_ct",
         "quantize_szegedy",
-        "szegedy_stationary_state",
     ),
 }
 # The one name -> submodule table.

@@ -567,21 +567,3 @@ def save_csv(P: MarkovChain, path: str) -> None:
         lines.append(",".join(f"{v:.17g}" for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def load_csv(path: str, label: str | None = None) -> MarkovChain:
-    """Read a chain written by save_csv; the state cap is checked on the
-    header's N before any row is read."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = (ln.strip() for ln in fh)
-        header = next((ln for ln in lines if ln), "")
-        if not header.startswith(CSV_HEADER_PREFIX):
-            raise ValueError(f"missing {CSV_HEADER_PREFIX!r} header in {path}")
-        n = int(header[len(CSV_HEADER_PREFIX):])
-        _check_cap(n)
-        rows = [ln for ln in lines if ln]
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, found {len(rows)}")
-    M = np.vstack([np.array([float(v) for v in ln.split(",")]) for ln in rows])
-    if M.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} matrix, got {M.shape}")
-    return MarkovChain(M, label or path)

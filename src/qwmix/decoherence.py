@@ -35,14 +35,13 @@ returned carrying the lattice claim.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import FOURIER_BATCH_ENTRIES, MarkovChain, NoMix, _threshold_time, save_csv
-from .config import DEFAULT_TAIL_TOL, atomic_write_text
+from .chains import FOURIER_BATCH_ENTRIES, MarkovChain, NoMix, _threshold_time
+from .config import DEFAULT_TAIL_TOL
 from .graphs import lattice_negation
 from .walks import CTWalk, DTWalk, RuleFamilyError
 
@@ -177,14 +176,6 @@ class GeneratedChain:
     """Classical chain produced by measuring a walk at a random time."""
 
     chain: MarkovChain
-    walk_kind: str
-    base_label: str
-    rule: MeasurementRule
-    truncation_error: float
-
-    @property
-    def size(self) -> int:
-        return self.chain.size
 
 
 def _generated_markov_chain(
@@ -292,7 +283,7 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
     acc = _square_sum(walk, mu, Q)
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
-    return GeneratedChain(chain, "ct", walk.base.label, rule, 0.0)
+    return GeneratedChain(chain)
 
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
@@ -320,7 +311,7 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
         label,
         walk.lattice,
     )
-    return GeneratedChain(chain, walk.walk_kind, walk.base_label, rule, trunc)
+    return GeneratedChain(chain)
 
 
 def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedChain:
@@ -359,17 +350,3 @@ def repeated_mixing_time(G: GeneratedChain, horizon: int | None = None) -> int |
         raise ValueError("repeated mixing targets uniform; needs a symmetric generated chain")
     return _threshold_time(G.chain, horizon)
 
-
-def export_generated(G: GeneratedChain, csv_path: str) -> tuple[str, str]:
-    """Write the chain CSV plus a JSON sidecar describing its origin."""
-    save_csv(G.chain, csv_path)
-    sidecar = {
-        "walk_kind": G.walk_kind,
-        "base_label": G.base_label,
-        "rule_family": G.rule.family,
-        "T": G.rule.T,
-        "truncation_error": G.truncation_error,
-    }
-    side_path = csv_path + ".json"
-    atomic_write_text(side_path, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    return csv_path, side_path

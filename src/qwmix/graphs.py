@@ -288,30 +288,3 @@ def cartesian_power(G: Graph, d: int) -> Graph:
         assert deg_out[v] == sum(deg_base[x] for x in digits)
     return out
 
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse the "N on the first line, then one 'u v' per line" format."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty edge list")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from exc
-    edges: set[tuple[int, int]] = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u == v:
-            raise ValueError(f"self-loop {u} {v} rejected")
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            raise ValueError(f"duplicate edge {u} {v} rejected")
-        edges.add(e)
-    return Graph(n, list(edges), "custom")
-
-
-def format_edge_list(G: Graph) -> str:
-    return "\n".join([str(G.n), *(f"{u} {v}" for u, v in G.edges.tolist())]) + "\n"

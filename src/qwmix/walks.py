@@ -159,12 +159,6 @@ def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
     return amp
 
 
-def ct_propagator(W: CTWalk, t: float) -> np.ndarray:
-    """Full unitary exp(-iHt)."""
-    phases = np.exp(-1j * W.eigenvalues * t)
-    return (W.eigenvectors * phases[None, :]) @ W.eigenvectors.T
-
-
 @dataclass(frozen=True)
 class DTWalk:
     """Discrete-time walk on base x register space of size
@@ -282,16 +276,6 @@ class DTWalk:
                     psi = np.matmul(f, cols).reshape(psi.shape)
         return psi
 
-    def project(self, psi: np.ndarray) -> np.ndarray:
-        """Position-register distribution of one wavefunction or of each
-        column of a wavefunction matrix."""
-        prob = np.abs(psi) ** 2
-        if psi.ndim == 1:
-            out = prob.reshape(self.base_size, self.register_dim).sum(axis=1)
-        else:
-            out = prob.reshape(self.base_size, self.register_dim, psi.shape[1]).sum(axis=1)
-        return out
-
 
 def quantize_szegedy(P: MarkovChain) -> DTWalk:
     """Discrete-time quantization (R S)^2 on the bipartite edge space.
@@ -336,11 +320,6 @@ def _szegedy_discriminant(W: DTWalk) -> np.ndarray | None:
     if not all(np.array_equal(f, g) for f, g in zip(W.factors, expected)):
         return None
     return cols * cols.T
-
-
-def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
-    """The fixed wavefunction sum_x sqrt(pi_x) |x>|p_x>."""
-    return (np.sqrt(P.stationary)[:, None] * np.sqrt(P.entries).T).ravel()
 
 
 def hadamard_cycle_walk(n: int) -> DTWalk:

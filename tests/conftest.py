@@ -8,9 +8,13 @@ eigenpair sums with no clustering, degenerate eigenpairs, eigenvalue
 clusters and the continuous-time phase gap found by comparing every pair
 of eigenvalues, and dense walk
 unitaries built entry by entry where the library keeps coin, shift and
-reflection factors. dense_unitary and dense_embedding expand a walk's
-factored step and N x r embedding into the dense matrices the library
-never builds.
+reflection factors. brute_propagator forms exp(-iHt) from its own
+eigendecomposition of H, not from a walk's eigenvectors. dense_unitary
+and dense_embedding expand a walk's factored step and N x r embedding
+into the dense matrices the library never builds; project measures the
+position register of such a wavefunction, and szegedy_stationary_state
+is the wavefunction a Szegedy walk fixes. csv_entries reads back a
+chain written by save_csv.
 """
 
 import itertools
@@ -165,6 +169,12 @@ def brute_limit_chain(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     return out
 
 
+def brute_propagator(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) = sum_k exp(-i lam_k t) v_k v_k^T over a fresh eigh of H."""
+    lam, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * lam * t)) @ V.T
+
+
 def brute_clusters(lam: np.ndarray, tol: float) -> list[tuple[int, ...]]:
     """Single-linkage clusters of eigenvalue indices: the components of
     the graph joining every pair i, j with |lam_i - lam_j| <= tol, merged
@@ -268,6 +278,31 @@ def dense_embedding(W) -> np.ndarray:
     for x in range(N):
         E[x * r : (x + 1) * r, x] = W.embed[x]
     return E
+
+
+def project(W, psi: np.ndarray) -> np.ndarray:
+    """Position-register distribution of one wavefunction, or of each
+    column of a wavefunction matrix: |psi|^2 summed over the sub register."""
+    prob = np.abs(psi) ** 2
+    return prob.reshape(W.base_size, W.register_dim, *psi.shape[1:]).sum(axis=1)
+
+
+def szegedy_stationary_state(P: MarkovChain) -> np.ndarray:
+    """The wavefunction sum_x sqrt(pi_x) |x>|p_x> that quantize_szegedy(P)
+    fixes, with |p_x> = sum_y sqrt(P[y, x]) |y>."""
+    return (np.sqrt(P.stationary)[:, None] * np.sqrt(P.entries).T).ravel()
+
+
+def csv_entries(path) -> np.ndarray:
+    """The matrix in a chain CSV, after checking that its header names
+    the number of rows that follow."""
+    with open(path, encoding="ascii") as fh:
+        header = fh.readline()
+    prefix = "# column-stochastic N="
+    assert header.startswith(prefix), header
+    M = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    assert M.shape == (int(header[len(prefix) :]),) * 2
+    return M
 
 
 def assert_same_phases(got, expected, atol: float) -> None:

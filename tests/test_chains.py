@@ -13,7 +13,6 @@ from qwmix import (
     ReducibleChainError,
     conductance,
     lazy_chain,
-    load_csv,
     mixing_time,
     mixing_time_bound_from_distance,
     one_norm,
@@ -28,7 +27,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import atomic_write_text
-from qwmix.graphs import cartesian_power, complete, cycle, hypercube, lattice, parse_edge_list, path
+from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, path
 
 from conftest import (
     MIX_THRESHOLD,
@@ -37,6 +36,7 @@ from conftest import (
     brute_pairwise_distance,
     brute_period,
     brute_reachable,
+    csv_entries,
     refusal_peak,
 )
 
@@ -289,10 +289,7 @@ def test_csv_round_trip(tmp_path, small_chains):
     for P in small_chains[:3]:
         out = tmp_path / "chain.csv"
         save_csv(P, str(out))
-        text = out.read_text()
-        assert text.startswith(f"# column-stochastic N={P.size}")
-        Q = load_csv(str(out))
-        np.testing.assert_array_equal(P.entries, Q.entries)
+        np.testing.assert_array_equal(csv_entries(out), P.entries)
 
 
 def test_atomic_write_keeps_mode_and_cleans_up(tmp_path):
@@ -301,27 +298,13 @@ def test_atomic_write_keeps_mode_and_cleans_up(tmp_path):
     out = tmp_path / "chain.csv"
     (tmp_path / "chain.csv.tmp").mkdir()  # in the way of a fixed temporary name
     save_csv(uniform_projector_chain(2), str(out))
-    assert load_csv(str(out)).size == 2
+    np.testing.assert_array_equal(csv_entries(out), uniform_projector_chain(2).entries)
     assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
     before = out.read_text()
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(str(out), "\ud800")
     assert out.read_text() == before
     assert sorted(os.listdir(tmp_path)) == ["chain.csv", "chain.csv.tmp", "reference.txt"]
-
-
-def test_load_csv_rejects_bad_header(tmp_path):
-    out = tmp_path / "bad.csv"
-    out.write_text("0.5,0.5\n0.5,0.5\n")
-    with pytest.raises(ValueError):
-        load_csv(str(out))
-
-
-def test_load_csv_rejects_non_finite_entries(tmp_path):
-    out = tmp_path / "nan.csv"
-    out.write_text("# column-stochastic N=3\n" + "nan,nan,nan\n" * 3)
-    with pytest.raises(ValueError, match="finite"):
-        load_csv(str(out))
 
 
 def test_mixing_distance_monotone(random_chain_family):
@@ -409,13 +392,6 @@ def test_markov_chain_refuses_past_cap_before_copying(monkeypatch):
     entries = np.zeros((2000, 2000))
     monkeypatch.setenv("QWMIX_STATE_CAP", "100")
     assert refusal_peak(lambda: MarkovChain(entries)) < 2**20
-
-
-def test_load_csv_refuses_past_cap_after_header(tmp_path, monkeypatch):
-    out = str(tmp_path / "big.csv")
-    save_csv(uniform_projector_chain(400), out)
-    monkeypatch.setenv("QWMIX_STATE_CAP", "100")
-    assert refusal_peak(lambda: load_csv(out)) < 2**20
 
 
 @seed(7)
@@ -526,21 +502,19 @@ def test_markov_chain_refuses_false_lattice_claims(entries, claim, message):
         MarkovChain(entries, lattice=claim)
 
 
-def test_chain_constructors_carry_the_lattice_claim(tmp_path):
+def test_chain_constructors_carry_the_lattice_claim():
     assert standard_chain(cycle(7)).lattice == (7, 1)
     assert standard_chain(hypercube(3)).lattice == (2, 3)
     assert standard_chain(lattice(4, 3)).lattice == (4, 3)
     assert standard_chain(cartesian_power(cycle(5), 2)).lattice == (5, 2)
     assert lazy_chain(standard_chain(lattice(4, 2))).lattice == (4, 2)
     assert lazy_chain(standard_chain(lattice(4, 2)), 0.3).lattice == (4, 2)
-    out = str(tmp_path / "cycle.csv")
-    save_csv(standard_chain(cycle(5)), out)
     unclaimed = [
         standard_chain(path(5)),
         standard_chain(complete(5)),
-        standard_chain(parse_edge_list("3\n0 1\n1 2\n0 2\n")),
+        standard_chain(Graph(3, [[0, 1], [1, 2], [0, 2]])),
         lazy_chain(standard_chain(path(5))),
-        load_csv(out),
+        MarkovChain(standard_chain(cycle(5)).entries),
         random_symmetric_chain(5, np.random.default_rng(0)),
         uniform_projector_chain(5),
     ]

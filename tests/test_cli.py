@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qwmix import coined_walk, load_csv, phase_gap, quantize_szegedy
+from qwmix import coined_walk, phase_gap, quantize_szegedy
 import qwmix.cli as cli
 from qwmix.cli import RunConfig, ConfigError, cache_key, main
 from qwmix.experiments import Experiment, ExperimentResult, chain_from_spec, make_assertion
+
+from conftest import csv_entries
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -377,8 +379,7 @@ def test_report_empty_dir_exits_2(tmp_path, capsys):
 def test_chain_export(tmp_path, capsys):
     out = tmp_path / "chain.csv"
     assert main(["chain", "export", "lattice", "3,2", str(out)]) == 0
-    chain = load_csv(str(out))
-    assert chain.size == 9
+    np.testing.assert_array_equal(csv_entries(out), chain_from_spec("lattice:3,2").entries)
     assert main(["chain", "export", "blob", "3", str(out)]) == 2
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import math
 import tracemalloc
 
@@ -16,15 +15,12 @@ from qwmix import (
     RuleFamilyError,
     characteristic_function,
     coined_walk,
-    ct_propagator,
     delta_rule,
-    export_generated,
     exponential_rule,
     generated_chain,
     geometric_rule,
     lazy_chain,
     limit_chain,
-    load_csv,
     mixing_time,
     one_norm,
     quantize_ct,
@@ -48,8 +44,10 @@ from conftest import (
     brute_limit_chain,
     brute_grover_unitary,
     brute_hadamard_unitary,
+    brute_propagator,
     brute_szegedy_unitary,
     dense_embedding,
+    project,
 )
 
 GENERATED_TOL = 1e-9
@@ -183,9 +181,10 @@ def test_family_pairing_enforced():
 
 
 def test_ct_delta_is_instantaneous_distribution():
-    W = quantize_ct(standard_chain(cycle(7)))
+    P = standard_chain(cycle(7))
+    W = quantize_ct(P)
     t = 2.9
-    expected = np.abs(ct_propagator(W, t)) ** 2
+    expected = np.abs(brute_propagator(symmetrized_generator(P), t)) ** 2
     got = generated_chain(W, delta_rule(t)).chain.entries
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -221,7 +220,6 @@ def test_generated_chain_is_stochastic_and_symmetric():
         assert (M >= 0).all()
         np.testing.assert_allclose(M.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(M, M.T, atol=1e-12)
-        assert g.truncation_error == 0.0
 
 
 def test_dt_uniform_two_paths_agree():
@@ -249,7 +247,7 @@ def test_dt_geometric_matches_long_sum():
     expected = brute_dt_average(brute_szegedy_unitary(P), dense_embedding(W), 4, weights)
     expected /= sum(w for _, w in weights)
     np.testing.assert_allclose(g.chain.entries, expected, atol=1e-9)
-    assert g.truncation_error <= 1e-10
+    assert rule_weights(geometric_rule(T))[2] <= 1e-10
 
 
 def test_dt_delta_requires_integer_time():
@@ -259,7 +257,7 @@ def test_dt_delta_requires_integer_time():
         generated_chain(W, delta_rule(1.5))
     got = generated_chain(W, delta_rule(2.0)).chain.entries
     U2 = np.linalg.matrix_power(brute_szegedy_unitary(P), 2)
-    expected = W.project(U2 @ dense_embedding(W))
+    expected = project(W, U2 @ dense_embedding(W))
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -375,21 +373,6 @@ def test_grover_cycle_uniform_dt_mixes_perfectly():
         g = generated_chain(W, uniform_dt_rule(n))
         u = np.full((n, n), 1.0 / n)
         assert 0.5 * one_norm(g.chain.entries - u) <= 1e-8
-
-
-def test_export_generated_round_trip(tmp_path):
-    W = quantize_ct(standard_chain(cycle(5)))
-    g = generated_chain(W, uniform_ct_rule(3.0))
-    out = tmp_path / "gen.csv"
-    export_generated(g, str(out))
-    loaded = load_csv(str(out))
-    np.testing.assert_allclose(loaded.entries, g.chain.entries, atol=1e-15)
-    sidecar = json.loads((tmp_path / "gen.csv.json").read_text())
-    assert sidecar["walk_kind"] == "ct"
-    assert sidecar["rule_family"] == "uniform_ct"
-    assert sidecar["T"] == 3.0
-    assert sidecar["truncation_error"] == 0.0
-    assert "base_label" in sidecar
 
 
 @seed(5)
@@ -544,7 +527,6 @@ def test_one_column_chain_matches_all_columns(W, t, T, T_geo):
         got = generated_chain(W, rule)
         expected = generated_chain(every_column, rule)
         np.testing.assert_allclose(got.chain.entries, expected.chain.entries, rtol=0.0, atol=1e-12)
-        assert got.truncation_error == expected.truncation_error
         assert got.chain.lattice == W.lattice
         assert expected.chain.lattice is None
 

@@ -13,11 +13,9 @@ from qwmix.graphs import (
     cartesian_power,
     complete,
     cycle,
-    format_edge_list,
     hypercube,
     lattice,
     lattice_difference,
-    parse_edge_list,
     path,
 )
 
@@ -113,7 +111,7 @@ def test_state_cap_enforced(monkeypatch):
         cycle(101)
     assert cycle(100).n == 100
     with pytest.raises(StateCapError):
-        parse_edge_list("101\n0 1\n")
+        Graph(101, [[0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -172,7 +170,6 @@ def test_edgeless_graph():
         G = Graph(n, [])
         assert G.edges.shape == (0, 2) and G.degrees().tolist() == [0] * n
         assert G.is_connected() == (n == 1)
-        assert format_edge_list(G) == f"{n}\n"
 
 
 def test_graphs_compare_by_identity():
@@ -184,29 +181,6 @@ def test_graphs_compare_by_identity():
 def test_standard_chain_of_a_capped_complete_graph_stays_small():
     # the pair arrays, not Python tuples, carry the 523,776 edges of complete(1024)
     assert traced_peak(lambda: standard_chain(complete(1024))) < 96 * 2**20
-
-
-def test_edge_list_round_trip():
-    G = lattice(3, 2)
-    text = format_edge_list(G)
-    H = parse_edge_list(text)
-    assert H.n == G.n
-    assert np.array_equal(H.edges, G.edges)
-
-
-def test_parse_edge_list_rejects_duplicates():
-    with pytest.raises(ValueError):
-        parse_edge_list("3\n0 1\n1 0\n")
-    with pytest.raises(ValueError):
-        parse_edge_list("3\n2 2\n")
-
-
-@seed(1)
-@settings(deadline=None, max_examples=30)
-@given(st.integers(min_value=3, max_value=24))
-def test_cycle_edge_list_round_trip(n):
-    G = cycle(n)
-    assert edge_set(parse_edge_list(format_edge_list(G))) == edge_set(G)
 
 
 @seed(2)
@@ -294,7 +268,7 @@ def test_translation_invariant_graphs_declare_their_lattice():
     assert cartesian_power(cycle(5), 3).lattice == (5, 3)
     assert cartesian_power(lattice(3, 2), 2).lattice == (3, 4)
     assert cartesian_power(hypercube(2), 3).lattice == (2, 6)
-    for G in (path(5), complete(5), parse_edge_list(format_edge_list(cycle(5))),
+    for G in (path(5), complete(5), Graph(5, cycle(5).edges),
               cartesian_power(path(3), 2), cartesian_power(complete(3), 2)):
         assert G.lattice is None, G.kind_tag
 

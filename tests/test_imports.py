@@ -1,8 +1,11 @@
-"""The package's lazy exports, and which commands load the numerical
-stack: `import qwmix`, `report`, a fully cached `run` and a config error
-load no numpy; a cold `run` does. `report` and a fully cached `run` load
-no `dataclasses` (and through it `inspect`) either."""
+"""The package's lazy exports, that each has a caller in the package or
+the benchmark, and which commands load the numerical stack: `import
+qwmix`, `report`, a fully cached `run` and a config error load no numpy;
+a cold `run` does. `report` and a fully cached `run` load no
+`dataclasses` (and through it `inspect`) either."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -12,30 +15,37 @@ import pytest
 
 import qwmix
 
-# The names `qwmix` exported when it imported every submodule eagerly.
+# The names `qwmix` exports.
 EXPORTED = [
     "Assertion", "BoundCheck", "CTWalk", "DTWalk", "DegenerateSpectrumError",
     "ExperimentResult", "GeneratedChain", "Graph", "MarkovChain", "MeasurementRule",
     "MixingReport", "NoMix", "NonReversibleError", "ReducibleChainError",
     "RuleFamilyError", "StateCapError", "bessel_j", "build_graph", "cartesian_power",
     "characteristic_function", "coined_walk", "complete", "conductance",
-    "ct_amplitude_row", "ct_propagator", "cycle", "cycle_threshold_audit", "delta_rule",
-    "eigenphases", "exponential_rule", "export_generated",
-    "format_edge_list", "gap_inequality_audit", "generated_chain", "geometric_rule",
-    "grover_complete_graph_sweep", "hypercube", "hypercube_limit_audit", "lattice",
-    "lattice_scaling_sweep", "lazy_chain", "limit_chain", "load_csv",
+    "ct_amplitude_row", "cycle", "cycle_threshold_audit", "delta_rule",
+    "eigenphases", "exponential_rule", "gap_inequality_audit", "generated_chain",
+    "geometric_rule", "grover_complete_graph_sweep", "hypercube", "hypercube_limit_audit",
+    "lattice", "lattice_scaling_sweep", "lazy_chain", "limit_chain",
     "measurement_equivalence_audit", "mixing_time", "mixing_time_bound_from_distance",
-    "one_norm", "pairwise_column_distance", "parse_edge_list", "path", "phase_gap",
+    "one_norm", "pairwise_column_distance", "path", "phase_gap",
     "quantize_ct", "quantize_szegedy", "random_symmetric_chain", "repeated_mixing_time",
     "rule_weights", "run_experiment", "save_csv", "spectral_gap", "standard_chain",
-    "stationary_distribution", "symmetrized_generator", "szegedy_stationary_state",
+    "stationary_distribution", "symmetrized_generator",
     "tensor_power_identity_audit", "uniform_ct_rule", "uniform_dt_rule",
     "uniform_projector_chain", "verify_inequalities",
 ]
+# Exported names that nothing in the package or the benchmark calls yet,
+# each with the ROADMAP item or acceptance criterion that gives it a caller.
+PLANNED_CALLERS = {
+    "bessel_j": "criterion 7's subject; ROADMAP item 4 calls it from src",
+    "ct_amplitude_row": "criterion 7's subject",
+    "mixing_time_bound_from_distance": "ROADMAP item 6 certifies T' with it",
+}
 NUMERICAL = {"numpy", "qwmix.chains"}
 # what a command that only reads and writes JSON must not load
 START_UP = NUMERICAL | {"dataclasses", "inspect"}
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(qwmix.__file__)))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_public_api_is_pinned():
@@ -62,6 +72,39 @@ def test_star_import_and_unknown_names():
     assert not hasattr(qwmix, "eigenphase_gap")  # defined in walks, never exported
     with pytest.raises(ImportError):
         exec("from qwmix import no_such_name", {})
+
+
+def referenced_names(paths) -> set[str]:
+    """Every name the code of the files uses: variables, attributes,
+    imported names, and string constants that are identifiers, as the
+    registry names its runners. The name a def or class statement
+    defines is not a use, and neither are comments."""
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller():
+    package = glob.glob(os.path.join(REPO, "src", "qwmix", "*.py"))
+    callers = [p for p in package if os.path.basename(p) != "__init__.py"]
+    callers += glob.glob(os.path.join(REPO, "perfbench", "*.py"))
+    used = referenced_names(callers)
+    assert set(PLANNED_CALLERS) <= set(qwmix.__all__)
+    assert not used & set(PLANNED_CALLERS), "a planned caller has landed; drop the exemption"
+    unused = sorted(set(qwmix.__all__) - used - set(PLANNED_CALLERS))
+    assert not unused, f"exported with no caller in the package or the benchmark: {unused}"
 
 
 def imported_modules(argv, cwd):

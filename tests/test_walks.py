@@ -13,7 +13,6 @@ from qwmix import (
     bessel_j,
     coined_walk,
     ct_amplitude_row,
-    ct_propagator,
     eigenphases,
     lazy_chain,
     phase_gap,
@@ -23,7 +22,6 @@ from qwmix import (
     spectral_gap,
     standard_chain,
     symmetrized_generator,
-    szegedy_stationary_state,
     uniform_projector_chain,
 )
 from qwmix.chains import fourier_spectrum
@@ -36,10 +34,13 @@ from conftest import (
     brute_ct_phase_gap,
     brute_grover_unitary,
     brute_hadamard_unitary,
+    brute_propagator,
     brute_szegedy_unitary,
     dense_embedding,
     dense_unitary,
+    project,
     refusal_peak,
+    szegedy_stationary_state,
 )
 
 UNITARITY_TOL = 1e-9
@@ -101,27 +102,14 @@ def test_ct_cluster_projectors_resolve_identity():
         np.testing.assert_allclose(Pc @ Pc, Pc, atol=1e-10)
 
 
-def test_ct_propagator_group_law():
-    W = quantize_ct(standard_chain(cycle(5)))
-    U1 = ct_propagator(W, 1.3)
-    U2 = ct_propagator(W, 2.1)
-    np.testing.assert_allclose(U1 @ U2, ct_propagator(W, 3.4), atol=1e-12)
-    np.testing.assert_allclose(ct_propagator(W, 0.0), np.eye(5), atol=1e-14)
-
-
-def test_ct_propagator_solves_schrodinger():
-    P = standard_chain(cycle(5))
-    W = quantize_ct(P)
-    H = symmetrized_generator(P)
-    h = 1e-6
-    dU = (ct_propagator(W, 1.0 + h) - ct_propagator(W, 1.0 - h)) / (2 * h)
-    np.testing.assert_allclose(dU, -1j * H @ ct_propagator(W, 1.0), atol=1e-9)
-
-
 def test_ct_amplitude_row_is_propagator_column():
-    W = quantize_ct(standard_chain(cycle(6)))
-    U = ct_propagator(W, 2.7)
-    np.testing.assert_allclose(ct_amplitude_row(W, 2, 2.7), U[:, 2], atol=1e-12)
+    # cycle(6) reads the Fourier basis, path(5) the eigh eigenvectors
+    for P in (standard_chain(cycle(6)), standard_chain(path(5))):
+        W = quantize_ct(P)
+        assert (W.grid_index is not None) == (P.lattice is not None)
+        U = brute_propagator(symmetrized_generator(P), 2.7)
+        for x in range(P.size):
+            np.testing.assert_allclose(ct_amplitude_row(W, x, 2.7), U[:, x], atol=1e-12)
 
 
 def test_cycle_amplitudes_match_bessel_expansion():
@@ -160,17 +148,17 @@ def test_szegedy_embedding_projects_to_chain_step():
     # swap then project: one classical step from each start
     idx = np.arange(25)
     swapped = E[(idx % 5) * 5 + idx // 5, :]
-    np.testing.assert_allclose(W.project(swapped), P.entries, atol=1e-12)
+    np.testing.assert_allclose(project(W, swapped), P.entries, atol=1e-12)
 
 
 def test_project_handles_vector_and_matrix():
     W = quantize_szegedy(standard_chain(cycle(4)))
     E = dense_embedding(W)
     psi = E[:, 1]
-    dist = W.project(psi)
+    dist = project(W, psi)
     assert dist.shape == (4,)
     assert dist.sum() == pytest.approx(1.0)
-    mat = W.project(E)
+    mat = project(W, E)
     assert mat.shape == (4, 4)
     np.testing.assert_allclose(mat.sum(axis=0), 1.0, atol=1e-12)
 
@@ -182,7 +170,7 @@ def test_hadamard_cycle_walk_unitary_and_driftless():
     psi = dense_embedding(W)[:, 0]
     for _ in range(4):
         psi = U @ psi
-    dist = W.project(psi)
+    dist = project(W, psi)
     # symmetric initial coin keeps the distribution centered
     for k in range(1, 5):
         assert dist[k % 9] == pytest.approx(dist[-k % 9], abs=1e-12)
@@ -204,7 +192,7 @@ def test_grover_cycle_coin_is_flip():
     psi[0 * 2 + 1] = 1.0  # at vertex 0, coin pointing up
     for step in (1, 2, 3):
         psi = dense_unitary(W) @ psi
-        np.testing.assert_allclose(W.project(psi)[step], 1.0, atol=1e-12)
+        np.testing.assert_allclose(project(W, psi)[step], 1.0, atol=1e-12)
 
 
 def test_coined_walk_dispatch():
