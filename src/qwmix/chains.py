@@ -84,34 +84,24 @@ def _checked_stochastic(P: np.ndarray) -> np.ndarray:
 class MarkovChain:
     """Immutable column-stochastic matrix with cached spectral data.
 
-    lattice = (n, d) claims that the states are Z_n^d in the graphs layout
-    and that the chain commutes with its translations; the constructor
-    checks it exactly against column 0 and raises ValueError when it is
-    false. A claimed chain keeps its column 0 in column; chains built by
-    this package from a column (_from_column) form entries on first read.
+    The constructor makes a chain without a lattice claim. A chain on
+    Z_n^d that commutes with its translations is built by this package
+    from its column 0 (_from_column): it carries lattice = (n, d) and the
+    column, and forms entries on first read.
     """
 
-    def __init__(
-        self, entries: np.ndarray, label: str = "custom", lattice: tuple[int, int] | None = None
-    ):
+    def __init__(self, entries: np.ndarray, label: str = "custom"):
         shape = np.shape(entries)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"entries must be square, got shape {shape}")
         _check_cap(shape[0])
         P = _checked_stochastic(np.array(entries, dtype=np.float64))
-        column = None
-        if lattice is not None:
-            _check_lattice_size(lattice, shape[0], "states")
-            if not np.array_equal(P, P[lattice_difference(*lattice), 0]):
-                raise ValueError(f"columns are not the translates of column 0 on lattice {lattice}")
-            column = P[:, 0].copy()
-            column.setflags(write=False)
         P.setflags(write=False)
         self.entries = P
-        self.column = column
+        self.column = None
         self.size = shape[0]
         self.label = label
-        self.lattice = lattice
+        self.lattice = None
 
     @classmethod
     def _from_column(cls, column: np.ndarray, label: str, lattice: tuple[int, int]) -> MarkovChain:
@@ -270,17 +260,33 @@ def spectral_gap(P: MarkovChain) -> float:
 
 
 def pairwise_column_distance(P: MarkovChain) -> float:
-    """d(P): max over column pairs of the total-variation distance. On a
-    lattice chain a pair is a translate of (column 0, another column), so
-    column 0 alone is compared with every column."""
-    M = P.entries
+    """d(P): max over column pairs of the total-variation distance.
+
+    A lattice chain's column x is c[. - x], c its column 0, and every
+    column pair is a translate of (c, column x). As |a - b| =
+    a + b - 2 min(a, b), TV(c, c[. - x]) = S(0) - S(x) with
+    S(x) = sum_y min(c[y], c[y - x]), so d(P) = S(0) - min_x S(x). Only
+    pairs y, y - x in the support of c add to S: it is their weighted
+    count binned by the difference, a chunk of y at a time, and no N x N
+    array is formed.
+    """
     n = P.size
-    firsts = 1 if P.lattice is not None else n
+    budget = 250_000  # entries per chunk, about 2 MiB an array
+    if P.lattice is not None:
+        c = P.column
+        support = np.flatnonzero(c)
+        S = np.zeros(n)
+        rows = max(1, budget // support.size)
+        for start in range(0, support.size, rows):
+            y = support[start : start + rows, None]
+            weights = np.minimum(c[y], c[support])
+            S += np.bincount(lattice_sum(*P.lattice, y, support, -1).ravel(), weights.ravel(), minlength=n)
+        return float(S[0] - S.min())
+    M = P.entries
     best = 0.0
-    # about 2 MiB of differences per chunk, made absolute in place
-    chunk = max(1, min(n, 250_000 // max(1, n * n)))
-    for start in range(0, firsts, chunk):
-        diffs = M[:, start : min(start + chunk, firsts), None] - M[:, None, :]
+    chunk = max(1, min(n, budget // max(1, n * n)))
+    for start in range(0, n, chunk):
+        diffs = M[:, start : min(start + chunk, n), None] - M[:, None, :]
         np.abs(diffs, out=diffs)
         best = max(best, 0.5 * float(diffs.sum(axis=0).max()))
     return best
@@ -520,7 +526,7 @@ def standard_chain(G: Graph) -> MarkovChain:
         return MarkovChain._from_column(column, f"P({G.kind_tag})", G.lattice)
     P = G.adjacency_matrix()
     P /= deg
-    return MarkovChain(P, f"P({G.kind_tag})", G.lattice)
+    return MarkovChain(P, f"P({G.kind_tag})")
 
 
 def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
@@ -532,7 +538,7 @@ def lazy_chain(P: MarkovChain, hold: float = 0.5) -> MarkovChain:
         c[0] = hold + c[0]
         return MarkovChain._from_column(c, f"lazy({P.label})", P.lattice)
     M = hold * np.eye(P.size) + (1.0 - hold) * P.entries
-    return MarkovChain(M, f"lazy({P.label})", P.lattice)
+    return MarkovChain(M, f"lazy({P.label})")
 
 
 def uniform_projector_chain(n: int) -> MarkovChain:

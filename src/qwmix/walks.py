@@ -22,8 +22,8 @@ from .graphs import (
     _power_count,
     _check_lattice_size,
     lattice,
-    lattice_negation,
     lattice_step,
+    lattice_sum,
 )
 
 UNITARITY_TOL = 1e-9
@@ -48,21 +48,22 @@ class RuleFamilyError(ValueError):
 class CTWalk:
     """Eigen-decomposed Hamiltonian of a reversible chain.
 
-    eigenvalues are ascending; eigenvectors[:, k] is the k-th real
-    orthonormal eigenvector; clusters groups indices of eigenvalues
+    eigenvalues are ascending; clusters groups indices of eigenvalues
     closer than DEFAULT_CLUSTER_TOL (single linkage), so each cluster is a
     run of consecutive indices.
 
-    On a lattice base, grid_index[k] is the wave vector of eigenvalue k,
-    as a flat index of the Fourier grid in the graphs layout, and
-    eigenvectors, the real Fourier basis, is formed on first read.
+    Without a lattice base, eigenvectors[:, k] is the k-th real
+    orthonormal eigenvector from eigh. On a lattice base, grid_index[k] is
+    the wave vector of eigenvalue k, as a flat index of the Fourier grid
+    in the graphs layout, and eigenvectors is None: every operator is
+    diagonal on that grid.
     """
 
     base: MarkovChain
     eigenvalues: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
     grid_index: np.ndarray | None = None
-    _eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -76,30 +77,6 @@ class CTWalk:
         values = np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
         values.setflags(write=False)
         return values
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """The N x N eigenvector matrix. For wave vector k, the pair k, -k
-        takes sqrt(2/N) cos(2 pi k.x / n) (the smaller flat index) and
-        sqrt(2/N) sin(2 pi k.x / n); a k with 2k = 0 takes cos / sqrt(N)."""
-        if self.grid_index is None:
-            return self._eigenvectors
-        n, d = self.base.lattice
-        N = self.size
-        k = self.grid_index
-        x = np.arange(N)
-        # k.x mod n, digit by digit
-        dot = np.zeros((N, N), dtype=np.int64)
-        place = 1
-        for _ in range(d):
-            dot += np.multiply.outer(x // place % n, k // place % n)
-            place *= n
-        angle = (2.0 * np.pi / n) * (dot % n)
-        neg = lattice_negation(n, d)[k]
-        scale = np.where(k == neg, 1.0, np.sqrt(2.0)) / np.sqrt(N)
-        V = np.where(k <= neg, np.cos(angle), np.sin(angle)) * scale
-        V.setflags(write=False)
-        return V
 
 
 def quantize_ct(P: MarkovChain) -> CTWalk:
@@ -148,11 +125,19 @@ def quantize_ct(P: MarkovChain) -> CTWalk:
 
 
 def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
-    """Amplitudes <y| exp(-iHt) |x> for all y."""
+    """Amplitudes <y| exp(-iHt) |x> for all y. On a lattice base they are
+    the inverse FFT of the phases on the Fourier grid, translated by x."""
     if not (0 <= x < W.size):
         raise ValueError(f"state {x} out of range [0, {W.size})")
     phases = np.exp(-1j * W.eigenvalues * t)
-    amp = W.eigenvectors @ (phases * W.eigenvectors[x, :])
+    if W.grid_index is None:
+        amp = W.eigenvectors @ (phases * W.eigenvectors[x, :])
+    else:
+        n, d = W.base.lattice
+        grid = np.empty(W.size, dtype=np.complex128)
+        grid[W.grid_index] = phases
+        a0 = np.fft.ifftn(grid.reshape((n,) * d)).ravel()
+        amp = a0[lattice_sum(n, d, np.arange(W.size), x, -1)]
     norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > UNITARITY_TOL:
         raise ArithmeticError(f"amplitude norm {norm} drifted from 1")

@@ -34,6 +34,7 @@ from qwmix import (
     random_symmetric_chain,
     repeated_mixing_time,
     standard_chain,
+    symmetrized_generator,
     uniform_ct_rule,
     uniform_dt_rule,
     verify_inequalities,
@@ -140,7 +141,7 @@ def test_criterion_02_sampled_versus_spectral():
             times = rng.uniform(0.0, T, samples)
         else:
             times = rng.exponential(T, samples)
-        lam, V = W.eigenvalues, W.eigenvectors
+        lam, V = np.linalg.eigh(symmetrized_generator(P))
         hits = 0
         for chunk in np.array_split(times, 20):
             amps = np.exp(-1j * np.outer(chunk, lam)) @ (V[y, :] * V[x, :])

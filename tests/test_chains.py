@@ -12,17 +12,23 @@ from qwmix import (
     NonReversibleError,
     ReducibleChainError,
     conductance,
+    delta_rule,
+    exponential_rule,
+    generated_chain,
     lazy_chain,
+    limit_chain,
     mixing_time,
     mixing_time_bound_from_distance,
     one_norm,
     pairwise_column_distance,
+    quantize_ct,
     random_symmetric_chain,
     save_csv,
     spectral_gap,
     standard_chain,
     stationary_distribution,
     symmetrized_generator,
+    uniform_ct_rule,
     uniform_projector_chain,
     verify_inequalities,
 )
@@ -38,6 +44,7 @@ from conftest import (
     brute_reachable,
     csv_entries,
     refusal_peak,
+    traced_peak,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -471,35 +478,19 @@ def test_directed_cycle_period(k):
         assert MarkovChain(S / S.sum(axis=0), "chord").period == 1 == brute_period(S)
 
 
-def test_markov_chain_accepts_a_true_lattice_claim():
-    entries = standard_chain(lattice(3, 2)).entries
-    P = MarkovChain(entries, lattice=(3, 2))
-    assert P.lattice == (3, 2)
-    assert MarkovChain(entries).lattice is None
-
-
-def _one_ulp_off(entries, y, x):
-    M = entries.copy()
-    M[y, x] = np.nextafter(M[y, x], 1.0)
-    return M
-
-
 @pytest.mark.parametrize(
-    "entries, claim, message",
+    "column, claim, message",
     [
-        (standard_chain(path(4)).entries, (4, 1), "not the translates of column 0"),
-        (standard_chain(lattice(3, 2)).entries, (9, 1), "not the translates of column 0"),
-        (_one_ulp_off(standard_chain(cycle(5)).entries, 4, 3), (5, 1), "not the translates of column 0"),
-        (standard_chain(cycle(6)).entries, (2, 3), "does not have 6 states"),
-        (standard_chain(cycle(8)).entries, (8, 2), "does not have 8 states"),
-        (standard_chain(cycle(4)).entries, (1, 4), "does not have 4 states"),
-        (standard_chain(cycle(4)).entries, (2, 10**6), "does not have 4 states"),
+        (standard_chain(cycle(6)).column, (2, 3), "does not have 6 states"),
+        (standard_chain(cycle(8)).column, (8, 2), "does not have 8 states"),
+        (standard_chain(cycle(4)).column, (1, 4), "does not have 4 states"),
+        (standard_chain(cycle(4)).column, (2, 10**6), "does not have 4 states"),
     ],
-    ids=["path", "wrong_layout", "one_ulp", "wrong_size", "wrong_power", "n_one", "huge_d"],
+    ids=["wrong_size", "wrong_power", "n_one", "huge_d"],
 )
-def test_markov_chain_refuses_false_lattice_claims(entries, claim, message):
+def test_markov_chain_refuses_false_lattice_claims(column, claim, message):
     with pytest.raises(ValueError, match=message):
-        MarkovChain(entries, lattice=claim)
+        MarkovChain._from_column(column, "custom", claim)
 
 
 def test_chain_constructors_carry_the_lattice_claim():
@@ -544,7 +535,7 @@ def test_claimed_chain_that_is_not_symmetric_is_not_reversible():
     # a drifting walk on Z_5: translation-invariant, doubly stochastic and
     # not reversible, so neither its Fourier spectrum nor its walk exists
     drift = np.roll(0.7 * np.eye(5), 1, axis=0) + np.roll(0.3 * np.eye(5), -1, axis=0)
-    P = MarkovChain(drift, "drift", lattice=(5, 1))
+    P = MarkovChain._from_column(drift[:, 0], "drift", (5, 1))
     assert not P.is_symmetric
     with pytest.raises(NonReversibleError, match="not reversible"):
         spectral_gap(P)
@@ -566,6 +557,28 @@ def test_claimed_chain_support_matches_dense(G):
         assert P.period == dense.period
         assert np.array_equal(P.stationary, dense.stationary)
         assert P.is_symmetric and dense.is_symmetric
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (8, 2), (5, 2), (4, 3), (2, 5)], ids=str)
+def test_claimed_column_distance_matches_dense_loop(shape):
+    # a claimed chain's d(P) comes from its column, S(0) - min_x S(x);
+    # the same chain without the claim compares the columns of its entries
+    P = standard_chain(lattice(*shape))
+    W = quantize_ct(P)
+    chains = [P, lazy_chain(P, 0.3), limit_chain(W)]
+    chains += [generated_chain(W, rule(2.3)).chain for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
+    for C in chains:
+        assert C.lattice == shape
+        got = pairwise_column_distance(C)
+        assert "entries" not in vars(C)
+        assert abs(got - pairwise_column_distance(MarkovChain(C.entries))) <= 1e-14, C.label
+
+
+def test_lattice_audit_forms_no_entries():
+    # on lattice(64,2), N = 4096, one N x N float64 array alone is 128 MiB
+    L = lazy_chain(standard_chain(lattice(64, 2)))
+    assert traced_peak(lambda: verify_inequalities(L)) < 16 * 2**20
+    assert "entries" not in vars(L)
 
 
 def test_claimed_chain_on_a_subgroup_is_reducible():

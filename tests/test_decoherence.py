@@ -15,6 +15,7 @@ from qwmix import (
     RuleFamilyError,
     characteristic_function,
     coined_walk,
+    ct_amplitude_row,
     delta_rule,
     exponential_rule,
     generated_chain,
@@ -326,7 +327,10 @@ def test_ct_kernels_need_no_projector_stack():
         assert peak < budget, (build.__name__, args[1:], peak)
         chain = out if isinstance(out, MarkovChain) else out.chain
         assert chain.lattice == (32, 2) and "entries" not in vars(chain)
-    assert "entries" not in vars(P) and "eigenvectors" not in vars(W)
+    # one amplitude row is one inverse FFT of the phases
+    _, peak = _traced_peak(ct_amplitude_row, W, 0, 3.0)
+    assert peak < 2**20, ("ct_amplitude_row", peak)
+    assert "entries" not in vars(P) and W.eigenvectors is None
 
 
 def test_uniform_ct_converges_to_limit():

@@ -1,5 +1,6 @@
 """The package's lazy exports, that each has a caller in the package or
-the benchmark, and which commands load the numerical stack: `import
+the benchmark, that only a claimed chain's entries expand its column to
+N x N, and which commands load the numerical stack: `import
 qwmix`, `report`, a fully cached `run` and a config error load no numpy;
 a cold `run` does. `report` and a fully cached `run` load no
 `dataclasses` (and through it `inspect`) either."""
@@ -105,6 +106,42 @@ def test_every_export_has_a_caller():
     assert not used & set(PLANNED_CALLERS), "a planned caller has landed; drop the exemption"
     unused = sorted(set(qwmix.__all__) - used - set(PLANNED_CALLERS))
     assert not unused, f"exported with no caller in the package or the benchmark: {unused}"
+
+
+def scopes_referencing(path: str, name: str) -> list[str]:
+    """The dotted def and class scope ("" at module level) of every use of
+    name in the file, in the sense of referenced_names."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if (
+                (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.alias) and child.name == name)
+                or (isinstance(child, ast.Constant) and child.value == name)
+            ):
+                found.append(inner)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_claimed_entries_expand_a_column():
+    # lattice_difference is an N x N index; a claimed chain's entries are
+    # the one N x N form it keeps, so nothing else in the package reads it
+    uses = {
+        f"{os.path.basename(path)}:{scope}"
+        for path in glob.glob(os.path.join(REPO, "src", "qwmix", "*.py"))
+        for scope in scopes_referencing(path, "lattice_difference")
+    }
+    assert uses == {"chains.py:", "chains.py:MarkovChain.entries"}, sorted(uses)
 
 
 def imported_modules(argv, cwd):
