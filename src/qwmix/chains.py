@@ -11,7 +11,7 @@ P[y, x] = c[y - x] (Levin, Peres & Wilmer, sections 12.3-12.4): such a
 chain stores c and forms its N x N entries only when they are read. Its
 eigenvalues are the Fourier transform fftn(c), one per wave vector; column
 0 of P^t is the inverse transform of fftn(c)**t, which the mixing search
-steps; and d(P) compares the translates of c with c.
+evaluates; and d(P) compares the translates of c with c.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ REVERSIBILITY_TOL = 1e-10
 # The Fourier spectrum of a symmetric column is real; an imaginary part
 # above this is not rounding.
 FOURIER_IMAG_TOL = 1e-12
-# Columns of P^t formed per batch by the Fourier mixing search, times N.
-FOURIER_BATCH_ENTRIES = 1 << 18
 CONDUCTANCE_MAX_STATES = 20
 
 
@@ -282,11 +280,13 @@ def pairwise_column_distance(P: MarkovChain) -> float:
             weights = np.minimum(c[y], c[support])
             S += np.bincount(lattice_sum(*P.lattice, y, support, -1).ravel(), weights.ravel(), minlength=n)
         return float(S[0] - S.min())
+    # each unordered column pair once: a chunk's columns against the
+    # columns from the chunk's start on
     M = P.entries
     best = 0.0
     chunk = max(1, min(n, budget // max(1, n * n)))
     for start in range(0, n, chunk):
-        diffs = M[:, start : min(start + chunk, n), None] - M[:, None, :]
+        diffs = M[:, start : min(start + chunk, n), None] - M[:, None, start:]
         np.abs(diffs, out=diffs)
         best = max(best, 0.5 * float(diffs.sum(axis=0).max()))
     return best
@@ -304,59 +304,99 @@ def _threshold_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:
     NoMix(horizon). The horizon defaults to default_horizon(N) and must be
     at least 1; every mixing time searches through here.
 
-    Worst-column TV to the stationary distribution is nonincreasing for
-    time-homogeneous chains; violations beyond MONOTONE_TOL are internal
-    errors, so the first crossing time is also a stable crossing. A
-    lattice chain's stationary distribution is uniform and the columns of
-    P^t are translates of its column 0, irfftn(rfftn(c)**t), so only that
-    column is formed, for a batch of consecutive t at a time.
+    The search (_first_crossing) doubles and then bisects over t, so it
+    forms about 2 log2(t) powers, not t. An unclaimed chain's powers are
+    its dense N x N matrices, squared while doubling; the search keeps at
+    most ceil(log2 t) + 3 N x N arrays, with t the result or, for NoMix,
+    the horizon. A lattice chain's stationary law is uniform and the
+    columns of P^t are translates of its column 0, irfftn(rfftn(c)**t), so
+    its powers are the half Fourier grids of P^t and each evaluated t
+    costs one inverse transform.
     """
     if horizon is None:
         horizon = default_horizon(P.size)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    distances = _lattice_distances(P) if P.lattice is not None else _dense_distances(P)
-    prev = math.inf
-    for t, dist in zip(range(1, horizon + 1), distances):
-        if dist > prev + MONOTONE_TOL:
-            raise InternalCheckError(
-                f"TV distance increased from {prev} to {dist} at step {t}"
-            )
-        prev = dist
-        if dist <= MIX_THRESHOLD:
-            return t
-    return NoMix(horizon)
+    if P.lattice is not None:
+        n, d = P.lattice
+        shape, axes = (n,) * d, tuple(range(d))
+        uniform = P.stationary
 
+        def column_distance(F: np.ndarray) -> float:
+            return 0.5 * float(np.abs(np.fft.irfftn(F, s=shape, axes=axes).ravel() - uniform).sum())
 
-def _dense_distances(P: MarkovChain):
-    """Worst-column TV(P^t, pi) for t = 1, 2, ..., stepping every column."""
-    M = P.entries
+        f = np.fft.rfftn(P.column.reshape(shape))
+        return _first_crossing(f, np.multiply, column_distance, horizon)
     target = P.stationary[:, None]
-    power = M
-    while True:
-        yield 0.5 * one_norm(power - target)
-        power = M @ power
+    scratch = np.empty((P.size, P.size))
+
+    def worst_column_distance(M: np.ndarray) -> float:
+        np.subtract(M, target, out=scratch)
+        np.abs(scratch, out=scratch)
+        return 0.5 * float(scratch.sum(axis=0).max())
+
+    return _first_crossing(P.entries, np.matmul, worst_column_distance, horizon)
 
 
-def _lattice_distances(P: MarkovChain):
-    """TV(column 0 of P^t, pi) for t = 1, 2, ..., in batches of columns
-    that start at 4 (a measured chain mixes in a few rounds) and double up
-    to FOURIER_BATCH_ENTRIES // N."""
-    n, d = P.lattice
-    shape = (n,) * d
-    axes = tuple(range(1, d + 1))
-    target = P.stationary
-    f = np.fft.rfftn(P.column.reshape(shape))
-    last = np.ones_like(f)  # the transform of P^(t-1)
-    most = max(1, FOURIER_BATCH_ENTRIES // P.size)
-    batch = min(4, most)
-    while True:
-        powers = np.cumprod(np.broadcast_to(f, (batch,) + f.shape), axis=0)
-        powers *= last
-        last = powers[-1]
-        columns = np.fft.irfftn(powers, s=shape, axes=axes).reshape(batch, -1)
-        yield from (0.5 * np.abs(columns - target).sum(axis=1)).tolist()
-        batch = min(2 * batch, most)
+def _first_crossing(step, mul, distance, horizon: int) -> int | NoMix:
+    """Smallest t in 1..horizon with distance(P^t) <= MIX_THRESHOLD, or
+    NoMix(horizon), for a distance that is nonincreasing in t.
+
+    step is P^1 and mul(A, B) is P^(a + b) for A = P^a and B = P^b. The
+    search doubles t = 1, 2, 4, ... (the last point capped at the
+    horizon) until the distance crosses, keeping the squares P^(2^i); it
+    then bisects between the last two points, where each point lo + 2^i
+    costs one product of P^lo with a kept square.
+
+    Worst-column TV to the stationary law is nonincreasing for a
+    time-homogeneous chain (Levin, Peres & Wilmer, ch. 4), which the
+    bisection relies on. Among the evaluated points, sorted by t, a
+    distance above an earlier one by more than MONOTONE_TOL is an internal
+    error; the steps the search skips are not evaluated, so not checked.
+    """
+    seen: dict[int, float] = {}
+
+    def mixed(t: int, power) -> bool:
+        seen[t] = distance(power)
+        return seen[t] <= MIX_THRESHOLD
+
+    squares = [step]  # squares[i] = P^(2^i); the last one is P^lo
+    lo, hi = 1, (1 if mixed(1, step) else None)
+    while hi is None and 2 * lo <= horizon:
+        squares.append(mul(squares[-1], squares[-1]))
+        if mixed(2 * lo, squares[-1]):
+            hi = 2 * lo
+            squares.pop()
+        else:
+            lo *= 2
+    if hi is None and lo < horizon:
+        power, rest = squares[-1], horizon - lo
+        for i in range(rest.bit_length()):
+            if rest >> i & 1:
+                power = mul(power, squares[i])
+        if mixed(horizon, power):
+            hi = horizon
+    if hi is not None:
+        power = squares.pop()
+        while squares:
+            square = squares.pop()
+            t = lo + (1 << len(squares))
+            if t < hi:
+                candidate = mul(power, square)
+                if mixed(t, candidate):
+                    hi = t
+                else:
+                    lo, power = t, candidate
+
+    low, low_t = math.inf, 0
+    for t in sorted(seen):
+        if seen[t] > low + MONOTONE_TOL:
+            raise InternalCheckError(
+                f"TV distance increased from {low} at step {low_t} to {seen[t]} at step {t}"
+            )
+        if seen[t] < low:
+            low, low_t = seen[t], t
+    return NoMix(horizon) if hi is None else hi
 
 
 def mixing_time(P: MarkovChain, horizon: int | None = None) -> int | NoMix:

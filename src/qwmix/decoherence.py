@@ -19,8 +19,9 @@ per kept term and O(N^2) memory, with no stack of projectors. Terms
 with |mu_m| <= CHI_RANK_TOL are dropped, which moves no entry by more
 than CHI_RANK_TOL. The delta rule's chi has rank 2, so it costs two
 products; the long-time limit chain is the same sum with chi the
-identity. H is real symmetric, so exp(-iHt) is complex-symmetric and every
-continuous-time chain here is symmetric, whatever the base chain.
+identity, where the singleton clusters' terms (v o v)(v o v)^T join in
+one product. H is real symmetric, so exp(-iHt) is complex-symmetric and
+every continuous-time chain here is symmetric, whatever the base chain.
 
 On a lattice base every operator here is diagonal in the characters of
 Z_n^d, so no eigenvector is formed: the walk holds the Fourier grid index
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import FOURIER_BATCH_ENTRIES, MarkovChain, NoMix, _threshold_time
+from .chains import MarkovChain, NoMix, _threshold_time
 from .config import DEFAULT_TAIL_TOL
 from .graphs import lattice_negation
 from .walks import CTWalk, DTWalk, RuleFamilyError
@@ -56,6 +57,9 @@ GENERATED_TOL = 1e-9
 # P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and the P_c resolve
 # the identity, so sum_c |P_c y|^2 = |y|^2 = 1.
 CHI_RANK_TOL = 1e-13
+# Terms of a lattice walk's chain formed per batched inverse transform,
+# times N: 2 MiB of float64 term columns a batch.
+FOURIER_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -269,18 +273,13 @@ def _owners(walk: CTWalk) -> np.ndarray:
     return np.repeat(np.arange(len(walk.clusters)), [len(c) for c in walk.clusters])
 
 
-def _square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    if walk.grid_index is not None:
-        return _fourier_square_sum(walk, mu, Q)
-    return _spectral_square_sum(walk, mu, Q)
-
-
 def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
     values = walk.cluster_values()
     chi = np.real(characteristic_function(rule, np.subtract.outer(values, values)))
     # Re phi is even, so chi is symmetric up to rounding
     mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
-    acc = _square_sum(walk, mu, Q)
+    square_sum = _spectral_square_sum if walk.grid_index is None else _fourier_square_sum
+    acc = square_sum(walk, mu, Q)
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
     return GeneratedChain(chain)
@@ -333,10 +332,26 @@ def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedCh
 
 def limit_chain(walk: CTWalk) -> MarkovChain:
     """Long-time limit of smooth-rule generated chains: the sum of the
-    entrywise squares of the eigenvalue-cluster projectors, one cluster
-    at a time (chi is the identity)."""
+    entrywise squares of the eigenvalue-cluster projectors (chi is the
+    identity). On a lattice walk that is the Fourier sum, one term per
+    cluster. Otherwise a singleton cluster's projector v v^T squares to
+    (v o v)(v o v)^T, so with S = V_s o V_s over the singletons' columns
+    V_s they add up to one product S S^T; each wider cluster keeps its
+    own term."""
     C = len(walk.clusters)
-    Pi = _square_sum(walk, np.ones(C), np.eye(C))
+    if walk.grid_index is not None:
+        Pi = _fourier_square_sum(walk, np.ones(C), np.eye(C))
+    else:
+        V = walk.eigenvectors
+        singles = [c[0] for c in walk.clusters if len(c) == 1]
+        S = V[:, singles] ** 2
+        Pi = S @ S.T
+        for c in walk.clusters:
+            if len(c) > 1:
+                Vc = V[:, c[0] : c[-1] + 1]
+                term = Vc @ Vc.T
+                term *= term
+                Pi += term
     return _generated_markov_chain(
         Pi, True, 0.0, "limit chain", f"limit({walk.base.label})", walk.base.lattice
     )

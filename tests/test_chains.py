@@ -1,3 +1,5 @@
+import math
+import operator
 import os
 import stat
 
@@ -7,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qwmix import (
+    GeneratedChain,
     MarkovChain,
     NoMix,
     NonReversibleError,
@@ -23,6 +26,7 @@ from qwmix import (
     pairwise_column_distance,
     quantize_ct,
     random_symmetric_chain,
+    repeated_mixing_time,
     save_csv,
     spectral_gap,
     standard_chain,
@@ -32,7 +36,7 @@ from qwmix import (
     uniform_projector_chain,
     verify_inequalities,
 )
-from qwmix.chains import atomic_write_text
+from qwmix.chains import MONOTONE_TOL, InternalCheckError, _first_crossing, atomic_write_text
 from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, path
 
 from conftest import (
@@ -152,6 +156,125 @@ def test_horizon_below_one_is_refused_by_every_search():
     for search in (mixing_time, verify_inequalities):
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             search(P, horizon=0)
+
+
+def _linear_scan(distances: list[float], horizon: int):
+    """First t in 1..horizon with distances[t - 1] <= 1/(2e), one step at a time."""
+    for t in range(1, horizon + 1):
+        if distances[t - 1] <= MIX_THRESHOLD:
+            return t
+    return NoMix(horizon)
+
+
+def _search(distances: list[float], horizon: int):
+    """The mixing search over a given distance sequence, with the integer t
+    standing for P^t (so a product is a sum); returns its result and the
+    steps it evaluated, in order."""
+    evaluated = []
+
+    def distance(t: int) -> float:
+        evaluated.append(t)
+        return distances[t - 1]
+
+    return _first_crossing(1, operator.add, distance, horizon), evaluated
+
+
+def test_search_matches_linear_scan_at_every_crossing():
+    for horizon in range(1, 65):
+        for crossing in range(1, horizon + 2):  # horizon + 1: no crossing
+            before, after = crossing - 1, horizon + 1 - crossing
+            sequences = (
+                [0.9] * before + [0.1] * after,
+                [MIX_THRESHOLD + 1e-12] * before + [MIX_THRESHOLD] * after,
+                [MIX_THRESHOLD + 1e-3 * (crossing - t) for t in range(1, horizon + 1)],
+            )
+            for distances in sequences:
+                got, evaluated = _search(distances, horizon)
+                assert got == _linear_scan(distances, horizon), (horizon, crossing, distances)
+                assert len(set(evaluated)) == len(evaluated)
+                assert 1 <= min(evaluated) and max(evaluated) <= horizon
+                assert len(evaluated) <= 2 * horizon.bit_length()
+
+
+def test_search_refuses_a_rise_between_evaluated_steps():
+    distances = [0.9] * 59 + [0.1] * 5
+    got, evaluated = _search(distances, 64)
+    assert got == 60
+    assert sorted(evaluated) == [1, 2, 4, 8, 16, 32, 48, 56, 58, 59, 60, 64]
+    for t in (2, 48, 59):  # a doubling point and two bisection points
+        risen = list(distances)
+        risen[t - 1] += 2 * MONOTONE_TOL
+        with pytest.raises(InternalCheckError, match=f"at step {t}$"):
+            _search(risen, 64)
+    # a rise within the tolerance passes, and so does one at a step the
+    # search never evaluates
+    within = list(distances)
+    within[47] += 0.5 * MONOTONE_TOL
+    skipped = list(distances)
+    skipped[16] += 0.5
+    for risen in (within, skipped):
+        assert _search(risen, 64)[0] == 60
+
+
+def _brute_threshold_time(C: MarkovChain, horizon: int):
+    """brute_mixing_time on a chain's entries, its None read as NoMix."""
+    t = brute_mixing_time(C.entries, C.stationary, horizon)
+    return NoMix(horizon) if t is None else t
+
+
+def _generated_chains(P: MarkovChain, T: float) -> list[MarkovChain]:
+    W = quantize_ct(P)
+    return [generated_chain(W, rule(T)).chain for rule in (delta_rule, uniform_ct_rule, exponential_rule)]
+
+
+def _assert_search_matches_linear_scan(chains: list[MarkovChain], generated: list[MarkovChain], horizon: int):
+    for C in chains:
+        assert mixing_time(C, horizon) == _brute_threshold_time(C, horizon), C.label
+    for C in generated:
+        got = repeated_mixing_time(GeneratedChain(C), horizon)
+        assert got == _brute_threshold_time(C, horizon), C.label
+
+
+def test_search_matches_linear_scan_on_small_and_random_chains(small_chains, random_chain_family):
+    # tau on small_chains is test_mixing_time_matches_brute's
+    generated = [G for P in small_chains + random_chain_family for G in _generated_chains(P, 3.0)]
+    _assert_search_matches_linear_scan(random_chain_family, generated, 500)
+
+
+def test_search_matches_linear_scan_on_random_spectra():
+    # N = 128, one generated chain per continuous-time rule, T' in the tens
+    rng = np.random.default_rng(128)
+    generated = [
+        generated_chain(quantize_ct(random_symmetric_chain(128, rng)), rule(3.0)).chain
+        for rule in (delta_rule, uniform_ct_rule, exponential_rule)
+    ]
+    _assert_search_matches_linear_scan([], generated, 1000)
+
+
+@pytest.mark.parametrize(
+    "shape", [(5, 1), (16, 1), (64, 1), (4, 2), (7, 2), (16, 2), (6, 3), (3, 4), (2, 6)], ids=str
+)
+def test_search_matches_linear_scan_on_lattices(shape):
+    P = standard_chain(lattice(*shape))
+    n, d = shape
+    generated = _generated_chains(P, n * d / 2.0)[:2]  # delta and uniform_ct
+    _assert_search_matches_linear_scan([lazy_chain(P)], generated, 4000)
+
+
+def test_search_reports_no_mix_on_a_periodic_chain():
+    P = standard_chain(cycle(6))
+    for C in (P, MarkovChain(P.entries)):
+        assert mixing_time(C, 100) == NoMix(100) == _brute_threshold_time(C, 100)
+
+
+def test_dense_search_keeps_logarithmically_many_powers():
+    # lazy lattice(16,2) held at 0.9, without its claim: N = 256, tau = 399
+    P = MarkovChain(lazy_chain(standard_chain(lattice(16, 2)), 0.9).entries)
+    assert P.is_irreducible and P.stationary.size == 256  # cached before tracing
+    tau = mixing_time(P)
+    assert 100 <= tau < 1000
+    bound = (math.ceil(math.log2(tau)) + 4) * P.size**2 * 8
+    assert traced_peak(lambda: mixing_time(P)) <= bound
 
 
 def test_mixing_time_bound_from_distance():
@@ -383,6 +506,13 @@ def test_column_distance_bounds_mixing(seed):
 )
 def test_pairwise_column_distance_matches_all_pairs_oracle(P):
     assert pairwise_column_distance(P) == pytest.approx(brute_pairwise_distance(P.entries), abs=1e-12)
+
+
+def test_unordered_column_pairs_give_the_all_pairs_distance_exactly(random_chain_family):
+    # |a - b| == |b - a| and every sum runs down the same axis, so comparing
+    # each unordered pair of columns once moves no bit
+    for P in random_chain_family:
+        assert pairwise_column_distance(P) == brute_pairwise_distance(P.entries), P.label
 
 
 @pytest.mark.parametrize(
