@@ -142,8 +142,17 @@ class MarkovChain:
         return tails, heads
 
     @cached_property
+    def _full_support(self) -> bool:
+        """Every entry of a chain without the lattice claim is positive:
+        then every state steps to every state, so the chain is irreducible
+        with period 1 and its N^2 support arcs need not be listed."""
+        return self.lattice is None and bool(self.entries.min() > 0.0)
+
+    @cached_property
     def irreducibility_witness(self) -> tuple[int, int] | None:
         """None if irreducible, else a state pair (x, y) with no x->y path."""
+        if self._full_support:
+            return None
         tails, heads = self._support_arcs
         reach = breadth_first_levels(self.size, tails, heads) >= 0
         if not reach.all():
@@ -167,6 +176,8 @@ class MarkovChain:
         the support arcs x -> y, with breadth-first levels from state 0."""
         if not self.is_irreducible:
             raise ReducibleChainError(f"chain {self.label!r} is reducible")
+        if self._full_support:
+            return 1
         tails, heads = self._support_arcs
         level = breadth_first_levels(self.size, tails, heads)
         return int(np.gcd.reduce(level[tails] + 1 - level[heads]))

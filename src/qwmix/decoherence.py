@@ -5,8 +5,13 @@ A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
 explicit, possibly truncated, time sums of the factored step (no dense
-operator), accumulated in walk space and measured once. A lattice (n, d) walk commutes with the translations of
-Z_n^d, so only base state 0 is stepped; other walks step every start state.
+operator). A lattice (n, d) walk commutes with the translations of Z_n^d,
+so only base state 0 is stepped, as one wavefunction; other walks step
+every start state, one column each. The stepped states are stored in a
+buffer of at most STEP_BATCH_ENTRIES entries (or one state, if that is
+larger), and each full or final partial buffer is measured at once: one
+product of the rule's weights at its times with the squared real and
+imaginary parts. The position register is summed once, at the end.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -60,6 +65,9 @@ CHI_RANK_TOL = 1e-13
 # Terms of a lattice walk's chain formed per batched inverse transform,
 # times N: 2 MiB of float64 term columns a batch.
 FOURIER_BATCH_ENTRIES = 1 << 18
+# Entries of a discrete walk's stored steps, in the walk's dtype, between
+# measurements: 1 MiB of complex128.
+STEP_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -290,17 +298,30 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     # a translation-invariant walk's chain is M[y, x] = c[y - x], with c its
     # column 0, so only base state 0 is stepped
     starts = np.arange(walk.base_size if walk.lattice is None else 1)
-    psi = np.zeros((walk.dim, starts.size), dtype=walk.embed.dtype)
+    psi = np.zeros((walk.dim, starts.size), dtype=walk._dtype)
     psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed[starts]
-    # sum w |psi|^2 over the rule's times in walk space, then measure once
-    acc = np.zeros(psi.shape)
-    t_prev = 0
-    for t, w in zip(times, weights):  # rule_weights gives ascending times
-        for _ in range(t - t_prev):
-            psi = walk.step(psi)
-        t_prev = t
-        acc += w * np.abs(psi) ** 2
-    acc = acc.reshape(walk.base_size, walk.register_dim, -1).sum(axis=1)
+    if starts.size == 1:
+        psi = psi[:, 0]  # one wavefunction steps fastest as a vector
+    t_end = int(times[-1]) + 1  # rule_weights gives ascending times
+    w = np.zeros(t_end)
+    w[times] = weights
+    # the states at times t0..t0+m-1 are stored, then measured together:
+    # with their real and imaginary parts squared in place, w[t0:t0+m] @
+    # parts sums w |psi|^2 over the block, one part at a time
+    L = min(t_end, max(1, STEP_BATCH_ENTRIES // psi.size))
+    states = np.empty((L,) + psi.shape, dtype=psi.dtype)
+    parts = states.view(states.real.dtype).reshape(L, -1)
+    acc = np.zeros(parts.shape[1])
+    for t0 in range(0, t_end, L):
+        m = min(L, t_end - t0)
+        for i in range(m):
+            if t0 + i:
+                psi = walk.step(psi)
+            states[i] = psi
+        block = parts[:m]
+        block *= block
+        acc += w[t0 : t0 + m] @ block
+    acc = acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(
         acc if walk.lattice is None else acc[:, 0],

@@ -11,7 +11,7 @@ position register).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -153,7 +153,11 @@ class DTWalk:
     1-D integer array is a permutation, psi -> psi[perm]. A (B, b, b)
     array is a stack of unitary blocks acting on consecutive index
     blocks of length b; B == 1 broadcasts one block to all dim // b
-    index blocks, otherwise B == dim // b.
+    index blocks, otherwise B == dim // b. step runs a plan built on the
+    first call and kept: each run of consecutive permutations composed
+    into one gather index, each block stack cast once to the walk's
+    dtype (embed's and the blocks' together), and a B == 1 block on one
+    wavefunction applied as a single 2-D product.
 
     embed[x] is the register state (length register_dim) that base state
     x starts in, at walk indices x * register_dim + sub; projecting a
@@ -246,20 +250,56 @@ class DTWalk:
     def step(self, psi: np.ndarray) -> np.ndarray:
         """One application of the walk operator to a wavefunction or to
         each column of a wavefunction matrix."""
-        for f in self.factors:
-            if f.ndim == 1:
-                psi = psi[f]
-            else:
-                dtype = np.result_type(f, psi)
-                b = f.shape[-1]
-                f = f.astype(dtype, copy=False)
-                cols = psi.astype(dtype, copy=False).reshape(self.dim // b, b, -1)
-                if f.shape[0] == 1 and cols.shape[2] == 1:
-                    # one block for all on one wavefunction: a single product
-                    psi = (cols.reshape(-1, b) @ f[0].T).reshape(psi.shape)
-                else:
-                    psi = np.matmul(f, cols).reshape(psi.shape)
+        for stage in self._plan:
+            psi = stage(psi)
         return psi
+
+    @cached_property
+    def _dtype(self) -> np.dtype:
+        """The dtype of a stepped state: embed's and the block stacks' together."""
+        return np.result_type(self.embed, *(f for f in self.factors if f.ndim == 3))
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The factors as stages, built once: each run of consecutive
+        permutations composed into one gather index, psi[a][b] == psi[a[b]],
+        and each block stack cast to the walk's dtype."""
+        stages = []
+        for f in self.factors:
+            if f.ndim == 1 and stages and stages[-1].ndim == 1:
+                stages[-1] = stages[-1][f]
+            else:
+                stages.append(f if f.ndim == 1 else f.astype(self._dtype, copy=False))
+        return tuple(_stage(f) for f in stages)
+
+
+def _stage(f: np.ndarray):
+    """The function psi -> f applied to psi, for a gather index or a
+    block stack."""
+    if f.ndim == 1:
+        return partial(_gather, f)
+    if f.shape[0] == 1:
+        return partial(_broadcast_block, f, f[0].T)
+    return partial(_block_stack, f)
+
+
+def _gather(index: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    return psi[index]
+
+
+def _block_stack(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """blocks[j] (or blocks[0] for every j) applied to index block j of
+    each column."""
+    b = blocks.shape[-1]
+    return np.matmul(blocks, psi.reshape(psi.shape[0] // b, b, -1)).reshape(psi.shape)
+
+
+def _broadcast_block(blocks: np.ndarray, block_T: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """One block for every index block: on one column, the single 2-D
+    product of the column's index blocks, as rows, with block_T."""
+    if psi.size != psi.shape[0]:
+        return _block_stack(blocks, psi)
+    return (psi.reshape(-1, block_T.shape[0]) @ block_T).reshape(psi.shape)
 
 
 def quantize_szegedy(P: MarkovChain) -> DTWalk:

@@ -599,6 +599,30 @@ def test_witness_and_period_match_boolean_powers(S):
             P.period
 
 
+def test_full_support_chain_lists_no_support_arcs():
+    # a chain with every entry positive is irreducible with period 1; its
+    # N^2 support arcs are never listed, so at N = 1024 (8 MiB of entries)
+    # both reads stay under one column of floats
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5):
+        A = rng.random((n, n)) + 0.1
+        P = MarkovChain(A / A.sum(axis=0), "positive")
+        S = np.ones((n, n), dtype=bool)
+        assert P.irreducibility_witness is None and P.period == 1 == brute_period(S)
+        assert "_support_arcs" not in vars(P)
+    P = random_symmetric_chain(1024, rng)
+    assert P.entries.min() > 0.0
+    peak = traced_peak(lambda: (P.irreducibility_witness, P.period))
+    assert P.is_irreducible and P.period == 1
+    assert peak <= P.size * 8
+    # one zero entry lists the arcs again
+    A = np.ones((4, 4))
+    A[1, 0] = 0.0
+    P = MarkovChain(A / A.sum(axis=0), "one zero")
+    assert P.irreducibility_witness is None and P.period == 1
+    assert "_support_arcs" in vars(P)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_directed_cycle_period(k):
     S = np.roll(np.eye(k, dtype=bool), 1, axis=0)  # the arcs x -> x + 1 mod k

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import qwmix.decoherence as decoherence
 from qwmix import (
     MarkovChain,
     MeasurementRule,
@@ -501,10 +502,30 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
         (uniform_dt_rule(T), [(s, 1.0 / T) for s in range(T)]),
         (geometric_rule(T_geo), [(s, w / mass) for s, w in geo]),
     ]
-    for rule, weights in cases:
+    expected = [brute_dt_average(U, dense_embedding(W), W.base_size, w) for _, w in cases]
+    for (rule, _), M in zip(cases, expected):
         got = generated_chain(W, rule).chain.entries
-        expected = brute_dt_average(U, dense_embedding(W), W.base_size, weights)
-        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got, M, rtol=0.0, atol=1e-12)
+    # the stored steps measured in blocks of L states: the geometric rule's
+    # steps span at least three blocks and end in a partial one
+    t_end = t_max + 1
+    L = next(L for L in range(2, t_end) if t_end % L)
+    assert t_end > 2 * L
+    columns = 1 if W.lattice is not None else W.base_size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoherence, "STEP_BATCH_ENTRIES", L * W.dim * columns)
+        for (rule, _), M in zip(cases, expected):
+            got = generated_chain(W, rule).chain.entries
+            np.testing.assert_allclose(got, M, rtol=0.0, atol=1e-12)
+
+
+def test_generated_dt_stores_at_most_its_step_budget():
+    # the stored steps of a lattice walk's one wavefunction take at most
+    # STEP_BATCH_ENTRIES complex entries (1 MiB); the rest is a few
+    # dim-sized arrays (measured 6.3 of them)
+    W = coined_walk("hadamard_cycle", 512)
+    _, peak = _traced_peak(generated_chain, W, geometric_rule(64))
+    assert peak <= decoherence.STEP_BATCH_ENTRIES * 16 + 8 * W.dim * 16
 
 
 @st.composite

@@ -222,19 +222,68 @@ def test_dtwalk_rejects_bad_factors(factors, message):
         DTWalk("custom", 2, 2, factors, np.eye(2))
 
 
-def test_dtwalk_step_applies_factors_in_order():
-    rng = np.random.default_rng(3)
-    Q, _ = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    blocks = np.stack([np.linalg.qr(rng.normal(size=(2, 2)))[0] for _ in range(3)])
-    perm = rng.permutation(6)
-    W = DTWalk("custom", 3, 2, (blocks, perm, Q[None]), np.tile([1.0, 0.0], (3, 1)))
-    dense_blocks = np.zeros((6, 6))
-    for k in range(3):
-        dense_blocks[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
-    expected = Q @ np.eye(6)[perm] @ dense_blocks
-    np.testing.assert_allclose(dense_unitary(W), expected, atol=1e-14)
-    psi = rng.normal(size=6)
-    np.testing.assert_allclose(W.step(psi), expected @ psi, atol=1e-14)
+def _random_unitary(rng, b: int, complex_entries: bool) -> np.ndarray:
+    A = rng.normal(size=(b, b))
+    if complex_entries:
+        A = A + 1j * rng.normal(size=(b, b))
+    return np.linalg.qr(A)[0]
+
+
+@seed(14)
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.sampled_from(["perm", "broadcast", "stack"]), min_size=1, max_size=7),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(
+    kinds=["perm", "perm", "stack", "perm", "perm", "perm"],
+    complex_blocks=False,
+    complex_embed=True,
+    rng_seed=1,
+)
+@example(
+    kinds=["broadcast", "perm", "perm", "broadcast"],
+    complex_blocks=True,
+    complex_embed=False,
+    rng_seed=2,
+)
+@example(kinds=["perm", "perm", "perm"], complex_blocks=False, complex_embed=False, rng_seed=3)
+def test_dtwalk_step_applies_factors_in_order(kinds, complex_blocks, complex_embed, rng_seed):
+    # a custom walk on 3 base states x 4 register states against the dense
+    # product of its factors, applied in order: permutations, psi -> psi[perm],
+    # alone or in runs of two or three; and stacks of b x b unitary blocks,
+    # b | 12, one block for all index blocks (broadcast) or one each (stack)
+    rng = np.random.default_rng(rng_seed)
+    N, r = 3, 4
+    dim = N * r
+    factors, expected = [], np.eye(dim)
+    for kind in kinds:
+        if kind == "perm":
+            f = rng.permutation(dim)
+            F = np.eye(dim)[f]
+        else:
+            b = int(rng.choice([1, 2, 3, 4, 6, 12]))
+            B = 1 if kind == "broadcast" else dim // b
+            f = np.stack([_random_unitary(rng, b, complex_blocks) for _ in range(B)])
+            F = np.zeros((dim, dim), dtype=f.dtype)
+            for k in range(dim // b):
+                F[k * b : (k + 1) * b, k * b : (k + 1) * b] = f[k % f.shape[0]]
+        factors.append(f)
+        expected = F @ expected
+    embed = _random_unitary(rng, r, complex_embed)[:N]
+    W = DTWalk("custom", N, r, tuple(factors), embed)
+    # one stage per block stack and per run of permutations
+    runs = sum(1 for k, kind in enumerate(kinds) if kind != "perm" or k == 0 or kinds[k - 1] != "perm")
+    assert len(W._plan) == runs
+    np.testing.assert_allclose(dense_unitary(W), expected, rtol=0.0, atol=1e-13)
+    for shape in [(dim,), (dim, 1), (dim, 5)]:
+        for complex_state in (False, True):
+            psi = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_state else 0.0)
+            got = W.step(psi)
+            assert got.shape == shape
+            np.testing.assert_allclose(got, expected @ psi, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
