@@ -128,7 +128,8 @@ class MarkovChain:
         if self.lattice is not None:  # P[x, y] = c[x - y] = c[-(y - x)]
             c = self.column
             return bool(np.abs(c - c[lattice_negation(*self.lattice)]).max() <= 1e-13)
-        return bool(np.abs(self.entries - self.entries.T).max() <= 1e-13)
+        diff = self.entries - self.entries.T
+        return bool(np.abs(diff, out=diff).max() <= 1e-13)  # one N x N temporary
 
     @cached_property
     def _support_arcs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -143,10 +144,11 @@ class MarkovChain:
 
     @cached_property
     def _full_support(self) -> bool:
-        """Every entry of a chain without the lattice claim is positive:
+        """Every entry is positive, read off the column on a claimed chain:
         then every state steps to every state, so the chain is irreducible
         with period 1 and its N^2 support arcs need not be listed."""
-        return self.lattice is None and bool(self.entries.min() > 0.0)
+        P = self.entries if self.lattice is None else self.column
+        return bool(P.min() > 0.0)
 
     @cached_property
     def irreducibility_witness(self) -> tuple[int, int] | None:

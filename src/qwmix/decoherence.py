@@ -5,13 +5,33 @@ A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
 register only for discrete walks). Discrete walks are evaluated by
 explicit, possibly truncated, time sums of the factored step (no dense
-operator). A lattice (n, d) walk commutes with the translations of Z_n^d,
-so only base state 0 is stepped, as one wavefunction; other walks step
-every start state, one column each. The stepped states are stored in a
-buffer of at most STEP_BATCH_ENTRIES entries (or one state, if that is
-larger), and each full or final partial buffer is measured at once: one
-product of the rule's weights at its times with the squared real and
-imaginary parts. The position register is summed once, at the end.
+operator), with dense weights w[t] over the times 0 .. t_end - 1 of the
+rule's support.
+
+A walk without the lattice claim steps every start state, one column
+each, through every time. The stepped states are stored in a buffer of
+at most STEP_BATCH_ENTRIES entries (or one state, if that is larger),
+and each full or final partial buffer is measured at once: one product
+of the rule's weights at its times with the squared real and imaginary
+parts. The position register is summed once, at the end.
+
+A lattice (n, d) walk commutes with the translations of Z_n^d, so only
+base state 0 is stepped, and its chain takes about 2 sqrt(t_end) rounds
+of numpy calls instead of t_end, in giant steps and baby steps. With J
+about sqrt(t_end) and L = ceil(t_end / J), the giant steps give the
+states at times 0, L, ..., (J - 1) L in momentum space, where the walk
+is one r x r block per momentum (the blocks eigenphases reads too): the
+blocks' L-th power, by squaring, doubles the known states per product,
+and one batched inverse fftn brings them back. The baby steps then step
+those J states together L - 1 times in position space as the rows of a
+C-ordered stack, each run of permutations one gather along the rows and
+each block stack one 2-D product with its r x r block, and measure row j
+at step i with weight w[j L + i]. A walk whose blocks are real steps
+real rows: the real and imaginary parts of its start state are separate
+rows, and the giant states' imaginary parts, rounding residue, are
+checked and dropped. J comes from STEP_BATCH_ENTRIES, dim and t_end; at
+J = 1 (a short support, or a state near the budget) the one
+wavefunction is stepped through every time, as above.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -49,7 +69,7 @@ import numpy as np
 from .chains import MarkovChain, NoMix, _threshold_time
 from .config import DEFAULT_TAIL_TOL
 from .graphs import lattice_negation
-from .walks import CTWalk, DTWalk, RuleFamilyError
+from .walks import UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
@@ -295,6 +315,26 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     times, weights, trunc = rule_weights(rule)
+    t_end = int(times[-1]) + 1  # rule_weights gives ascending times
+    w = np.zeros(t_end)
+    w[times] = weights
+    J = 1 if walk.lattice is None else _giant_steps(walk, t_end)
+    if J > 1:
+        col = _giant_baby_column(walk, w, J)
+    else:
+        col = _stepped_sum(walk, w)
+        if walk.lattice is not None:
+            col = col[:, 0]
+    label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
+    chain = _generated_markov_chain(
+        col, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
+    )
+    return GeneratedChain(chain)
+
+
+def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
+    """sum_t w[t] |psi_t|^2 with the position register summed, as an
+    N x starts array, stepping the start states one time after another."""
     # a translation-invariant walk's chain is M[y, x] = c[y - x], with c its
     # column 0, so only base state 0 is stepped
     starts = np.arange(walk.base_size if walk.lattice is None else 1)
@@ -302,9 +342,7 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed[starts]
     if starts.size == 1:
         psi = psi[:, 0]  # one wavefunction steps fastest as a vector
-    t_end = int(times[-1]) + 1  # rule_weights gives ascending times
-    w = np.zeros(t_end)
-    w[times] = weights
+    t_end = w.size
     # the states at times t0..t0+m-1 are stored, then measured together:
     # with their real and imaginary parts squared in place, w[t0:t0+m] @
     # parts sums w |psi|^2 over the block, one part at a time
@@ -321,17 +359,94 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
         block = parts[:m]
         block *= block
         acc += w[t0 : t0 + m] @ block
-    acc = acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
-    label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
-    chain = _generated_markov_chain(
-        acc if walk.lattice is None else acc[:, 0],
-        walk.base_symmetric,
-        trunc,
-        "dt generated chain",
-        label,
-        walk.lattice,
-    )
-    return GeneratedChain(chain)
+    return acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
+
+
+def _giant_steps(walk: DTWalk, t_end: int) -> int:
+    """J, the number of giant steps for a lattice walk's chain: about
+    sqrt(t_end), so that J + L ~ 2 sqrt(t_end) rounds cover the support,
+    and at most what fits STEP_BATCH_ENTRIES complex entries. The blocks
+    take up to nine stacks of N r^2 complex entries (the walk's, and four
+    real 2r x 2r stacks while matrix_power squares), and the J s giant
+    rows up to three stacks of dim complex entries each (in momentum space
+    and through the inverse fftn). J = 1 leaves the chain to
+    _stepped_sum."""
+    rows = len(walk._row_starts) * walk.dim
+    free = STEP_BATCH_ENTRIES - 9 * walk.dim * walk.register_dim
+    return max(1, min(math.isqrt(t_end), free // (3 * rows)))
+
+
+def _giant_baby_column(walk: DTWalk, w: np.ndarray, J: int) -> np.ndarray:
+    """Column 0 of a lattice walk's chain in about J + L rounds, L =
+    ceil(t_end / J): the giant states at times 0, L, ..., (J - 1) L, as
+    rows, each stepped L - 1 times in position space, row j at step i
+    measured with weight w[j L + i] (w zero-padded to J L)."""
+    L = -(-w.size // J)
+    X = _giant_states(walk, J, L)
+    wt = np.zeros(J * L)
+    wt[: w.size] = w
+    wt = wt.reshape(J, L).T.copy()
+    # a giant state's s rows are adjacent, so the squared parts, viewed
+    # as J rows, take one weight each
+    parts = X.view(X.real.dtype)
+    square = np.empty_like(parts)
+    acc = np.zeros(parts.size // J)
+    for i in range(L):
+        if i:
+            X = walk._step_rows(X)
+            parts = X.view(X.real.dtype)
+        np.multiply(parts, parts, out=square)
+        acc += wt[i] @ square.reshape(J, -1)
+    return acc.reshape(X.shape[0] // J, walk.base_size, -1).sum(axis=(0, 2))
+
+
+def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
+    """The states at times 0, L, ..., (J - 1) L of each start row of a
+    lattice walk, as the C-ordered (J s, dim) stack whose row j s + p is
+    start row p at time j L.
+
+    The start state is base 0 (x) embed[0], whose transform is embed[0] at
+    every momentum. There the blocks' power U^L takes the rows known so
+    far, j < m, to j + m, and squaring it doubles m; one batched inverse
+    fftn then gives the states. The complex blocks act on the real and
+    imaginary parts stacked as the real 2r x 2r blocks [[Re, -Im], [Im,
+    Re]], since numpy multiplies stacks of small real matrices several
+    times faster than complex ones. On a real walk each start row,
+    embed[0]'s real or imaginary part, stays real: its states' imaginary
+    parts are rounding residue, refused above UNITARITY_TOL and then
+    dropped, which moves the column by at most their squared norm."""
+    n, d = walk.lattice
+    N, r = walk.base_size, walk.register_dim
+    starts = walk._row_starts
+    s = len(starts)
+    blocks = walk._momentum_blocks
+    power = np.empty((N, 2 * r, 2 * r))
+    power[:, :r, :r] = power[:, r:, r:] = blocks.real
+    power[:, :r, r:] = -blocks.imag
+    power[:, r:, :r] = blocks.imag
+    power = np.linalg.matrix_power(power, L)
+    parts = np.empty((N, 2 * r, J * s))
+    parts[:, :r, :s] = starts.T.real
+    parts[:, r:, :s] = starts.T.imag
+    m = 1
+    while m < J:
+        k = min(m, J - m)
+        np.matmul(power, parts[:, :, : k * s], out=parts[:, :, m * s : (m + k) * s])
+        m += k
+        if m < J:
+            power = power @ power
+    del power
+    giant = np.empty((N, r, J * s), dtype=np.complex128)
+    giant.real = parts[:, :r]
+    giant.imag = parts[:, r:]
+    del parts
+    giant = np.fft.ifftn(giant.reshape((n,) * d + (r, J * s)), axes=tuple(range(d)))
+    if walk._row_dtype.kind != "c":
+        residue = np.abs(giant.imag).max()
+        if residue > UNITARITY_TOL:
+            raise ArithmeticError(f"real walk's giant-step states have imaginary part {residue}")
+        giant = giant.real
+    return np.ascontiguousarray(giant.reshape(walk.dim, J * s).T)
 
 
 def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedChain:

@@ -157,7 +157,9 @@ class DTWalk:
     first call and kept: each run of consecutive permutations composed
     into one gather index, each block stack cast once to the walk's
     dtype (embed's and the blocks' together), and a B == 1 block on one
-    wavefunction applied as a single 2-D product.
+    wavefunction applied as a single 2-D product. A lattice walk also
+    steps a C-ordered (rows, dim) stack of states with _step_rows, in real
+    arithmetic when every block is real.
 
     embed[x] is the register state (length register_dim) that base state
     x starts in, at walk indices x * register_dim + sub; projecting a
@@ -167,10 +169,12 @@ class DTWalk:
     lattice = (n, d) claims that the base states are Z_n^d in the graphs
     layout and that the step and the embedding commute with its
     translations, so a generated chain is fixed by its column 0 and the
-    spectrum splits into one block per momentum. The constructor checks
-    the claim: every permutation commutes with the d unit translations,
-    every block stack acts within one base state's register and is the
-    same at every base state, and every row of embed equals embed[0].
+    spectrum splits into one block per momentum; eigenphases and the
+    generated chains share those blocks, read off once. The constructor
+    checks the claim: every permutation commutes with the d unit
+    translations, every block stack acts within one base state's register
+    and is the same at every base state, and every row of embed equals
+    embed[0].
 
     base_symmetric claims that every generated chain of the walk is
     symmetric; the generated-chain checks then require it. A Szegedy
@@ -260,17 +264,84 @@ class DTWalk:
         return np.result_type(self.embed, *(f for f in self.factors if f.ndim == 3))
 
     @cached_property
-    def _plan(self) -> tuple:
-        """The factors as stages, built once: each run of consecutive
-        permutations composed into one gather index, psi[a][b] == psi[a[b]],
-        and each block stack cast to the walk's dtype."""
-        stages = []
+    def _runs(self) -> tuple[np.ndarray, ...]:
+        """The factors with each run of consecutive permutations composed
+        into one gather index, psi[a][b] == psi[a[b]]."""
+        runs = []
         for f in self.factors:
-            if f.ndim == 1 and stages and stages[-1].ndim == 1:
-                stages[-1] = stages[-1][f]
+            if f.ndim == 1 and runs and runs[-1].ndim == 1:
+                runs[-1] = runs[-1][f]
             else:
-                stages.append(f if f.ndim == 1 else f.astype(self._dtype, copy=False))
-        return tuple(_stage(f) for f in stages)
+                runs.append(f)
+        return tuple(runs)
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """The stages of step, built once: a gather per run of
+        permutations and each block stack cast to the walk's dtype."""
+        return tuple(
+            _stage(f if f.ndim == 1 else f.astype(self._dtype, copy=False)) for f in self._runs
+        )
+
+    @cached_property
+    def _momentum_blocks(self) -> np.ndarray:
+        """A lattice walk's r x r blocks fftn(A), one per momentum in the
+        flat Fourier grid order. The walk is block circulant,
+        U[(x, .), (y, .)] = A[x - y], so it maps a state's transform at
+        momentum k to blocks[k] times it. Read off the step once."""
+        n, d = self.lattice
+        r = self.register_dim
+        A = self.step(np.eye(self.dim, r)).reshape((n,) * d + (r, r))
+        blocks = np.fft.fftn(A, axes=tuple(range(d))).reshape(-1, r, r)
+        blocks.setflags(write=False)
+        return blocks
+
+    @cached_property
+    def _row_dtype(self) -> np.dtype:
+        """The dtype of _step_rows: real unless a block stack is complex."""
+        return np.result_type(np.float64, *(f for f in self.factors if f.ndim == 3))
+
+    @cached_property
+    def _row_plan(self) -> tuple[np.ndarray, ...]:
+        """The stages of _step_rows on a lattice walk: the gather index of
+        each run of permutations, and for each block stack the transpose
+        M^T of the r x r block M it applies at every base state (one
+        register's blocks on its diagonal), in _row_dtype and C-ordered:
+        BLAS multiplies by a C-ordered right factor several times faster
+        than by a transposed view."""
+        r = self.register_dim
+        stages = []
+        for f in self._runs:
+            if f.ndim == 1:
+                stages.append(f)
+                continue
+            b = f.shape[-1]
+            M = np.zeros((r, r), dtype=self._row_dtype)
+            for j in range(r // b):
+                M[j * b : (j + 1) * b, j * b : (j + 1) * b] = f[j % f.shape[0]]
+            stages.append(np.ascontiguousarray(M.T))
+        return tuple(stages)
+
+    @cached_property
+    def _row_starts(self) -> np.ndarray:
+        """Base state 0's start state as rows for _step_rows: embed[0], or
+        on a real walk its nonzero real and imaginary parts, which the
+        real step keeps apart."""
+        e = self.embed[0]
+        if self._row_dtype.kind == "c":
+            return e[None].astype(self._row_dtype)
+        return np.array([p for p in (e.real, np.imag(e)) if p.any()])
+
+    def _step_rows(self, X: np.ndarray) -> np.ndarray:
+        """One application of a lattice walk's operator to each row of a
+        C-ordered (rows, dim) stack of states: per run of permutations one
+        gather along axis 1, and per block stack one 2-D product of the
+        stack's registers, (rows * dim / r, r) @ M^T. np.take keeps the
+        stack C-ordered, where X[:, f] would return it in Fortran order."""
+        r = self.register_dim
+        for f in self._row_plan:
+            X = np.take(X, f, axis=1) if f.ndim == 1 else (X.reshape(-1, r) @ f).reshape(X.shape)
+        return X
 
 
 def _stage(f: np.ndarray):
@@ -416,11 +487,7 @@ def eigenphases(W: DTWalk) -> np.ndarray:
     spectral lemma), and 0 elsewhere. Any other walk is refused.
     """
     if W.lattice is not None:
-        n, d = W.lattice
-        r = W.register_dim
-        A = W.step(np.eye(W.dim, r)).reshape((n,) * d + (r, r))
-        blocks = np.fft.fftn(A, axes=tuple(range(d))).reshape(-1, r, r)
-        return np.angle(np.linalg.eigvals(blocks)).ravel()
+        return np.angle(np.linalg.eigvals(W._momentum_blocks)).ravel()
     D = _szegedy_discriminant(W)
     if D is None:
         raise ValueError(

@@ -623,6 +623,32 @@ def test_full_support_chain_lists_no_support_arcs():
     assert "_support_arcs" in vars(P)
 
 
+@pytest.mark.parametrize("n, d", [(16, 2), (8, 3), (32, 2)])
+def test_full_support_column_lists_no_support_arcs(n, d):
+    # a claimed chain whose column is positive everywhere is irreducible
+    # with period 1; neither read lists its N |support| arcs (on the delta
+    # chain of lattice(64,2) that took 1.85 s and a 784 MiB peak), so both
+    # stay under one column of floats and form no entries
+    g = generated_chain(quantize_ct(standard_chain(lattice(n, d))), delta_rule(n * d / 2)).chain
+    assert g.lattice == (n, d) and g.column.min() > 0.0
+    peak = traced_peak(lambda: (g.irreducibility_witness, g.period))
+    assert peak <= g.column.nbytes
+    assert "_support_arcs" not in vars(g) and "entries" not in vars(g)
+    dense = MarkovChain(g.entries)
+    assert g.irreducibility_witness is None and dense.irreducibility_witness is None
+    assert g.period == 1 == dense.period
+
+
+def test_is_symmetric_forms_one_square_temporary():
+    # P - P^T is the one N x N temporary, its abs taken in place (two
+    # temporaries, 16 MiB at N = 1024, before); numpy's ufunc buffer of
+    # 8192 floats for the transposed operand adds 64 KiB
+    P = random_symmetric_chain(1024, np.random.default_rng(5))
+    peak = traced_peak(lambda: P.is_symmetric)
+    assert P.is_symmetric
+    assert peak <= P.entries.nbytes + 2**17
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_directed_cycle_period(k):
     S = np.roll(np.eye(k, dtype=bool), 1, axis=0)  # the arcs x -> x + 1 mod k

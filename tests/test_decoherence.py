@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qwmix.decoherence as decoherence
 from qwmix import (
+    DTWalk,
     MarkovChain,
     MeasurementRule,
     NoMix,
@@ -38,7 +39,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.config import DEFAULT_TAIL_TOL
-from qwmix.graphs import complete, cycle, hypercube, lattice, path
+from qwmix.graphs import complete, cycle, hypercube, lattice, lattice_step, path
 
 from conftest import (
     brute_dt_average,
@@ -49,6 +50,7 @@ from conftest import (
     brute_propagator,
     brute_szegedy_unitary,
     dense_embedding,
+    dense_unitary,
     project,
 )
 
@@ -506,8 +508,10 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
     for (rule, _), M in zip(cases, expected):
         got = generated_chain(W, rule).chain.entries
         np.testing.assert_allclose(got, M, rtol=0.0, atol=1e-12)
-    # the stored steps measured in blocks of L states: the geometric rule's
-    # steps span at least three blocks and end in a partial one
+    # a budget of L states leaves no room for giant steps, so a lattice walk
+    # steps its one wavefunction too, and the stored steps are measured in
+    # blocks of L states: the geometric rule's steps span at least three
+    # blocks and end in a partial one
     t_end = t_max + 1
     L = next(L for L in range(2, t_end) if t_end % L)
     assert t_end > 2 * L
@@ -520,12 +524,83 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
 
 
 def test_generated_dt_stores_at_most_its_step_budget():
-    # the stored steps of a lattice walk's one wavefunction take at most
+    # a lattice walk's momentum blocks and giant-step rows take at most
     # STEP_BATCH_ENTRIES complex entries (1 MiB); the rest is a few
-    # dim-sized arrays (measured 6.3 of them)
+    # dim-sized arrays (the peak measured 0.67 MiB in all for the Hadamard
+    # walk, 0.61 MiB for the Grover walk)
     W = coined_walk("hadamard_cycle", 512)
     _, peak = _traced_peak(generated_chain, W, geometric_rule(64))
     assert peak <= decoherence.STEP_BATCH_ENTRIES * 16 + 8 * W.dim * 16
+    W = coined_walk("grover_lattice", 16, 2)
+    assert decoherence._giant_steps(W, rule_weights(geometric_rule(64))[0].size) > 1
+    _, peak = _traced_peak(generated_chain, W, geometric_rule(64))
+    assert peak <= decoherence.STEP_BATCH_ENTRIES * 16 + 8 * W.dim * 16
+
+
+def _custom_lattice_walk(n: int, complex_blocks: bool, complex_embed: bool) -> DTWalk:
+    """A walk on Z_n with a 4-dim register: a stack of two different 2 x 2
+    blocks per site, a shift moving subs 0 and 3 up and sub 1 down, a
+    broadcast 4 x 4 block and two more shifts, all random unitaries."""
+    rng = np.random.default_rng(n)
+
+    def unitary(k, is_complex):
+        Z = rng.normal(size=(k, k)) + (1j * rng.normal(size=(k, k)) if is_complex else 0.0)
+        return np.linalg.qr(Z)[0]
+
+    r = 4
+    up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
+    shift = np.stack([up * r, down * r + 1, np.arange(n) * r + 2, up * r + 3], axis=1).ravel()
+    pair = np.tile(np.stack([unitary(2, complex_blocks), unitary(2, complex_blocks)]), (n, 1, 1))
+    factors = (pair, shift, unitary(r, complex_blocks)[None], shift, shift)
+    embed = np.tile(unitary(r, complex_embed)[0], (n, 1))
+    return DTWalk("custom", n, r, factors, embed, base_symmetric=False, lattice=(n, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: coined_walk("hadamard_cycle", 7),
+        lambda: coined_walk("hadamard_cycle", 10),
+        lambda: coined_walk("grover_lattice", 9, 1),
+        lambda: coined_walk("grover_lattice", 4, 2),
+        lambda: coined_walk("grover_lattice", 3, 3),
+        lambda: _custom_lattice_walk(5, False, True),
+        lambda: _custom_lattice_walk(6, True, True),
+    ],
+    ids=["hadamard7", "hadamard10", "grover9_1", "grover4_2", "grover3_3", "real_custom",
+         "complex_custom"],
+)
+def test_giant_and_baby_steps_match_dense_oracle(build):
+    # J > 1 giant steps that do not divide t_end, so the last row's steps
+    # run past the support; real walks step real rows, the complex custom
+    # walk complex ones
+    W = build()
+    U, E = dense_unitary(W), dense_embedding(W)
+    for rule in (delta_rule(22), uniform_dt_rule(31), geometric_rule(2.5)):
+        times, weights, _ = rule_weights(rule)
+        t_end = int(times[-1]) + 1
+        J = decoherence._giant_steps(W, t_end)
+        assert J > 1 and t_end % J
+        expected = brute_dt_average(U, E, W.base_size, zip(times.tolist(), weights))
+        got = generated_chain(W, rule).chain
+        assert got.lattice == W.lattice
+        np.testing.assert_allclose(got.entries, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("phase, refused", [(1e-6, True), (1e-14, False)])
+def test_giant_steps_refuse_an_imaginary_residue(phase, refused):
+    # a real walk's giant-step states are real up to rounding; a global
+    # phase on its momentum blocks gives them an imaginary part of about
+    # phase * t, refused above UNITARITY_TOL (1e-9) and dropped below it
+    W = coined_walk("grover_lattice", 8, 2)
+    W.__dict__["_momentum_blocks"] = W._momentum_blocks * np.exp(1j * phase)
+    rule = geometric_rule(8.0)
+    if refused:
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            generated_chain(W, rule)
+    else:
+        expected = generated_chain(coined_walk("grover_lattice", 8, 2), rule).chain.column
+        np.testing.assert_allclose(generated_chain(W, rule).chain.column, expected, atol=1e-12)
 
 
 @st.composite
