@@ -16,22 +16,24 @@ of the rule's weights at its times with the squared real and imaginary
 parts. The position register is summed once, at the end.
 
 A lattice (n, d) walk commutes with the translations of Z_n^d, so only
-base state 0 is stepped, and its chain takes about 2 sqrt(t_end) rounds
-of numpy calls instead of t_end, in giant steps and baby steps. With J
-about sqrt(t_end) and L = ceil(t_end / J), the giant steps give the
-states at times 0, L, ..., (J - 1) L in momentum space, where the walk
-is one r x r block per momentum (the blocks eigenphases reads too): the
-blocks' L-th power, by squaring, doubles the known states per product,
-and one batched inverse fftn brings them back. The baby steps then step
-those J states together L - 1 times in position space as the rows of a
-C-ordered stack, each run of permutations one gather along the rows and
-each block stack one 2-D product with its r x r block, and measure row j
-at step i with weight w[j L + i]. A walk whose blocks are real steps
-real rows: the real and imaginary parts of its start state are separate
-rows, and the giant states' imaginary parts, rounding residue, are
-checked and dropped. J comes from STEP_BATCH_ENTRIES, dim and t_end; at
-J = 1 (a short support, or a state near the budget) the one
-wavefunction is stepped through every time, as above.
+base state 0 is stepped, as the rows of a C-ordered (rows, dim) stack:
+each run of permutations one gather along the rows and each block stack
+one 2-D product with its r x r block. A walk whose blocks are real steps
+real rows, the real and imaginary parts of its start state apart. On a
+long support the chain takes about 2 sqrt(t_end) rounds of numpy calls
+instead of t_end, in giant steps and baby steps. With J about
+sqrt(t_end) and L = ceil(t_end / J), the giant steps give the states at
+times 0, L, ..., (J - 1) L in momentum space, where the walk is one
+r x r block per momentum (the blocks eigenphases reads too): the blocks'
+L-th power, by squaring, doubles the known states per product, and one
+batched inverse fft brings them back; on a real walk their imaginary
+parts, rounding residue, are checked and dropped. The baby steps then
+step those J states together L - 1 times, and measure row j at step i
+with weight w[j L + i]. The stepped stacks are stored and measured in
+blocks, as above. Column entries at rounding level are set to 0, so the
+support is stepping's. J comes from STEP_BATCH_ENTRIES, dim and t_end;
+at J = 1 (a support too short to pay for the transforms, or a state near
+the budget) the start rows are stepped through every time.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -318,13 +320,7 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     t_end = int(times[-1]) + 1  # rule_weights gives ascending times
     w = np.zeros(t_end)
     w[times] = weights
-    J = 1 if walk.lattice is None else _giant_steps(walk, t_end)
-    if J > 1:
-        col = _giant_baby_column(walk, w, J)
-    else:
-        col = _stepped_sum(walk, w)
-        if walk.lattice is not None:
-            col = col[:, 0]
+    col = _stepped_sum(walk, w) if walk.lattice is None else _lattice_column(walk, w)
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(
         col, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
@@ -334,14 +330,11 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     """sum_t w[t] |psi_t|^2 with the position register summed, as an
-    N x starts array, stepping the start states one time after another."""
-    # a translation-invariant walk's chain is M[y, x] = c[y - x], with c its
-    # column 0, so only base state 0 is stepped
-    starts = np.arange(walk.base_size if walk.lattice is None else 1)
+    N x N array, stepping the start states, one column each, one time
+    after another."""
+    starts = np.arange(walk.base_size)
     psi = np.zeros((walk.dim, starts.size), dtype=walk._dtype)
-    psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed[starts]
-    if starts.size == 1:
-        psi = psi[:, 0]  # one wavefunction steps fastest as a vector
+    psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed
     t_end = w.size
     # the states at times t0..t0+m-1 are stored, then measured together:
     # with their real and imaginary parts squared in place, w[t0:t0+m] @
@@ -369,35 +362,68 @@ def _giant_steps(walk: DTWalk, t_end: int) -> int:
     take up to nine stacks of N r^2 complex entries (the walk's, and four
     real 2r x 2r stacks while matrix_power squares), and the J s giant
     rows up to three stacks of dim complex entries each (in momentum space
-    and through the inverse fftn). J = 1 leaves the chain to
-    _stepped_sum."""
+    and through the inverse fft).
+
+    J = 1, stepping the start rows through every time with no transform,
+    unless the giant steps take fewer rounds, counted in steps of the s
+    start rows: the J + L rounds, a product each for the log2 L squarings
+    and the log2 J doublings of the blocks' power, and log2 N for each of
+    the J giant states, which stands for their inverse transform over the
+    N momenta and for the J times wider stack each baby round steps. On
+    walks of a few hundred states (grover_lattice(m, 1), m = 16..64,
+    hadamard_cycle(128), grover_lattice(8, 2)) the measured break-even
+    lay between t_end 50 and 75, the count's between 46 and 92; a walk
+    whose arithmetic outweighs its numpy calls (thousands of states, or
+    a register of 6) breaks even later than the count says."""
     rows = len(walk._row_starts) * walk.dim
     free = STEP_BATCH_ENTRIES - 9 * walk.dim * walk.register_dim
-    return max(1, min(math.isqrt(t_end), free // (3 * rows)))
+    J = max(1, min(math.isqrt(t_end), free // (3 * rows)))
+    L = -(-t_end // J)
+    giant = J + L + L.bit_length() + J.bit_length() + J * math.log2(walk.base_size)
+    return J if giant < t_end else 1
 
 
-def _giant_baby_column(walk: DTWalk, w: np.ndarray, J: int) -> np.ndarray:
-    """Column 0 of a lattice walk's chain in about J + L rounds, L =
-    ceil(t_end / J): the giant states at times 0, L, ..., (J - 1) L, as
-    rows, each stepped L - 1 times in position space, row j at step i
-    measured with weight w[j L + i] (w zero-padded to J L)."""
+def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
+    """Column 0 of a lattice walk's chain in about J + L rounds, J =
+    _giant_steps and L = ceil(t_end / J): the states at times 0, L, ...,
+    (J - 1) L as rows (at J = 1, the start rows), each stepped L - 1 times
+    in position space, row j at step i measured with weight w[j L + i]
+    (w zero-padded to J L). The stepped stacks are stored, B of them and
+    the stack in STEP_BATCH_ENTRIES entries, and each full or final
+    partial block is measured in one product.
+
+    Stepping leaves an unreachable entry (the wrong parity of a bipartite
+    walk) exactly 0; the giant states' inverse transform leaves rounding
+    there, about 1e-32 in the column. Every entry at most UNITARITY_TOL^2,
+    the square of the rounding the giant states are allowed, is set to 0,
+    so the chain keeps stepping's support, period and reducibility. A
+    true entry that small, at the far edge of a light cone, goes too, which
+    moves the column by no more than that."""
+    J = _giant_steps(walk, w.size)
     L = -(-w.size // J)
-    X = _giant_states(walk, J, L)
+    X = walk._row_starts if J == 1 else _giant_states(walk, J, L)
     wt = np.zeros(J * L)
     wt[: w.size] = w
     wt = wt.reshape(J, L).T.copy()
-    # a giant state's s rows are adjacent, so the squared parts, viewed
-    # as J rows, take one weight each
-    parts = X.view(X.real.dtype)
-    square = np.empty_like(parts)
-    acc = np.zeros(parts.size // J)
-    for i in range(L):
-        if i:
-            X = walk._step_rows(X)
-            parts = X.view(X.real.dtype)
-        np.multiply(parts, parts, out=square)
-        acc += wt[i] @ square.reshape(J, -1)
-    return acc.reshape(X.shape[0] // J, walk.base_size, -1).sum(axis=(0, 2))
+    B = min(L, max(1, STEP_BATCH_ENTRIES // X.size - 1))
+    states = np.empty((B,) + X.shape, dtype=X.dtype)
+    # a state's s rows are adjacent, so the squared parts, viewed as J rows
+    # per stack, take one weight each: wt[i0:i0+m] @ parts sums the block
+    parts = states.view(states.real.dtype).reshape(B * J, -1)
+    acc = np.zeros(parts.shape[1])
+    for i0 in range(0, L, B):
+        m = min(B, L - i0)
+        for i in range(m):
+            if i0 + i:
+                X = walk._step_rows(X)
+            states[i] = X
+        block = parts[: m * J]
+        block *= block
+        acc += wt[i0 : i0 + m].reshape(-1) @ block
+    col = acc.reshape(X.shape[0] // J, walk.base_size, -1).sum(axis=(0, 2))
+    if J > 1:
+        col[col <= UNITARITY_TOL**2] = 0.0
+    return col
 
 
 def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
@@ -408,45 +434,46 @@ def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
     The start state is base 0 (x) embed[0], whose transform is embed[0] at
     every momentum. There the blocks' power U^L takes the rows known so
     far, j < m, to j + m, and squaring it doubles m; one batched inverse
-    fftn then gives the states. The complex blocks act on the real and
-    imaginary parts stacked as the real 2r x 2r blocks [[Re, -Im], [Im,
-    Re]], since numpy multiplies stacks of small real matrices several
-    times faster than complex ones. On a real walk each start row,
-    embed[0]'s real or imaginary part, stays real: its states' imaginary
-    parts are rounding residue, refused above UNITARITY_TOL and then
-    dropped, which moves the column by at most their squared norm."""
+    fft then gives the states. The complex blocks act on the rows' real
+    and imaginary parts, interleaved, as real 2r x 2r blocks (each entry
+    x + iy a block [[x, -y], [y, x]]), since numpy multiplies stacks of
+    small real matrices several times faster than complex ones, and the
+    real rows are then viewed as complex ones. On a real walk each start
+    row, embed[0]'s real or imaginary part, stays real: its states'
+    imaginary parts are rounding residue, refused above UNITARITY_TOL and
+    then dropped."""
     n, d = walk.lattice
     N, r = walk.base_size, walk.register_dim
     starts = walk._row_starts
     s = len(starts)
     blocks = walk._momentum_blocks
-    power = np.empty((N, 2 * r, 2 * r))
-    power[:, :r, :r] = power[:, r:, r:] = blocks.real
-    power[:, :r, r:] = -blocks.imag
-    power[:, r:, :r] = blocks.imag
-    power = np.linalg.matrix_power(power, L)
-    parts = np.empty((N, 2 * r, J * s))
-    parts[:, :r, :s] = starts.T.real
-    parts[:, r:, :s] = starts.T.imag
+    # the transposed real blocks, as the rows are multiplied from the left
+    power = np.empty((N, r, 2, r, 2))
+    power[:, :, 0, :, 0] = power[:, :, 1, :, 1] = blocks.real.transpose(0, 2, 1)
+    power[:, :, 0, :, 1] = blocks.imag.transpose(0, 2, 1)
+    power[:, :, 1, :, 0] = -blocks.imag.transpose(0, 2, 1)
+    power = np.linalg.matrix_power(power.reshape(N, 2 * r, 2 * r), L)
+    rows = np.empty((N, J * s, r), dtype=np.complex128)
+    rows[:, :s] = starts[:, :r]
+    parts = rows.view(np.float64)
     m = 1
     while m < J:
         k = min(m, J - m)
-        np.matmul(power, parts[:, :, : k * s], out=parts[:, :, m * s : (m + k) * s])
+        np.matmul(parts[:, : k * s], power, out=parts[:, m * s : (m + k) * s])
         m += k
         if m < J:
             power = power @ power
     del power
-    giant = np.empty((N, r, J * s), dtype=np.complex128)
-    giant.real = parts[:, :r]
-    giant.imag = parts[:, r:]
-    del parts
-    giant = np.fft.ifftn(giant.reshape((n,) * d + (r, J * s)), axes=tuple(range(d)))
+    giant = rows.reshape((n,) * d + (J * s, r))
+    for axis in range(d):
+        giant = np.fft.ifft(giant, axis=axis)
+    giant = np.moveaxis(giant.reshape(N, J * s, r), 1, 0)
     if walk._row_dtype.kind != "c":
         residue = np.abs(giant.imag).max()
         if residue > UNITARITY_TOL:
             raise ArithmeticError(f"real walk's giant-step states have imaginary part {residue}")
         giant = giant.real
-    return np.ascontiguousarray(giant.reshape(walk.dim, J * s).T)
+    return np.ascontiguousarray(giant).reshape(J * s, walk.dim)
 
 
 def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedChain:

@@ -155,11 +155,11 @@ class DTWalk:
     blocks of length b; B == 1 broadcasts one block to all dim // b
     index blocks, otherwise B == dim // b. step runs a plan built on the
     first call and kept: each run of consecutive permutations composed
-    into one gather index, each block stack cast once to the walk's
-    dtype (embed's and the blocks' together), and a B == 1 block on one
-    wavefunction applied as a single 2-D product. A lattice walk also
-    steps a C-ordered (rows, dim) stack of states with _step_rows, in real
-    arithmetic when every block is real.
+    into one gather index and each block stack cast once to the walk's
+    dtype (embed's and the blocks' together). A lattice walk also steps a
+    C-ordered (rows, dim) stack of states with _step_rows, in real
+    arithmetic when every block is real; its generated chains step only
+    that way.
 
     embed[x] is the register state (length register_dim) that base state
     x starts in, at walk indices x * register_dim + sub; projecting a
@@ -288,11 +288,17 @@ class DTWalk:
         """A lattice walk's r x r blocks fftn(A), one per momentum in the
         flat Fourier grid order. The walk is block circulant,
         U[(x, .), (y, .)] = A[x - y], so it maps a state's transform at
-        momentum k to blocks[k] times it. Read off the step once."""
+        momentum k to blocks[k] times it. Read off the step once: row p of
+        _step_rows on base state 0's register basis is U e_p, so A[x][q, p]
+        is its entry x r + q. The grid is transformed one axis at a time,
+        which on these small grids saves fftn's argument handling."""
         n, d = self.lattice
         r = self.register_dim
-        A = self.step(np.eye(self.dim, r)).reshape((n,) * d + (r, r))
-        blocks = np.fft.fftn(A, axes=tuple(range(d))).reshape(-1, r, r)
+        rows = self._step_rows(np.eye(r, self.dim, dtype=self._row_dtype))
+        blocks = rows.reshape((r,) + (n,) * d + (r,))
+        for axis in range(1, d + 1):
+            blocks = np.fft.fft(blocks, axis=axis)
+        blocks = np.moveaxis(blocks.reshape(r, -1, r), 0, -1).copy()
         blocks.setflags(write=False)
         return blocks
 
@@ -324,23 +330,29 @@ class DTWalk:
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
-        """Base state 0's start state as rows for _step_rows: embed[0], or
-        on a real walk its nonzero real and imaginary parts, which the
-        real step keeps apart."""
+        """Base state 0's start state as rows for _step_rows: base 0 (x)
+        embed[0], or on a real walk its nonzero real and imaginary parts,
+        which the real step keeps apart."""
         e = self.embed[0]
         if self._row_dtype.kind == "c":
-            return e[None].astype(self._row_dtype)
-        return np.array([p for p in (e.real, np.imag(e)) if p.any()])
+            parts = [e]
+        else:
+            parts = [p for p in (e.real, np.imag(e)) if p.any()]
+        X = np.zeros((len(parts), self.dim), dtype=self._row_dtype)
+        X[:, : self.register_dim] = parts
+        X.setflags(write=False)
+        return X
 
     def _step_rows(self, X: np.ndarray) -> np.ndarray:
         """One application of a lattice walk's operator to each row of a
         C-ordered (rows, dim) stack of states: per run of permutations one
         gather along axis 1, and per block stack one 2-D product of the
-        stack's registers, (rows * dim / r, r) @ M^T. np.take keeps the
-        stack C-ordered, where X[:, f] would return it in Fortran order."""
+        stack's registers, (rows * dim / r, r) @ M^T. ndarray.take keeps
+        the stack C-ordered, where X[:, f] would return it in Fortran
+        order, and skips np.take's dispatch."""
         r = self.register_dim
         for f in self._row_plan:
-            X = np.take(X, f, axis=1) if f.ndim == 1 else (X.reshape(-1, r) @ f).reshape(X.shape)
+            X = X.take(f, axis=1) if f.ndim == 1 else (X.reshape(-1, r) @ f).reshape(X.shape)
         return X
 
 
@@ -349,8 +361,6 @@ def _stage(f: np.ndarray):
     block stack."""
     if f.ndim == 1:
         return partial(_gather, f)
-    if f.shape[0] == 1:
-        return partial(_broadcast_block, f, f[0].T)
     return partial(_block_stack, f)
 
 
@@ -363,14 +373,6 @@ def _block_stack(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
     each column."""
     b = blocks.shape[-1]
     return np.matmul(blocks, psi.reshape(psi.shape[0] // b, b, -1)).reshape(psi.shape)
-
-
-def _broadcast_block(blocks: np.ndarray, block_T: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """One block for every index block: on one column, the single 2-D
-    product of the column's index blocks, as rows, with block_T."""
-    if psi.size != psi.shape[0]:
-        return _block_stack(blocks, psi)
-    return (psi.reshape(-1, block_T.shape[0]) @ block_T).reshape(psi.shape)
 
 
 def quantize_szegedy(P: MarkovChain) -> DTWalk:

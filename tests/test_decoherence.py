@@ -14,6 +14,7 @@ from qwmix import (
     MarkovChain,
     MeasurementRule,
     NoMix,
+    ReducibleChainError,
     RuleFamilyError,
     characteristic_function,
     coined_walk,
@@ -509,8 +510,8 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
         got = generated_chain(W, rule).chain.entries
         np.testing.assert_allclose(got, M, rtol=0.0, atol=1e-12)
     # a budget of L states leaves no room for giant steps, so a lattice walk
-    # steps its one wavefunction too, and the stored steps are measured in
-    # blocks of L states: the geometric rule's steps span at least three
+    # steps its start rows too, and the stored steps are measured in blocks
+    # of at most L states: the geometric rule's steps span at least three
     # blocks and end in a partial one
     t_end = t_max + 1
     L = next(L for L in range(2, t_end) if t_end % L)
@@ -525,9 +526,9 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
 
 def test_generated_dt_stores_at_most_its_step_budget():
     # a lattice walk's momentum blocks and giant-step rows take at most
-    # STEP_BATCH_ENTRIES complex entries (1 MiB); the rest is a few
-    # dim-sized arrays (the peak measured 0.67 MiB in all for the Hadamard
-    # walk, 0.61 MiB for the Grover walk)
+    # STEP_BATCH_ENTRIES complex entries (1 MiB), and so do its stored
+    # baby steps; the rest is a few dim-sized arrays (the peak measured
+    # 0.88 MiB in all for the Hadamard walk, 0.76 MiB for the Grover walk)
     W = coined_walk("hadamard_cycle", 512)
     _, peak = _traced_peak(generated_chain, W, geometric_rule(64))
     assert peak <= decoherence.STEP_BATCH_ENTRIES * 16 + 8 * W.dim * 16
@@ -576,7 +577,7 @@ def test_giant_and_baby_steps_match_dense_oracle(build):
     # walk complex ones
     W = build()
     U, E = dense_unitary(W), dense_embedding(W)
-    for rule in (delta_rule(22), uniform_dt_rule(31), geometric_rule(2.5)):
+    for rule in (delta_rule(60), uniform_dt_rule(70), geometric_rule(2.5)):
         times, weights, _ = rule_weights(rule)
         t_end = int(times[-1]) + 1
         J = decoherence._giant_steps(W, t_end)
@@ -585,6 +586,44 @@ def test_giant_and_baby_steps_match_dense_oracle(build):
         got = generated_chain(W, rule).chain
         assert got.lattice == W.lattice
         np.testing.assert_allclose(got.entries, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t, period", [(60, None), (61, 2), (62, None), (63, 2)])
+def test_giant_steps_keep_the_exact_zeros_of_stepping(t, period):
+    # on an even cycle the Hadamard walk at time t sits on the sites of t's
+    # parity, so the other entries of its delta chain are exact zeros of
+    # the dense oracle; the inverse fft leaves rounding there (at n = 10,
+    # not a power of two), which must not enter the support: an even t
+    # keeps the parity classes apart (reducible), an odd t swaps them
+    # (period 2)
+    n = 10
+    W = coined_walk("hadamard_cycle", n)
+    assert decoherence._giant_steps(W, t + 1) > 1
+    rule = delta_rule(t)
+    expected = MarkovChain(brute_dt_average(dense_unitary(W), dense_embedding(W), n, [(t, 1.0)]))
+    got = generated_chain(W, rule).chain
+    np.testing.assert_array_equal(got.entries == 0.0, expected.entries == 0.0)
+    assert (got.irreducibility_witness is None) == (period is not None)
+    assert got.irreducibility_witness == expected.irreducibility_witness
+    if period is None:
+        with pytest.raises(ReducibleChainError):
+            got.period
+        with pytest.raises(ReducibleChainError):
+            mixing_time(got)
+    else:
+        assert got.period == period == expected.period
+
+
+def test_giant_steps_wait_for_a_support_that_pays_for_them():
+    # the giant steps' transform and products cost about J log2 N rounds,
+    # so a short support steps its start rows: grover_lattice(m, 1) under
+    # uniform_dt(m) for the m up to 64 that its workload draws, and a long
+    # geometric support does take giant steps
+    for m in (16, 40, 64):
+        assert decoherence._giant_steps(coined_walk("grover_lattice", m, 1), m) == 1
+    W = coined_walk("hadamard_cycle", 128)
+    t_end = rule_weights(geometric_rule(128 / math.sqrt(2.0)))[0].size
+    assert decoherence._giant_steps(W, t_end) > 1
 
 
 @pytest.mark.parametrize("phase, refused", [(1e-6, True), (1e-14, False)])
