@@ -602,15 +602,23 @@ def uniform_projector_chain(n: int) -> MarkovChain:
 
 def random_symmetric_chain(n: int, rng: np.random.Generator) -> MarkovChain:
     """Random symmetric doubly stochastic chain: symmetrize a uniform
-    random matrix, then scale rows/columns symmetrically to sum 1."""
+    random matrix M, then scale rows/columns symmetrically to sum 1.
+
+    The scaled matrix is diag(x) M diag(x), whose column sums are
+    x * (M x); each step takes x to sqrt(x / (M x)), one mat-vec, and the
+    matrix is formed once at the end."""
     _check_cap(n)
     A = rng.uniform(0.0, 1.0, size=(n, n))
     M = 0.5 * (A + A.T)
+    x = np.ones(n)
+    Mx = M @ x
     for _ in range(10_000):
-        r = M.sum(axis=0)
-        M = M / np.sqrt(np.outer(r, r))
-        if np.abs(M.sum(axis=0) - 1.0).max() < 1e-14:
+        x = np.sqrt(x / Mx)
+        Mx = M @ x
+        if np.abs(x * Mx - 1.0).max() < 1e-14:
             break
+    M *= x
+    M *= x[:, None]
     M = 0.5 * (M + M.T)
     return MarkovChain(M, f"random_symmetric({n})")
 

@@ -30,31 +30,38 @@ batched inverse fft brings them back; on a real walk their imaginary
 parts, rounding residue, are checked and dropped. The baby steps then
 step those J states together L - 1 times, and measure row j at step i
 with weight w[j L + i]. The stepped stacks are stored and measured in
-blocks, as above. Column entries at rounding level are set to 0, so the
-support is stepping's. J comes from STEP_BATCH_ENTRIES, dim and t_end;
-at J = 1 (a support too short to pay for the transforms, or a state near
-the budget) the start rows are stepped through every time.
+blocks, as above. Column entries at rounding level are set to 0 on
+either path, so the support does not depend on J. J comes from
+STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a support too short to pay
+for the transforms, or a state near the budget) the start rows are
+stepped through every time.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
 projectors P_c and chi[c, c'] = Re phi(v_c - v_c'), each entry is
-P_hat[y, x] = p^T chi p with p[c] = P_c[y, x]. One eigendecomposition
-chi = Q diag(mu) Q^T turns this into
-P_hat = sum_m mu_m (V diag(Q[owner, m]) V^T)**2 (entrywise square),
+P_hat[y, x] = p^T chi p with p[c] = P_c[y, x]. chi is positive
+semidefinite (phi is a characteristic function; Bochner), so a pivoted
+Cholesky factor chi ~ L L^T, L of size C x r, is built from r of chi's
+columns, each formed from phi, and the whole chi never is: C r memory
+and O(C r^2) time. The pivots stop when the residual's trace is at most
+CHI_TRACE_TOL, which moves no entry by more than that, or when every
+residual is down to the rounding of chi's entries, which a delta rule at
+T spread ~ 1e3 reaches first. Then
+P_hat = sum_m (V diag(L[owner, m]) V^T)**2 (entrywise square),
 where owner[j] is the cluster of eigenvector j: one N x N x N product
-per kept term and O(N^2) memory, with no stack of projectors. Terms
-with |mu_m| <= CHI_RANK_TOL are dropped, which moves no entry by more
-than CHI_RANK_TOL. The delta rule's chi has rank 2, so it costs two
-products; the long-time limit chain is the same sum with chi the
-identity, where the singleton clusters' terms (v o v)(v o v)^T join in
-one product. H is real symmetric, so exp(-iHt) is complex-symmetric and
-every continuous-time chain here is symmetric, whatever the base chain.
+per column of L and O(N^2) memory, with no stack of projectors. The
+delta rule's chi has rank 2 (cos and sin of T v), so it costs two
+columns and two products; a smooth rule's rank grows with T and C. The
+long-time limit chain is the same sum with chi the identity, where the
+singleton clusters' terms (v o v)(v o v)^T join in one product. H is
+real symmetric, so exp(-iHt) is complex-symmetric and every
+continuous-time chain here is symmetric, whatever the base chain.
 
 On a lattice base every operator here is diagonal in the characters of
 Z_n^d, so no eigenvector is formed: the walk holds the Fourier grid index
 of each eigenvalue, term m is the convolution with its column 0,
-a_m = ifftn(Q[owner(k), m]) over the wave vectors k (real, as owner is
-even in k), and the chain's column 0 is sum_m mu_m a_m**2, from batched
+a_m = ifftn(L[owner(k), m]) over the wave vectors k (real, as owner is
+even in k), and the chain's column 0 is sum_m a_m**2, from batched
 inverse transforms over the stacked term grids. Every generated and limit
 chain is checked, renormalized and symmetrized on the columns it has
 (column 0 alone on a lattice, through a length-N negation index) and
@@ -68,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import MarkovChain, NoMix, _threshold_time
+from .chains import InternalCheckError, MarkovChain, NoMix, _threshold_time
 from .config import DEFAULT_TAIL_TOL
 from .graphs import lattice_negation
 from .walks import UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
@@ -76,14 +83,15 @@ from .walks import UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
 GENERATED_TOL = 1e-9
-# Terms of chi = Q diag(mu) Q^T with |mu_m| at most this are dropped.
-# Entrywise bound: P_hat[y, x] = sum_m mu_m (Q^T p)_m^2 with p[c] = P_c[y, x],
-# so dropping a set D of terms moves the entry by at most
-# max_D |mu| * |Q^T p|^2 = max_D |mu| * |p|^2, since Q is orthogonal. And
-# |p|^2 <= 1: P_c[y, x] = <P_c y, P_c x>, so by Cauchy-Schwarz
-# P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and the P_c resolve
-# the identity, so sum_c |P_c y|^2 = |y|^2 = 1.
-CHI_RANK_TOL = 1e-13
+# Residual trace of chi's pivoted Cholesky factor at which the pivots
+# stop. Entrywise bound: P_hat[y, x] = p^T chi p with p[c] = P_c[y, x], so
+# a residual R = chi - L L^T, positive semidefinite, moves the entry by
+# p^T R p <= tr R * |p|^2. And |p|^2 <= 1: P_c[y, x] = <P_c y, P_c x>, so
+# by Cauchy-Schwarz P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and
+# the P_c resolve the identity, so sum_c |P_c y|^2 = |y|^2 = 1. Where chi's
+# own rounding is larger (_chi_rounding), the pivots stop at that instead,
+# and tr R is at most C times it.
+CHI_TRACE_TOL = 1e-13
 # Terms of a lattice walk's chain formed per batched inverse transform,
 # times N: 2 MiB of float64 term columns a batch.
 FOURIER_BATCH_ENTRIES = 1 << 18
@@ -142,26 +150,27 @@ def geometric_rule(T: float) -> MeasurementRule:
 def characteristic_function(rule: MeasurementRule, theta):
     """E[exp(i * theta * t)] under the rule, vectorized over theta.
 
-    Exactly 1 at theta = 0 for every family.
+    Exactly 1 at theta = 0 for every family: geometric sets it there, and
+    the other families' formulas give it.
     """
     th = np.asarray(theta, dtype=np.float64)
     T = rule.T
+    # i theta T in one product, th * (1j * T): a generated chain calls this
+    # once per pivot of chi's factor
     if rule.family == "delta":
-        out = np.exp(1j * th * T)
+        out = np.exp(th * (1j * T))
     elif rule.family == "uniform_ct":
-        z = th * T
-        small = np.abs(z) < 1e-8
-        zsafe = np.where(small, 1.0, z)
-        out = np.where(
-            small,
-            1.0 + 0.5j * z - z * z / 6.0,
-            (np.exp(1j * zsafe) - 1.0) / (1j * zsafe),
-        )
+        # (e^{iz} - 1) / (iz), and its series 1 + iz/2 where |z| < 1e-8 (the
+        # next term, -z^2/6, is below rounding there)
+        iz = th * (1j * T)
+        out = np.asarray(1.0 + 0.5 * iz)
+        np.divide(np.exp(iz) - 1.0, iz, out=out, where=np.abs(iz) >= 1e-8)
     elif rule.family == "exponential":
-        out = 1.0 / (1.0 - 1j * th * T)
+        out = 1.0 / (1.0 - th * (1j * T))
     elif rule.family == "uniform_dt":
         # integer support, so wrap the angle; Dirichlet-kernel form of
-        # (1/T) * (1 - e^{i theta T}) / (1 - e^{i theta})
+        # (1/T) * (1 - e^{i theta T}) / (1 - e^{i theta}), 1 where the
+        # wrapped angle vanishes
         Ti = int(round(T))
         phi = np.mod(th + np.pi, 2.0 * np.pi) - np.pi
         small = np.abs(phi) < 1e-12
@@ -172,11 +181,11 @@ def characteristic_function(rule: MeasurementRule, theta):
             np.exp(0.5j * psafe * (Ti - 1)) * np.sin(0.5 * Ti * psafe) / (Ti * np.sin(0.5 * psafe)),
         )
     elif rule.family == "geometric":
+        # p / (1 - (1 - p)) need not round to 1
         p = 1.0 / T
-        out = p / (1.0 - (1.0 - p) * np.exp(1j * th))
+        out = np.where(th == 0.0, 1.0 + 0.0j, p / (1.0 - (1.0 - p) * np.exp(1j * th)))
     else:  # pragma: no cover - guarded by the constructor
         raise ValueError(f"unknown rule family {rule.family!r}")
-    out = np.where(th == 0.0, 1.0 + 0.0j, out)
     return out if out.ndim else complex(out)
 
 
@@ -254,62 +263,109 @@ def _generated_markov_chain(
     return MarkovChain(M, label)
 
 
-def _spectral_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """sum_m mu_m (V diag(Q[owner, m]) V^T)**2 over the terms with
-    |mu_m| > CHI_RANK_TOL, where owner[j] is the cluster of eigenvector j.
+def _chi_factor(walk: CTWalk, rule: MeasurementRule) -> np.ndarray:
+    """L^T, an (r, C) array with chi ~ L L^T for chi[c, c'] = Re phi(v_c -
+    v_c') on the cluster values, by pivoted Cholesky (Harbrecht, Peters &
+    Schneider, Appl. Numer. Math. 62, 2012) from r columns of chi.
 
-    Eigenvectors of zero weight are left out of a term's product, so a
-    column of Q supported on one cluster costs that cluster's width.
-    """
+    The residual diagonal starts at chi(0) = 1. Each step pivots on its
+    largest entry i: chi's column i, less the factor so far, over the
+    root of the pivot is the next column of L. The steps stop when the
+    residual trace is at most CHI_TRACE_TOL, or when every residual is
+    at the rounding of chi's entries, _chi_rounding: a pivot there would
+    factor rounding. chi is positive semidefinite (Bochner), so a pivot is
+    positive until then, and a residual below -(CHI_TRACE_TOL + that
+    rounding) means a broken rule."""
+    values = walk.cluster_values()
+    C = values.size
+    rounding = _chi_rounding(values, rule)
+    residual = np.ones(C)
+    LT = np.empty((min(C, 16), C))
+    r = 0
+    # np.add.reduce is residual.sum() without its Python wrapper, run per pivot
+    while np.add.reduce(residual) > CHI_TRACE_TOL:
+        i = int(residual.argmax())
+        if residual[i] <= rounding:
+            break
+        if r == LT.shape[0]:
+            LT = np.concatenate((LT, np.empty((min(r, C - r), C))))
+        col = characteristic_function(rule, values - values[i]).real
+        col -= LT[:r, i] @ LT[:r]
+        col /= math.sqrt(residual[i])
+        LT[r] = col
+        col *= col
+        residual -= col
+        residual[i] = 0.0
+        r += 1
+    if residual.min() < -(CHI_TRACE_TOL + rounding):
+        raise InternalCheckError(
+            f"{rule.family} characteristic matrix is not positive semidefinite: "
+            f"residual diagonal {residual.min()}"
+        )
+    return LT[:r]
+
+
+def _chi_rounding(values: np.ndarray, rule: MeasurementRule) -> float:
+    """A bound on the rounding of chi's computed entries: theta = v_c - v_c'
+    and theta T are rounded, each by eps |theta T| at most, and |phi'| <=
+    E|t| <= T for every continuous family, so an entry is off by up to
+    about eps (1 + 2 T spread) over the spread of the values. The bound is
+    tight for delta, whose |phi'| is T everywhere: the residual its two
+    pivots leave (rank 2 in exact arithmetic) measured up to 0.82 eps (1 +
+    T spread), for T from 1 to 1e6 on random, cycle, hypercube, complete
+    and lattice chains, so at T spread ~ 1e3 it passes CHI_TRACE_TOL. The
+    smooth rules' phi' decays and their entries are closer."""
+    return np.finfo(np.float64).eps * (1.0 + 2.0 * rule.T * (values[-1] - values[0]))
+
+
+def _spectral_square_sum(walk: CTWalk, LT: np.ndarray) -> np.ndarray:
+    """sum_m (V diag(L[owner, m]) V^T)**2 over the r columns of L, where
+    owner[j] is the cluster of eigenvector j."""
     V = walk.eigenvectors
-    owner = _owners(walk)
     acc = np.zeros((walk.size, walk.size))
-    for m in np.flatnonzero(np.abs(mu) > CHI_RANK_TOL):
-        weights = Q[owner, m]
-        keep = np.flatnonzero(weights)
-        Vk = V[:, keep]
-        term = (Vk * weights[keep]) @ Vk.T
+    for weights in LT[:, _owners(walk)]:
+        term = (V * weights) @ V.T
         term *= term
-        term *= mu[m]
         acc += term
     return acc
 
 
-def _fourier_square_sum(walk: CTWalk, mu: np.ndarray, Q: np.ndarray) -> np.ndarray:
+def _fourier_square_sum(walk: CTWalk, LT: np.ndarray | None) -> np.ndarray:
     """Column 0 of the same sum on a lattice walk: term m is the
-    convolution whose column 0 is a_m = ifftn(Q[owner(k), m]) over the
-    wave vectors k, and the column is sum_m mu_m a_m**2. Q[owner(k), m] is
-    real and even in k, so its transform is real and irfftn forms it from
-    half the grid, FOURIER_BATCH_ENTRIES // N terms per call."""
+    convolution whose column 0 is a_m = ifftn(L[owner(k), m]) over the
+    wave vectors k, and the column is sum_m a_m**2. L[owner(k), m] is real
+    and even in k, so its transform is real and irfftn forms it from half
+    the grid, FOURIER_BATCH_ENTRIES // N terms per call. LT None stands
+    for the identity, one indicator term per cluster, formed a batch at a
+    time."""
     n, d = walk.base.lattice
     shape = (n,) * d
     owner = np.empty(walk.size, dtype=np.intp)
     owner[walk.grid_index] = _owners(walk)
     half = owner.reshape(shape)[..., : n // 2 + 1]
-    terms = np.flatnonzero(np.abs(mu) > CHI_RANK_TOL)
+    r = len(walk.cluster_starts) if LT is None else len(LT)
     batch = max(1, FOURIER_BATCH_ENTRIES // walk.size)
     acc = np.zeros(walk.size)
-    for start in range(0, terms.size, batch):
-        m = terms[start : start + batch]
-        grids = np.moveaxis(Q[:, m][half], -1, 0)
-        a = np.fft.irfftn(grids, s=shape, axes=tuple(range(1, d + 1))).reshape(m.size, -1)
+    for start in range(0, r, batch):
+        stop = min(start + batch, r)
+        if LT is None:
+            grids = (half == np.arange(start, stop).reshape((-1,) + (1,) * d)).astype(np.float64)
+        else:
+            grids = LT[start:stop][:, half]
+        a = np.fft.irfftn(grids, s=shape, axes=tuple(range(1, d + 1))).reshape(stop - start, -1)
         a *= a
-        acc += mu[m] @ a
+        acc += a.sum(axis=0)
     return acc
 
 
 def _owners(walk: CTWalk) -> np.ndarray:
     """owner[j], the cluster of eigenvalue j."""
-    return np.repeat(np.arange(len(walk.clusters)), [len(c) for c in walk.clusters])
+    return np.repeat(np.arange(len(walk.cluster_starts)), walk.cluster_counts)
 
 
 def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
-    values = walk.cluster_values()
-    chi = np.real(characteristic_function(rule, np.subtract.outer(values, values)))
-    # Re phi is even, so chi is symmetric up to rounding
-    mu, Q = np.linalg.eigh(0.5 * (chi + chi.T))
     square_sum = _spectral_square_sum if walk.grid_index is None else _fourier_square_sum
-    acc = square_sum(walk, mu, Q)
+    acc = square_sum(walk, _chi_factor(walk, rule))
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
     return GeneratedChain(chain)
@@ -392,13 +448,15 @@ def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     the stack in STEP_BATCH_ENTRIES entries, and each full or final
     partial block is measured in one product.
 
-    Stepping leaves an unreachable entry (the wrong parity of a bipartite
-    walk) exactly 0; the giant states' inverse transform leaves rounding
-    there, about 1e-32 in the column. Every entry at most UNITARITY_TOL^2,
-    the square of the rounding the giant states are allowed, is set to 0,
-    so the chain keeps stepping's support, period and reducibility. A
-    true entry that small, at the far edge of a light cone, goes too, which
-    moves the column by no more than that."""
+    An entry the walk cannot reach is rounding in the column, not 0: the
+    giant states' inverse transform leaves about 1e-32 at the wrong parity
+    of a bipartite walk, and stepping a walk back to its start state
+    (grover_lattice(3, 3) at t = 12) leaves 1e-33 beside it. Every entry
+    at most UNITARITY_TOL^2, the square of the rounding the states are
+    allowed, is set to 0, on both paths, so the chain's support, period
+    and reducibility do not depend on J. A true entry that small, at the
+    far edge of a light cone, goes too, which moves the column by no more
+    than that."""
     J = _giant_steps(walk, w.size)
     L = -(-w.size // J)
     X = walk._row_starts if J == 1 else _giant_states(walk, J, L)
@@ -421,8 +479,7 @@ def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
         block *= block
         acc += wt[i0 : i0 + m].reshape(-1) @ block
     col = acc.reshape(X.shape[0] // J, walk.base_size, -1).sum(axis=(0, 2))
-    if J > 1:
-        col[col <= UNITARITY_TOL**2] = 0.0
+    col[col <= UNITARITY_TOL**2] = 0.0
     return col
 
 
@@ -501,20 +558,18 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
     (v o v)(v o v)^T, so with S = V_s o V_s over the singletons' columns
     V_s they add up to one product S S^T; each wider cluster keeps its
     own term."""
-    C = len(walk.clusters)
     if walk.grid_index is not None:
-        Pi = _fourier_square_sum(walk, np.ones(C), np.eye(C))
+        Pi = _fourier_square_sum(walk, None)
     else:
         V = walk.eigenvectors
-        singles = [c[0] for c in walk.clusters if len(c) == 1]
-        S = V[:, singles] ** 2
+        starts, counts = walk.cluster_starts, walk.cluster_counts
+        S = V[:, starts[counts == 1]] ** 2
         Pi = S @ S.T
-        for c in walk.clusters:
-            if len(c) > 1:
-                Vc = V[:, c[0] : c[-1] + 1]
-                term = Vc @ Vc.T
-                term *= term
-                Pi += term
+        for a, b in zip(starts[counts > 1].tolist(), (starts + counts)[counts > 1].tolist()):
+            Vc = V[:, a:b]
+            term = Vc @ Vc.T
+            term *= term
+            Pi += term
     return _generated_markov_chain(
         Pi, True, 0.0, "limit chain", f"limit({walk.base.label})", walk.base.lattice
     )

@@ -48,9 +48,10 @@ class RuleFamilyError(ValueError):
 class CTWalk:
     """Eigen-decomposed Hamiltonian of a reversible chain.
 
-    eigenvalues are ascending; clusters groups indices of eigenvalues
-    closer than DEFAULT_CLUSTER_TOL (single linkage), so each cluster is a
-    run of consecutive indices.
+    eigenvalues are ascending. Eigenvalues closer than DEFAULT_CLUSTER_TOL
+    (single linkage) form one cluster, a run of consecutive indices:
+    cluster c runs from cluster_starts[c] up to the next start (or the
+    end), and cluster_counts holds the runs' lengths.
 
     Without a lattice base, eigenvectors[:, k] is the k-th real
     orthonormal eigenvector from eigh. On a lattice base, grid_index[k] is
@@ -61,7 +62,7 @@ class CTWalk:
 
     base: MarkovChain
     eigenvalues: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
+    cluster_starts: np.ndarray
     grid_index: np.ndarray | None = None
     eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -69,12 +70,30 @@ class CTWalk:
     def size(self) -> int:
         return self.base.size
 
+    @cached_property
+    def cluster_counts(self) -> np.ndarray:
+        counts = np.diff(self.cluster_starts, append=self.size)
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[int, ...], ...]:
+        """Each cluster as the tuple of its eigenvalue indices."""
+        ends = self.cluster_starts + self.cluster_counts
+        return tuple(tuple(range(a, b)) for a, b in zip(self.cluster_starts.tolist(), ends.tolist()))
+
     def cluster_values(self) -> np.ndarray:
         return self._cluster_values
 
     @cached_property
     def _cluster_values(self) -> np.ndarray:
-        values = np.array([self.eigenvalues[c[0] : c[-1] + 1].mean() for c in self.clusters])
+        # the clusters of one width are summed as the rows of one gather,
+        # which rounds as each run's own mean does
+        starts, counts = self.cluster_starts, self.cluster_counts
+        values = np.empty(starts.size)
+        for w in np.flatnonzero(np.bincount(counts)).tolist():
+            at = counts == w
+            values[at] = self.eigenvalues[starts[at, None] + np.arange(w)].sum(axis=1) / w
         values.setflags(write=False)
         return values
 
@@ -119,9 +138,9 @@ def quantize_ct(P: MarkovChain) -> CTWalk:
             f"cluster tolerance {DEFAULT_CLUSTER_TOL} chains a spread of {spread[wide[0]]}; "
             "the spectrum has no clean degeneracies at that scale"
         )
-    clusters = tuple(tuple(range(a, b)) for a, b in zip(starts.tolist(), ends.tolist()))
     lam.setflags(write=False)
-    return CTWalk(P, lam, clusters, grid_index, V)
+    starts.setflags(write=False)
+    return CTWalk(P, lam, starts, grid_index, V)
 
 
 def ct_amplitude_row(W: CTWalk, x: int, t: float) -> np.ndarray:
@@ -514,7 +533,7 @@ def phase_gap(W) -> float:
     so its gap is the smallest step between adjacent cluster values.
     """
     if isinstance(W, CTWalk):
-        if len(W.clusters) == 1:
+        if len(W.cluster_starts) == 1:
             raise DegenerateSpectrumError("degenerate spectrum: no nonzero eigenvalue gap")
         return float(np.diff(W.cluster_values()).min())
     return eigenphase_gap(eigenphases(W))

@@ -39,6 +39,7 @@ from qwmix import (
     uniform_dt_rule,
     verify_inequalities,
 )
+from qwmix.chains import InternalCheckError
 from qwmix.config import DEFAULT_TAIL_TOL
 from qwmix.graphs import complete, cycle, hypercube, lattice, lattice_step, path
 
@@ -201,20 +202,42 @@ def test_ct_delta_at_zero_is_identity():
 
 
 def test_ct_generated_matches_unclustered_pair_sum():
+    # random chains have singleton clusters, the Cayley and complete-graph
+    # chains degenerate ones; chi's factor has rank 2 under delta (cos and
+    # sin of T v) and at most C under the smooth rules
     rng = np.random.default_rng(99)
     chains = [
         standard_chain(cycle(5)),
+        standard_chain(cycle(8)),
+        standard_chain(hypercube(3)),
         standard_chain(complete(6)),
         random_symmetric_chain(7, rng),
+        random_symmetric_chain(16, rng),
     ]
-    rules = [delta_rule(1.7), uniform_ct_rule(4.0), exponential_rule(2.5)]
+    rules = [delta_rule(1.7), uniform_ct_rule(4.0), exponential_rule(2.5), uniform_ct_rule(30.0)]
     for P in chains:
         H = symmetrized_generator(P)
         W = quantize_ct(P)
         for rule in rules:
+            rank = len(decoherence._chi_factor(W, rule))
+            assert rank <= (2 if rule.family == "delta" else len(W.cluster_starts)), (P.label, rule)
             expected = brute_generated_ct(H, lambda th: characteristic_function(rule, th))
             got = generated_chain(W, rule).chain.entries
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def test_chi_factor_refuses_a_rule_that_is_not_positive_semidefinite(monkeypatch):
+    # Re phi = 1.5 off zero is no characteristic function: chi has the
+    # eigenvalue 1 - 1.5 < 0, and the first pivot leaves a residual
+    # diagonal of 1 - 1.5^2; refused without a numpy warning
+    W = quantize_ct(standard_chain(cycle(7)))
+
+    def broken(rule, theta):
+        return np.where(np.asarray(theta) == 0.0, 1.0, 1.5) + 0.0j
+
+    monkeypatch.setattr(decoherence, "characteristic_function", broken)
+    with pytest.raises(InternalCheckError, match="not positive semidefinite"):
+        generated_chain(W, uniform_ct_rule(3.0))
 
 
 def test_generated_chain_is_stochastic_and_symmetric():
@@ -428,6 +451,42 @@ def test_generated_ct_matches_unclustered_oracle(P, T):
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
+@seed(15)
+@settings(deadline=None, max_examples=40)
+@given(ct_base_chains(), st.sampled_from(CT_RULES), st.floats(min_value=0.0, max_value=200.0))
+def test_chi_factor_leaves_a_residual_within_tolerance(P, rule_fn, T):
+    # chi ~ L L^T from the pivots: the residual's trace is at most
+    # CHI_TRACE_TOL, or each diagonal entry is down to chi's rounding, and
+    # each entry is at most the trace, |R[c, c']| <= sqrt(R[c, c] R[c', c'])
+    # for a positive semidefinite R
+    W = quantize_ct(P)
+    rule = rule_fn(T)
+    values = W.cluster_values()
+    chi = np.real(characteristic_function(rule, np.subtract.outer(values, values)))
+    LT = decoherence._chi_factor(W, rule)
+    assert LT.shape[1] == values.size and 1 <= len(LT) <= values.size
+    residual = chi - LT.T @ LT
+    rounding = decoherence._chi_rounding(values, rule)
+    assert np.trace(residual) <= decoherence.CHI_TRACE_TOL or np.diag(residual).max() <= rounding
+    bound = max(decoherence.CHI_TRACE_TOL, values.size * rounding)
+    assert np.trace(residual) <= bound
+    assert np.abs(residual).max() <= bound
+
+
+@pytest.mark.parametrize("T", [1e3, 1e4, 1e5])
+def test_delta_chain_at_long_times_stops_at_the_rounding_of_chi(T):
+    # at T spread ~ 1e3 and past, the rounding of theta T leaves each entry
+    # of the delta rule's chi off by about eps T spread, above
+    # CHI_TRACE_TOL: the pivots stop at that rounding, after the two of
+    # rank 2, and the chain matches the pair sum to its own rounding
+    P = standard_chain(cycle(50))
+    W = quantize_ct(P)
+    rule = delta_rule(T)
+    assert len(decoherence._chi_factor(W, rule)) == 2
+    expected = brute_generated_ct(symmetrized_generator(P), lambda th: characteristic_function(rule, th))
+    np.testing.assert_allclose(generated_chain(W, rule).chain.entries, expected, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13])
 def test_ct_chains_on_path_bases_are_symmetric(n):
     # H is real symmetric, so exp(-iHt) is complex-symmetric even though
@@ -614,6 +673,25 @@ def test_giant_steps_keep_the_exact_zeros_of_stepping(t, period):
         assert got.period == period == expected.period
 
 
+@pytest.mark.parametrize("t", [12, 24, 60])
+def test_lattice_columns_drop_rounding_on_every_path(t):
+    # grover_lattice(3, 3) is back at its start at t = 12, 24, 60: the dense
+    # oracle is the identity up to its rounding (at most 1e-29), and so is
+    # the chain, reducible, whether its column was stepped (t = 12, 24)
+    # or came from giant steps (t = 60)
+    W = coined_walk("grover_lattice", 3, 3)
+    assert (decoherence._giant_steps(W, t + 1) > 1) == (t == 60)
+    dense = brute_dt_average(dense_unitary(W), dense_embedding(W), W.base_size, [(t, 1.0)])
+    np.testing.assert_allclose(dense, np.eye(W.base_size), rtol=0.0, atol=1e-12)
+    expected = MarkovChain(np.where(dense > 1e-20, dense, 0.0))
+    got = generated_chain(W, delta_rule(t)).chain
+    np.testing.assert_array_equal(got.entries == 0.0, expected.entries == 0.0)
+    assert got.irreducibility_witness == expected.irreducibility_witness == (0, 1)
+    for chain in (got, expected):
+        with pytest.raises(ReducibleChainError):
+            chain.period
+
+
 def test_giant_steps_wait_for_a_support_that_pays_for_them():
     # the giant steps' transform and products cost about J log2 N rounds,
     # so a short support steps its start rows: grover_lattice(m, 1) under
@@ -690,6 +768,8 @@ def _same_bound(a: float, b: float) -> bool:
 @given(lattice_shapes(), st.integers(0, 2**32 - 1))
 @example((16, 2), 1)
 @example((6, 3), 2)
+@example((8, 2), 8)
+@example((4, 3), 9)
 @example((64, 1), 3)
 @example((2, 6), 4)
 @example((7, 2), 5)
@@ -761,8 +841,22 @@ def test_lattice_chains_solve_no_state_sized_eigenproblem(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     _lattice_sweep_op(16, 2)
-    # only the C x C characteristic matrices of the rules are solved
-    assert shapes and all(256 not in shape for shape in shapes), shapes
+    # the characteristic matrices are factored from their columns, so
+    # nothing is solved
+    assert shapes == [], shapes
+
+
+def test_lattice_chain_holds_no_clusters_square():
+    # lattice(64,2) has C = 545 clusters; its delta chain factors chi from
+    # two of its columns, so no step holds a C x C float64 array (2.3 MiB).
+    # Measured on a fresh walk: a 0.3 MiB peak after other chains, 1.3 MiB
+    # as a process's first chain (numpy's one-time set-up); the eigh of chi
+    # peaked at 11.6 MiB
+    W = quantize_ct(standard_chain(lattice(64, 2)))
+    C = len(W.cluster_starts)
+    assert C == 545
+    _, peak = _traced_peak(generated_chain, W, delta_rule(64.0))
+    assert peak < C * C * 8
 
 
 def test_lattice_point_at_the_cap():
