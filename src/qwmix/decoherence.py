@@ -563,9 +563,10 @@ def limit_chain(walk: CTWalk) -> MarkovChain:
     else:
         V = walk.eigenvectors
         starts, counts = walk.cluster_starts, walk.cluster_counts
-        S = V[:, starts[counts == 1]] ** 2
+        wide = counts > 1
+        S = V[:, starts[~wide]] ** 2
         Pi = S @ S.T
-        for a, b in zip(starts[counts > 1].tolist(), (starts + counts)[counts > 1].tolist()):
+        for a, b in zip(starts[wide].tolist(), (starts + counts)[wide].tolist()):
             Vc = V[:, a:b]
             term = Vc @ Vc.T
             term *= term
