@@ -28,7 +28,7 @@ from .graphs import (
     _check_cap,
     breadth_first_levels,
     _check_lattice_size,
-    lattice_difference,
+    lattice_circulant,
     lattice_negation,
     lattice_sum,
 )
@@ -119,7 +119,7 @@ class MarkovChain:
     @cached_property
     def entries(self) -> np.ndarray:
         """P[y, x] = column[y - x]; read only on a chain built from its column."""
-        P = self.column[lattice_difference(*self.lattice)]
+        P = lattice_circulant(self.column, *self.lattice)
         P.setflags(write=False)
         return P
 

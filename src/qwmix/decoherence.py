@@ -3,38 +3,50 @@ it generates.
 
 A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
-register only for discrete walks). Discrete walks are evaluated by
-explicit, possibly truncated, time sums of the factored step (no dense
-operator), with dense weights w[t] over the times 0 .. t_end - 1 of the
-rule's support.
+register only for discrete walks). Discrete walks are evaluated as
+explicit, possibly truncated, time sums with dense weights w[t] over the
+times 0 .. t_end - 1 of the rule's support, by one of three kernels; none
+builds a dense operator.
 
-A walk without the lattice claim steps every start state, one column
-each, through every time. The stepped states are stored in a buffer of
-at most STEP_BATCH_ENTRIES entries (or one state, if that is larger),
-and each full or final partial buffer is measured at once: one product
-of the rule's weights at its times with the squared real and imaginary
-parts. The position register is summed once, at the end.
+A Szegedy walk (walks recognizes its structure) steps no state: its
+discriminant's eigenbasis D = Q diag(lam) Q^T, one eigh cached on the
+walk and shared with eigenphases, gives U^t A = A (X - Y) + B B_t in
+closed form (Szegedy's spectral lemma), with X, B_t and Y = D B_t
+diagonal in Q. The measured chain at time t is (X - Y) o (X + Y) + P (B_t
+o B_t): three N x N products per measured time, batched over times, and
+one product with the base chain P at the end. Directions with |lam| at 1
+are static. Where the terms' cancellation, up to 1 / (1 - lam^2), would
+round past GENERATED_TOL, the walk is stepped instead.
+
+Any other walk without the lattice claim steps every start state, one
+column each, through every time. The stepped states are stored in a
+buffer of at most STEP_BATCH_ENTRIES entries (or one state, if that is
+larger), and each full or final partial buffer is measured at once: one
+product of the rule's weights at its times with the squared real and
+imaginary parts. The position register is summed once, at the end. This
+is also the tests' oracle for the other two kernels.
 
 A lattice (n, d) walk commutes with the translations of Z_n^d, so only
-base state 0 is stepped, as the rows of a C-ordered (rows, dim) stack:
-each run of permutations one gather along the rows and each block stack
-one 2-D product with its r x r block. A walk whose blocks are real steps
-real rows, the real and imaginary parts of its start state apart. On a
-long support the chain takes about 2 sqrt(t_end) rounds of numpy calls
-instead of t_end, in giant steps and baby steps. With J about
-sqrt(t_end) and L = ceil(t_end / J), the giant steps give the states at
-times 0, L, ..., (J - 1) L in momentum space, where the walk is one
-r x r block per momentum (the blocks eigenphases reads too): the blocks'
-L-th power, by squaring, doubles the known states per product, and one
-batched inverse fft brings them back; on a real walk their imaginary
-parts, rounding residue, are checked and dropped. The baby steps then
-step those J states together L - 1 times, and measure row j at step i
-with weight w[j L + i]. The stepped stacks are stored and measured in
-blocks, as above. Column entries at rounding level are set to 0 on
-either path, so the support does not depend on J. J comes from
-STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a support too short to pay
-for the transforms, or a state near the budget) the start rows are
-stepped through every time.
+base state 0 is stepped, as the columns of a C-ordered (dim, columns)
+stack in the register-major layout, row sub * N + base: each run of
+permutations one gather of whole rows along axis 0 and each block stack
+one (r x r) @ (r x N columns) product. A walk whose blocks are real
+steps real columns, the real and imaginary parts of its start state
+apart. On a long support the chain takes about 2 sqrt(t_end) rounds of
+numpy calls instead of t_end, in giant steps and baby steps. With J
+about sqrt(t_end) and L = ceil(t_end / J), the giant steps give the
+states at times 0, L, ..., (J - 1) L in momentum space, where the walk
+is one r x r block per momentum (the blocks eigenphases reads too): the
+blocks' L-th power, by squaring, doubles the known states per product,
+and one batched inverse fft brings them back; on a real walk their
+imaginary parts, rounding residue, are checked and dropped. The baby
+steps then step those J states together L - 1 times, and measure column
+j at step i with weight w[j L + i]. The stepped stacks are stored and
+measured in blocks of STEP_BATCH_ENTRIES entries. Column entries at
+rounding level are set to 0 on either path, so the support does not
+depend on J. J comes from STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a
+support too short to pay for the transforms, or a state near the
+budget) the start columns are stepped through every time.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -78,7 +90,7 @@ import numpy as np
 from .chains import InternalCheckError, MarkovChain, NoMix, _threshold_time
 from .config import DEFAULT_TAIL_TOL
 from .graphs import lattice_negation
-from .walks import UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
+from .walks import DISCRIMINANT_TOL, UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
@@ -376,7 +388,12 @@ def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     t_end = int(times[-1]) + 1  # rule_weights gives ascending times
     w = np.zeros(t_end)
     w[times] = weights
-    col = _stepped_sum(walk, w) if walk.lattice is None else _lattice_column(walk, w)
+    if walk.lattice is not None:
+        col = _lattice_column(walk, w)
+    elif walk._szegedy_spectrum is not None and _szegedy_rounding(walk) <= GENERATED_TOL:
+        col = _szegedy_sum(walk, w)
+    else:
+        col = _stepped_sum(walk, w)
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(
         col, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
@@ -411,27 +428,88 @@ def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     return acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
 
 
+def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
+    """sum_t w[t] G_t, the measured chains of a Szegedy walk at the times
+    of the rule's support, from the discriminant's eigenbasis D = Q
+    diag(lam) Q^T, with no walk state.
+
+    The walk is U = ref_A ref_B, the reflections about A|x> = |x, p_x> and
+    B|x> = S A|x>, and D = A^T B. On the span of A v and B v, v an
+    eigenvector of D with lam = cos theta, U rotates by 2 theta (Szegedy's
+    spectral lemma), so U^t A = A (X - Y) + B B_t with X = Q diag(a) Q^T,
+    B_t = Q diag(b) Q^T, Y = D B_t, a = cos 2t theta and b = -sin 2t theta
+    / sin theta. Measuring the position of A alpha + B beta at y gives
+    alpha_y^2 + (P beta^2)_y + 2 alpha_y (D beta)_y, with P = (embed o
+    embed)^T the base chain, so G_t = (X - Y) o (X + Y) + P (B_t o B_t).
+    A direction with |lam| within DISCRIMINANT_TOL of 1 is static, A v = +-B
+    v: there a = 1 and b = 0. The three matrices of a batch of times come
+    from one product, the batch's three coefficient stacks taking at most
+    STEP_BATCH_ENTRIES entries, and P multiplies the weighted B_t o B_t
+    once, at the end."""
+    lam, Q = walk._szegedy_spectrum
+    N = walk.base_size
+    moving = np.abs(lam) < 1.0 - DISCRIMINANT_TOL
+    # a static direction takes theta = 0, where a = 1 and b = 0
+    theta = np.arccos(np.where(moving, lam, 1.0))
+    sin = np.where(moving, np.sin(theta), 1.0)
+    times = np.flatnonzero(w)
+    batch = max(1, STEP_BATCH_ENTRIES // (3 * N * N))
+    acc = np.zeros(N * N)
+    acc_b = np.zeros(N * N)
+    for t0 in range(0, times.size, batch):
+        t = times[t0 : t0 + batch]
+        angle = (2.0 * t)[:, None] * theta
+        a = np.cos(angle)
+        b = np.sin(angle) / -sin
+        coef = np.stack((a - lam * b, a + lam * b, b))
+        scaled = Q * coef[:, :, None, :]
+        X_minus_Y, X_plus_Y, B = (scaled.reshape(-1, N) @ Q.T).reshape(3, t.size, -1)
+        acc += w[t] @ (X_minus_Y * X_plus_Y)
+        B *= B
+        acc_b += w[t] @ B
+    P = (walk.embed * walk.embed).T
+    return acc.reshape(N, N) + P @ acc_b.reshape(N, N)
+
+
+def _szegedy_rounding(walk: DTWalk) -> float:
+    """A bound, up to a small constant, on the rounding of _szegedy_sum's
+    entries. Over the moving directions |b| <= 1 / sin theta, so b^2 <= 1
+    / (1 - lam^2); the entries of X - Y, X + Y and B_t are at most 1 +
+    max |b| (Q is orthogonal), each a sum of N products, and the terms of
+    G_t, up to max b^2 in size, cancel to entries of at most 1. So an
+    entry is off by about N eps / min(1 - lam^2). A walk with a moving
+    direction that near +-1 steps its start states instead."""
+    lam = walk._szegedy_spectrum[0]
+    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
+    if not lam.size:
+        return 0.0
+    return walk.base_size * np.finfo(np.float64).eps / (1.0 - lam * lam).min()
+
+
 def _giant_steps(walk: DTWalk, t_end: int) -> int:
     """J, the number of giant steps for a lattice walk's chain: about
     sqrt(t_end), so that J + L ~ 2 sqrt(t_end) rounds cover the support,
     and at most what fits STEP_BATCH_ENTRIES complex entries. The blocks
     take up to nine stacks of N r^2 complex entries (the walk's, and four
     real 2r x 2r stacks while matrix_power squares), and the J s giant
-    rows up to three stacks of dim complex entries each (in momentum space
-    and through the inverse fft).
+    columns up to three stacks of dim complex entries each (in momentum
+    space and through the inverse fft).
 
-    J = 1, stepping the start rows through every time with no transform,
-    unless the giant steps take fewer rounds, counted in steps of the s
-    start rows: the J + L rounds, a product each for the log2 L squarings
-    and the log2 J doublings of the blocks' power, and log2 N for each of
-    the J giant states, which stands for their inverse transform over the
-    N momenta and for the J times wider stack each baby round steps. On
-    walks of a few hundred states (grover_lattice(m, 1), m = 16..64,
-    hadamard_cycle(128), grover_lattice(8, 2)) the measured break-even
-    lay between t_end 50 and 75, the count's between 46 and 92; a walk
-    whose arithmetic outweighs its numpy calls (thousands of states, or
-    a register of 6) breaks even later than the count says."""
-    rows = len(walk._row_starts) * walk.dim
+    J = 1, stepping the s start columns through every time with no
+    transform, unless the giant steps take fewer rounds, counted in steps
+    of the start columns: the J + L rounds, a product each for the log2 L
+    squarings and the log2 J doublings of the blocks' power, and log2 N
+    for each of the J giant states, which stands for their inverse
+    transform over the N momenta and for the J times wider stack each baby
+    round steps. The count is of numpy rounds, not arithmetic, so it
+    misplaces the break-even at both ends (one BLAS thread, the momentum
+    blocks' cost included): giant steps won from t_end about 40-50 on
+    grover_lattice(m, 1), m = 16..64, where the count switches at 64-75,
+    about 64-75 on hadamard_cycle(128) (count 92) and about 60 on
+    grover_lattice(8, 2) (count 75); a walk whose arithmetic outweighs its
+    numpy calls breaks even later than the count says, hadamard_cycle(512)
+    near 200 and grover_lattice(4, 3) near 110 (counts 92 and 75)."""
+    rows = walk._row_starts.size
     free = STEP_BATCH_ENTRIES - 9 * walk.dim * walk.register_dim
     J = max(1, min(math.isqrt(t_end), free // (3 * rows)))
     L = -(-t_end // J)
@@ -442,11 +520,11 @@ def _giant_steps(walk: DTWalk, t_end: int) -> int:
 def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     """Column 0 of a lattice walk's chain in about J + L rounds, J =
     _giant_steps and L = ceil(t_end / J): the states at times 0, L, ...,
-    (J - 1) L as rows (at J = 1, the start rows), each stepped L - 1 times
-    in position space, row j at step i measured with weight w[j L + i]
-    (w zero-padded to J L). The stepped stacks are stored, B of them and
-    the stack in STEP_BATCH_ENTRIES entries, and each full or final
-    partial block is measured in one product.
+    (J - 1) L as columns (at J = 1, the start columns), each stepped L - 1
+    times in position space, column j at step i measured with weight
+    w[j L + i] (w zero-padded to J L). The stepped stacks are stored, B of
+    them and the stack in STEP_BATCH_ENTRIES entries, and each full or
+    final partial block is measured in one batched product.
 
     An entry the walk cannot reach is rounding in the column, not 0: the
     giant states' inverse transform leaves about 1e-32 at the wrong parity
@@ -462,47 +540,50 @@ def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     X = walk._row_starts if J == 1 else _giant_states(walk, J, L)
     wt = np.zeros(J * L)
     wt[: w.size] = w
-    wt = wt.reshape(J, L).T.copy()
     B = min(L, max(1, STEP_BATCH_ENTRIES // X.size - 1))
     states = np.empty((B,) + X.shape, dtype=X.dtype)
-    # a state's s rows are adjacent, so the squared parts, viewed as J rows
-    # per stack, take one weight each: wt[i0:i0+m] @ parts sums the block
-    parts = states.view(states.real.dtype).reshape(B * J, -1)
-    acc = np.zeros(parts.shape[1])
+    parts = states.view(states.real.dtype).reshape(B, X.shape[0], -1)
+    # a giant state's s columns are adjacent, so weight wt[j L + i] covers
+    # its q real parts in stack i: stack i's squared parts @ weights[i]
+    # sums it, and matmul does so for every stack of the block at once
+    q = parts.shape[2] // J
+    weights = np.repeat(wt.reshape(J, L).T, q, axis=1)[:, :, None]
+    acc = np.zeros((X.shape[0], 1))
     for i0 in range(0, L, B):
         m = min(B, L - i0)
         for i in range(m):
             if i0 + i:
                 X = walk._step_rows(X)
             states[i] = X
-        block = parts[: m * J]
+        block = parts[:m]
         block *= block
-        acc += wt[i0 : i0 + m].reshape(-1) @ block
-    col = acc.reshape(X.shape[0] // J, walk.base_size, -1).sum(axis=(0, 2))
+        acc += np.matmul(block, weights[i0 : i0 + m]).sum(axis=0)
+    col = acc.reshape(walk.register_dim, walk.base_size).sum(axis=0)
     col[col <= UNITARITY_TOL**2] = 0.0
     return col
 
 
 def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
-    """The states at times 0, L, ..., (J - 1) L of each start row of a
-    lattice walk, as the C-ordered (J s, dim) stack whose row j s + p is
-    start row p at time j L.
+    """The states at times 0, L, ..., (J - 1) L of each start column of a
+    lattice walk, as the C-ordered (dim, J s) stack in _step_rows' layout
+    whose column j s + p is start column p at time j L.
 
     The start state is base 0 (x) embed[0], whose transform is embed[0] at
-    every momentum. There the blocks' power U^L takes the rows known so
+    every momentum. There the blocks' power U^L takes the states known so
     far, j < m, to j + m, and squaring it doubles m; one batched inverse
-    fft then gives the states. The complex blocks act on the rows' real
-    and imaginary parts, interleaved, as real 2r x 2r blocks (each entry
-    x + iy a block [[x, -y], [y, x]]), since numpy multiplies stacks of
-    small real matrices several times faster than complex ones, and the
-    real rows are then viewed as complex ones. On a real walk each start
-    row, embed[0]'s real or imaginary part, stays real: its states'
-    imaginary parts are rounding residue, refused above UNITARITY_TOL and
-    then dropped."""
+    fft then gives the states. In momentum space the states are rows,
+    multiplied from the left by the transposed blocks, and the complex
+    blocks act on the rows' real and imaginary parts, interleaved, as real
+    2r x 2r blocks (each entry x + iy a block [[x, -y], [y, x]]), since
+    numpy multiplies stacks of small real matrices several times faster
+    than complex ones, and the real rows are then viewed as complex ones.
+    On a real walk each start column, embed[0]'s real or imaginary part,
+    stays real: its states' imaginary parts are rounding residue, refused
+    above UNITARITY_TOL and then dropped."""
     n, d = walk.lattice
     N, r = walk.base_size, walk.register_dim
     starts = walk._row_starts
-    s = len(starts)
+    s = starts.shape[1]
     blocks = walk._momentum_blocks
     # the transposed real blocks, as the rows are multiplied from the left
     power = np.empty((N, r, 2, r, 2))
@@ -511,7 +592,7 @@ def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
     power[:, :, 1, :, 0] = -blocks.imag.transpose(0, 2, 1)
     power = np.linalg.matrix_power(power.reshape(N, 2 * r, 2 * r), L)
     rows = np.empty((N, J * s, r), dtype=np.complex128)
-    rows[:, :s] = starts[:, :r]
+    rows[:, :s] = starts[::N].T
     parts = rows.view(np.float64)
     m = 1
     while m < J:
@@ -524,13 +605,13 @@ def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:
     giant = rows.reshape((n,) * d + (J * s, r))
     for axis in range(d):
         giant = np.fft.ifft(giant, axis=axis)
-    giant = np.moveaxis(giant.reshape(N, J * s, r), 1, 0)
+    giant = giant.reshape(N, J * s, r).transpose(2, 0, 1)
     if walk._row_dtype.kind != "c":
         residue = np.abs(giant.imag).max()
         if residue > UNITARITY_TOL:
             raise ArithmeticError(f"real walk's giant-step states have imaginary part {residue}")
         giant = giant.real
-    return np.ascontiguousarray(giant).reshape(J * s, walk.dim)
+    return np.ascontiguousarray(giant).reshape(walk.dim, J * s)
 
 
 def generated_chain(walk: CTWalk | DTWalk, rule: MeasurementRule) -> GeneratedChain:

@@ -191,17 +191,18 @@ def _check_lattice_size(lattice: tuple[int, int], count: int, what: str) -> None
         raise ValueError(f"lattice {lattice} does not have {count} {what}")
 
 
-def lattice_difference(n: int, d: int) -> np.ndarray:
-    """D[y, x] = index of the vertex y - x of Z_n^d, so a chain that
-    commutes with the translations and has column 0 equal to c is c[D]."""
-    _power_count(n, d)
-    step = np.subtract.outer(np.arange(n, dtype=np.intp), np.arange(n)) % n
-    D = np.zeros((1, 1), dtype=np.intp)
-    for j in range(d):
-        # digit j joins as the most significant: rows (y_j, y'), columns (x_j, x')
-        low = D.shape[0]
-        D = (step[:, None, :, None] * low + D[None, :, None, :]).reshape(n * low, n * low)
-    return D
+def lattice_circulant(column: np.ndarray, n: int, d: int) -> np.ndarray:
+    """M[y, x] = column[y - x], the chain that commutes with the
+    translations of Z_n^d and has column 0 equal to column, as one strided
+    copy of the column. Its (n,) * d grid, wrapped by n - 1 entries before
+    each axis, holds column[k - (n - 1)] at k digit by digit, so M[y, x]
+    is the wrapped grid at y + (n - 1 - x): a sliding window read with its
+    x axes reversed."""
+    size = _power_count(n, d)
+    grid = np.pad(np.reshape(column, (n,) * d), [(n - 1, 0)] * d, mode="wrap")
+    windows = np.lib.stride_tricks.sliding_window_view(grid, (n,) * d)
+    x_reversed = (Ellipsis,) + (slice(None, None, -1),) * d
+    return np.ascontiguousarray(windows[x_reversed]).reshape(size, size)
 
 
 def _lattice_edges(n: int, d: int) -> np.ndarray:
@@ -242,11 +243,17 @@ def hypercube(d: int) -> Graph:
 
 def lattice(n: int, d: int) -> Graph:
     """Periodic lattice Z_n^d, little-endian mixed-radix indexing."""
+    return Graph(_lattice_size(n, d), _lattice_edges(n, d), f"lattice({n},{d})", (n, d))
+
+
+def _lattice_size(n: int, d: int) -> int:
+    """The n**d vertices of Z_n^d, refusing n < 2, d < 1 and a count past
+    the cap."""
     if n < 2:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
         raise ValueError(f"lattice needs d >= 1, got d={d}")
-    return Graph(_power_count(n, d), _lattice_edges(n, d), f"lattice({n},{d})", (n, d))
+    return _power_count(n, d)
 
 
 _BUILDERS = {

@@ -19,9 +19,8 @@ from .chains import MarkovChain, fourier_spectrum, symmetrized_generator
 from .config import DEFAULT_CLUSTER_TOL
 from .graphs import (
     _check_cap,
-    _power_count,
     _check_lattice_size,
-    lattice,
+    _lattice_size,
     lattice_step,
     lattice_sum,
 )
@@ -176,9 +175,11 @@ class DTWalk:
     first call and kept: each run of consecutive permutations composed
     into one gather index and each block stack cast once to the walk's
     dtype (embed's and the blocks' together). A lattice walk also steps a
-    C-ordered (rows, dim) stack of states with _step_rows, in real
-    arithmetic when every block is real; its generated chains step only
-    that way.
+    C-ordered (dim, columns) stack of states in the register-major layout
+    sub * N + base with _step_rows, in real arithmetic when every block is
+    real; its generated chains step only that way. A walk with
+    quantize_szegedy's structure caches its discriminant's eigh, which
+    eigenphases and its generated chains share.
 
     embed[x] is the register state (length register_dim) that base state
     x starts in, at walk indices x * register_dim + sub; projecting a
@@ -215,7 +216,9 @@ class DTWalk:
         factors = self.factors
         if not isinstance(factors, tuple) or not factors:
             raise ValueError("factors must be a nonempty tuple of arrays")
-        for f in factors:
+        # a factor repeated as one object (Szegedy's swap and reflections)
+        # is checked once
+        for f in {id(f): f for f in factors}.values():
             if not isinstance(f, np.ndarray):
                 raise ValueError(f"factor of type {type(f).__name__} is not an array")
             if f.ndim == 1:
@@ -307,17 +310,19 @@ class DTWalk:
         """A lattice walk's r x r blocks fftn(A), one per momentum in the
         flat Fourier grid order. The walk is block circulant,
         U[(x, .), (y, .)] = A[x - y], so it maps a state's transform at
-        momentum k to blocks[k] times it. Read off the step once: row p of
-        _step_rows on base state 0's register basis is U e_p, so A[x][q, p]
-        is its entry x r + q. The grid is transformed one axis at a time,
-        which on these small grids saves fftn's argument handling."""
+        momentum k to blocks[k] times it. Read off the step once: column p
+        of _step_rows on base state 0's register basis is U e_p, so
+        A[x][q, p] is its entry q N + x. The grid is transformed one axis
+        at a time, which on these small grids saves fftn's argument
+        handling."""
         n, d = self.lattice
-        r = self.register_dim
-        rows = self._step_rows(np.eye(r, self.dim, dtype=self._row_dtype))
-        blocks = rows.reshape((r,) + (n,) * d + (r,))
+        N, r = self.base_size, self.register_dim
+        basis = np.zeros((self.dim, r), dtype=self._row_dtype)
+        basis[::N] = np.eye(r)
+        blocks = self._step_rows(basis).reshape((r,) + (n,) * d + (r,))
         for axis in range(1, d + 1):
             blocks = np.fft.fft(blocks, axis=axis)
-        blocks = np.moveaxis(blocks.reshape(r, -1, r), 0, -1).copy()
+        blocks = np.moveaxis(blocks.reshape(r, N, r), 1, 0).copy()
         blocks.setflags(write=False)
         return blocks
 
@@ -328,50 +333,66 @@ class DTWalk:
 
     @cached_property
     def _row_plan(self) -> tuple[np.ndarray, ...]:
-        """The stages of _step_rows on a lattice walk: the gather index of
-        each run of permutations, and for each block stack the transpose
-        M^T of the r x r block M it applies at every base state (one
-        register's blocks on its diagonal), in _row_dtype and C-ordered:
-        BLAS multiplies by a C-ordered right factor several times faster
-        than by a transposed view."""
-        r = self.register_dim
+        """The stages of _step_rows on a lattice walk, in the register-major
+        layout sub * N + base: the gather index of each run of
+        permutations, carried into that layout, and for each block stack
+        the r x r block M it applies at every base state (one register's
+        blocks on its diagonal), in _row_dtype."""
+        N, r = self.base_size, self.register_dim
+        # the walk index base * r + sub of register-major index sub * N + base
+        walk_index = np.arange(self.dim).reshape(N, r).T.ravel()
         stages = []
         for f in self._runs:
             if f.ndim == 1:
-                stages.append(f)
+                source = f[walk_index]
+                stages.append((source % r) * N + source // r)
                 continue
             b = f.shape[-1]
             M = np.zeros((r, r), dtype=self._row_dtype)
             for j in range(r // b):
                 M[j * b : (j + 1) * b, j * b : (j + 1) * b] = f[j % f.shape[0]]
-            stages.append(np.ascontiguousarray(M.T))
+            stages.append(M)
         return tuple(stages)
 
     @cached_property
     def _row_starts(self) -> np.ndarray:
-        """Base state 0's start state as rows for _step_rows: base 0 (x)
-        embed[0], or on a real walk its nonzero real and imaginary parts,
-        which the real step keeps apart."""
+        """Base state 0's start state as the columns of a _step_rows stack:
+        base 0 (x) embed[0], or on a real walk its nonzero real and
+        imaginary parts, which the real step keeps apart."""
         e = self.embed[0]
         if self._row_dtype.kind == "c":
             parts = [e]
         else:
             parts = [p for p in (e.real, np.imag(e)) if p.any()]
-        X = np.zeros((len(parts), self.dim), dtype=self._row_dtype)
-        X[:, : self.register_dim] = parts
+        X = np.zeros((self.dim, len(parts)), dtype=self._row_dtype)
+        X[:: self.base_size] = np.transpose(parts)
         X.setflags(write=False)
         return X
 
+    @cached_property
+    def _szegedy_spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(lam, Q), the eigendecomposition D = Q diag(lam) Q^T of the
+        discriminant of a walk with quantize_szegedy's structure, by one
+        eigh, lam ascending; None for any other walk. eigenphases and the
+        generated chains share it."""
+        D = _szegedy_discriminant(self)
+        if D is None:
+            return None
+        lam, Q = np.linalg.eigh(D)
+        lam.setflags(write=False)
+        Q.setflags(write=False)
+        return lam, Q
+
     def _step_rows(self, X: np.ndarray) -> np.ndarray:
-        """One application of a lattice walk's operator to each row of a
-        C-ordered (rows, dim) stack of states: per run of permutations one
-        gather along axis 1, and per block stack one 2-D product of the
-        stack's registers, (rows * dim / r, r) @ M^T. ndarray.take keeps
-        the stack C-ordered, where X[:, f] would return it in Fortran
-        order, and skips np.take's dispatch."""
+        """One application of a lattice walk's operator to each column of a
+        C-ordered (dim, columns) stack of states in the register-major
+        layout, row sub * N + base: per run of permutations one gather of
+        whole rows along axis 0, and per block stack one 2-D product
+        M @ (r, N * columns) of the registers. ndarray.take skips np.take's
+        dispatch."""
         r = self.register_dim
         for f in self._row_plan:
-            X = X.take(f, axis=1) if f.ndim == 1 else (X.reshape(-1, r) @ f).reshape(X.shape)
+            X = X.take(f, axis=0) if f.ndim == 1 else (f @ X.reshape(r, -1)).reshape(X.shape)
         return X
 
 
@@ -467,9 +488,8 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     Coin index 2j+s points along coordinate j with sign (-1)^s.
     """
     coin_dim = 2 * d
-    _check_cap(_power_count(n, d) * coin_dim)
-    G = lattice(n, d)
-    N = G.n
+    N = _lattice_size(n, d)
+    _check_cap(N * coin_dim)
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
     # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
     # and coin 2j at v from up_j(v) with coin 2j+1
@@ -479,9 +499,8 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
         shift[:, 2 * j] = lattice_step(n, d, j, 1) * coin_dim + 2 * j + 1
     E = np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim))
     factors = (coin[None], shift.ravel())
-    return DTWalk(
-        f"grover_lattice({n},{d})", N, coin_dim, factors, E, base_label=G.kind_tag, lattice=(n, d)
-    )
+    label = f"lattice({n},{d})"
+    return DTWalk(f"grover_{label}", N, coin_dim, factors, E, base_label=label, lattice=(n, d))
 
 
 def coined_walk(kind: str, *params: int) -> DTWalk:
@@ -509,13 +528,12 @@ def eigenphases(W: DTWalk) -> np.ndarray:
     """
     if W.lattice is not None:
         return np.angle(np.linalg.eigvals(W._momentum_blocks)).ravel()
-    D = _szegedy_discriminant(W)
-    if D is None:
+    if W._szegedy_spectrum is None:
         raise ValueError(
             f"walk {W.walk_kind!r} declares no spectral structure: "
             "set its lattice or build it with quantize_szegedy"
         )
-    lam = np.linalg.eigvalsh(D)
+    lam = W._szegedy_spectrum[0]
     # filter on lam, not on the phase: arccos turns a rounding error of
     # 1e-16 in lam = 1 into a phase of ~1e-8
     lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]

@@ -9,6 +9,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import qwmix.decoherence as decoherence
+import qwmix.walks as walks
 from qwmix import (
     DTWalk,
     MarkovChain,
@@ -597,6 +598,99 @@ def test_generated_dt_stores_at_most_its_step_budget():
     assert peak <= decoherence.STEP_BATCH_ENTRIES * 16 + 8 * W.dim * 16
 
 
+def _support_weights(rule: MeasurementRule) -> np.ndarray:
+    """The rule's dense weights w[t] over the times 0 .. t_end - 1."""
+    times, weights, _ = rule_weights(rule)
+    w = np.zeros(int(times[-1]) + 1)
+    w[times] = weights
+    return w
+
+
+@st.composite
+def reversible_chains(draw):
+    """A random symmetric chain or the path chain, reversible but not
+    symmetric, on 2 to 9 states."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    if draw(st.booleans()):
+        return random_symmetric_chain(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return standard_chain(path(n))
+
+
+@seed(16)
+@settings(deadline=None, max_examples=40)
+@given(
+    reversible_chains(),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=1.0, max_value=8.0),
+)
+def test_szegedy_kernel_matches_stepping(P, t, T, T_geo):
+    # the discriminant's eigenbasis against stepping every start state
+    W = quantize_szegedy(P)
+    assert decoherence._szegedy_rounding(W) <= GENERATED_TOL
+    for rule in (delta_rule(t), uniform_dt_rule(T), geometric_rule(T_geo)):
+        w = _support_weights(rule)
+        np.testing.assert_allclose(
+            decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+        )
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: path(7), lambda: cycle(8), lambda: complete(2)], ids=["path7", "cycle8", "complete2"]
+)
+def test_szegedy_kernel_on_long_supports(build):
+    # bipartite bases have discriminant eigenvalue -1 as well as 1; both
+    # directions are static, with no 0 / 0 at sin theta = 0, and the
+    # kernel stays on the stepped sum over thousands of steps
+    W = quantize_szegedy(standard_chain(build()))
+    lam = W._szegedy_spectrum[0]
+    assert abs(lam[0] + 1.0) < walks.DISCRIMINANT_TOL and abs(lam[-1] - 1.0) < walks.DISCRIMINANT_TOL
+    for rule in (delta_rule(3000), uniform_dt_rule(2000), geometric_rule(200)):
+        w = _support_weights(rule)
+        np.testing.assert_allclose(
+            decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+        )
+
+
+@pytest.mark.parametrize("flip, kernel", [(1e-3, True), (1e-8, False)])
+def test_szegedy_kernel_steps_where_its_rounding_would_show(monkeypatch, flip, kernel):
+    # a two-state chain that flips with probability p has discriminant
+    # eigenvalues 1 and 1 - 2p; at p = 1e-8 the kernel's terms cancel from
+    # about 1 / (4 p), and its rounding bound passes GENERATED_TOL, so the
+    # chain steps its start states
+    P = MarkovChain(np.array([[1.0 - flip, flip], [flip, 1.0 - flip]]))
+    W = quantize_szegedy(P)
+    assert (decoherence._szegedy_rounding(W) <= GENERATED_TOL) == kernel
+    used = []
+
+    def spy(name):
+        inner = getattr(decoherence, name)
+
+        def call(*args):
+            used.append(name)
+            return inner(*args)
+
+        return call
+
+    for name in ("_szegedy_sum", "_stepped_sum"):
+        monkeypatch.setattr(decoherence, name, spy(name))
+    rule = uniform_dt_rule(50)
+    expected = brute_dt_average(dense_unitary(W), dense_embedding(W), 2, [(s, 1 / 50) for s in range(50)])
+    np.testing.assert_allclose(generated_chain(W, rule).chain.entries, expected, rtol=0.0, atol=1e-12)
+    assert used == ["_szegedy_sum" if kernel else "_stepped_sum"]
+
+
+def test_szegedy_chain_holds_no_state_stack():
+    # stepping complete(64)'s walk keeps (N^2, N) complex states, 4 MiB
+    # each, several at a time; the kernel keeps a few N x N arrays and
+    # the product of a batch of times (1.5 MiB in all), under one state
+    N = 64
+    W = quantize_szegedy(standard_chain(complete(N)))
+    W._szegedy_spectrum
+    _, peak = _traced_peak(generated_chain, W, uniform_dt_rule(40))
+    assert peak < N**3 * 16, peak
+
+
 def _custom_lattice_walk(n: int, complex_blocks: bool, complex_embed: bool) -> DTWalk:
     """A walk on Z_n with a 4-dim register: a stack of two different 2 x 2
     blocks per site, a shift moving subs 0 and 3 up and sub 1 down, a
@@ -616,35 +710,49 @@ def _custom_lattice_walk(n: int, complex_blocks: bool, complex_embed: bool) -> D
     return DTWalk("custom", n, r, factors, embed, base_symmetric=False, lattice=(n, 1))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: coined_walk("hadamard_cycle", 7),
-        lambda: coined_walk("hadamard_cycle", 10),
-        lambda: coined_walk("grover_lattice", 9, 1),
-        lambda: coined_walk("grover_lattice", 4, 2),
-        lambda: coined_walk("grover_lattice", 3, 3),
-        lambda: _custom_lattice_walk(5, False, True),
-        lambda: _custom_lattice_walk(6, True, True),
-    ],
-    ids=["hadamard7", "hadamard10", "grover9_1", "grover4_2", "grover3_3", "real_custom",
-         "complex_custom"],
-)
+# lattice walks with real columns (the Hadamard walk's and real_custom's
+# from the two parts of a complex start state) and complex ones
+# (complex_custom's)
+LATTICE_STEP_WALKS = {
+    "hadamard7": lambda: coined_walk("hadamard_cycle", 7),
+    "hadamard10": lambda: coined_walk("hadamard_cycle", 10),
+    "grover9_1": lambda: coined_walk("grover_lattice", 9, 1),
+    "grover4_2": lambda: coined_walk("grover_lattice", 4, 2),
+    "grover3_3": lambda: coined_walk("grover_lattice", 3, 3),
+    "real_custom": lambda: _custom_lattice_walk(5, False, True),
+    "complex_custom": lambda: _custom_lattice_walk(6, True, True),
+}
+
+
+@pytest.mark.parametrize("build", LATTICE_STEP_WALKS.values(), ids=list(LATTICE_STEP_WALKS))
 def test_giant_and_baby_steps_match_dense_oracle(build):
-    # J > 1 giant steps that do not divide t_end, so the last row's steps
-    # run past the support; real walks step real rows, the complex custom
-    # walk complex ones
+    # J > 1 giant steps that do not divide t_end, so the last column's
+    # steps run past the support, and a short support at J = 1; real walks
+    # step real columns, the complex custom walk complex ones
     W = build()
     U, E = dense_unitary(W), dense_embedding(W)
-    for rule in (delta_rule(60), uniform_dt_rule(70), geometric_rule(2.5)):
+    for rule in (uniform_dt_rule(6), delta_rule(60), uniform_dt_rule(70), geometric_rule(2.5)):
         times, weights, _ = rule_weights(rule)
         t_end = int(times[-1]) + 1
         J = decoherence._giant_steps(W, t_end)
-        assert J > 1 and t_end % J
+        assert (J == 1) if t_end == 6 else (J > 1 and t_end % J)
         expected = brute_dt_average(U, E, W.base_size, zip(times.tolist(), weights))
         got = generated_chain(W, rule).chain
         assert got.lattice == W.lattice
         np.testing.assert_allclose(got.entries, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", LATTICE_STEP_WALKS.values(), ids=list(LATTICE_STEP_WALKS))
+def test_step_rows_is_the_walk_in_register_major_layout(build):
+    # row sub * N + base of a _step_rows stack is walk index base * r + sub,
+    # so stepping the register-major basis gives the dense walk reordered
+    W = build()
+    walk_index = np.arange(W.dim).reshape(W.base_size, W.register_dim).T.ravel()
+    stepped = W._step_rows(np.eye(W.dim, dtype=W._row_dtype))
+    # a real walk with a complex start state steps its two parts apart
+    real_parts = W._row_dtype.kind == "f" and np.iscomplexobj(W.embed)
+    assert W._row_starts.shape == (W.dim, 2 if real_parts else 1)
+    np.testing.assert_allclose(stepped, dense_unitary(W)[np.ix_(walk_index, walk_index)], atol=1e-14)
 
 
 @pytest.mark.parametrize("t, period", [(60, None), (61, 2), (62, None), (63, 2)])

@@ -15,7 +15,7 @@ from qwmix.graphs import (
     cycle,
     hypercube,
     lattice,
-    lattice_difference,
+    lattice_circulant,
     path,
 )
 
@@ -252,7 +252,9 @@ def test_counts_too_long_to_print_are_refused(monkeypatch, build):
 
 @pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (3, 2), (4, 2), (2, 3), (3, 3)])
 def test_lattice_difference_matches_coordinate_tuples(n, d):
-    D = lattice_difference(n, d)
+    # the circulant of the vertex indices holds the index of y - x
+    D = lattice_circulant(np.arange(n**d), n, d)
+    assert D.shape == (n**d, n**d) and D.flags.c_contiguous
     tuples = list(itertools.product(range(n), repeat=d))
     for y in tuples:
         for x in tuples:

@@ -134,12 +134,13 @@ def scopes_referencing(path: str, name: str) -> list[str]:
 
 
 def test_only_claimed_entries_expand_a_column():
-    # lattice_difference is an N x N index; a claimed chain's entries are
-    # the one N x N form it keeps, so nothing else in the package reads it
+    # lattice_circulant expands a column to N x N; a claimed chain's
+    # entries are the one N x N form it keeps, so nothing else in the
+    # package calls it
     uses = {
         f"{os.path.basename(path)}:{scope}"
         for path in glob.glob(os.path.join(REPO, "src", "qwmix", "*.py"))
-        for scope in scopes_referencing(path, "lattice_difference")
+        for scope in scopes_referencing(path, "lattice_circulant")
     }
     assert uses == {"chains.py:", "chains.py:MarkovChain.entries"}, sorted(uses)
 

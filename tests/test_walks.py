@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import qwmix.graphs as graphs
 import qwmix.walks as walks
 from qwmix import (
     DegenerateSpectrumError,
@@ -309,10 +310,13 @@ def test_walk_without_spectral_structure_refused():
 
 
 def test_grover_walk_refuses_past_cap_before_building_lattice(monkeypatch):
-    def no_lattice(n, d):
-        raise AssertionError("lattice built before the cap check")
+    # the walk reads its size and label off (n, d) and builds no lattice
+    # graph at all, under the cap or past it
+    def no_graph(self):
+        raise AssertionError("lattice graph built")
 
-    monkeypatch.setattr(walks, "lattice", no_lattice)
+    monkeypatch.setattr(graphs.Graph, "__post_init__", no_graph)
+    assert walks.grover_lattice_walk(3, 2).base_label == "lattice(3,2)"
     monkeypatch.setenv("QWMIX_STATE_CAP", "100")
     assert refusal_peak(lambda: walks.grover_lattice_walk(8, 2)) < 2**20
 
