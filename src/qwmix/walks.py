@@ -371,14 +371,20 @@ class DTWalk:
 
     @cached_property
     def _szegedy_spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(lam, Q), the eigendecomposition D = Q diag(lam) Q^T of the
-        discriminant of a walk with quantize_szegedy's structure, by one
-        eigh, lam ascending; None for any other walk. eigenphases and the
-        generated chains share it."""
-        D = _szegedy_discriminant(self)
-        if D is None:
+        """(lam, Q), the eigendecomposition D = Q diag(lam) Q^T by one eigh,
+        lam ascending, of the n x n discriminant D[x, y] = <p_x|y> <x|p_y> =
+        sqrt(P[y, x] P[x, y]) of a walk with the structure of
+        quantize_szegedy's, (swap, R, swap, R) with R the reflections about
+        the real embedded states; None for any other walk. eigenphases and
+        the generated chains share it."""
+        n = self.base_size
+        cols = self.embed
+        if self.register_dim != n or len(self.factors) != 4 or not np.isrealobj(cols):
             return None
-        lam, Q = np.linalg.eigh(D)
+        swap, R = _swap(n), _reflections(cols)
+        if not all(np.array_equal(f, g) for f, g in zip(self.factors, (swap, R, swap, R))):
+            return None
+        lam, Q = np.linalg.eigh(cols * cols.T)
         lam.setflags(write=False)
         Q.setflags(write=False)
         return lam, Q
@@ -442,22 +448,6 @@ def _swap(n: int) -> np.ndarray:
 def _reflections(cols: np.ndarray) -> np.ndarray:
     """Blocks 2 c_x c_x^T - I reflecting each x-block about cols[x]."""
     return 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(cols.shape[1])
-
-
-def _szegedy_discriminant(W: DTWalk) -> np.ndarray | None:
-    """The n x n discriminant D[x, y] = <p_x|y> <x|p_y> = sqrt(P[y, x] P[x, y])
-    of a walk with the structure of quantize_szegedy's, (swap, R, swap, R)
-    with R the reflections about the real embedded states; None for any
-    other walk."""
-    n = W.base_size
-    cols = W.embed
-    if W.register_dim != n or len(W.factors) != 4 or not np.isrealobj(cols):
-        return None
-    swap, R = _swap(n), _reflections(cols)
-    expected = (swap, R, swap, R)
-    if not all(np.array_equal(f, g) for f, g in zip(W.factors, expected)):
-        return None
-    return cols * cols.T
 
 
 def hadamard_cycle_walk(n: int) -> DTWalk:
