@@ -232,8 +232,9 @@ class DTWalk:
                 B, b, b2 = f.shape
                 if b != b2 or b < 1 or dim % b or B not in (1, dim // b):
                     raise ValueError(f"block stack of shape {f.shape} does not tile dim {dim}")
-                gram = np.matmul(f.conj().transpose(0, 2, 1), f)
-                err = np.abs(gram - np.eye(b)).max()
+                gram = np.matmul(f.conj().transpose(0, 2, 1), f, dtype=np.result_type(f, 1.0))
+                gram.reshape(B, -1)[:, :: b + 1] -= 1.0  # less the identity, in place
+                err = np.abs(gram).max()
                 if err > UNITARITY_TOL:
                     raise ValueError(f"walk operator not unitary: block deviation {err}")
             else:
@@ -446,8 +447,11 @@ def _swap(n: int) -> np.ndarray:
 
 
 def _reflections(cols: np.ndarray) -> np.ndarray:
-    """Blocks 2 c_x c_x^T - I reflecting each x-block about cols[x]."""
-    return 2.0 * cols[:, :, None] * cols[:, None, :] - np.eye(cols.shape[1])
+    """Blocks 2 c_x c_x^T - I reflecting each x-block about cols[x], formed
+    in one n x n x n array."""
+    R = (2.0 * cols)[:, :, None] * cols[:, None, :]
+    R -= np.eye(cols.shape[1])
+    return R
 
 
 def hadamard_cycle_walk(n: int) -> DTWalk:
