@@ -196,13 +196,15 @@ def lattice_circulant(column: np.ndarray, n: int, d: int) -> np.ndarray:
     translations of Z_n^d and has column 0 equal to column, as one strided
     copy of the column. Its (n,) * d grid, wrapped by n - 1 entries before
     each axis, holds column[k - (n - 1)] at k digit by digit, so M[y, x]
-    is the wrapped grid at y + (n - 1 - x): a sliding window read with its
-    x axes reversed."""
+    is the wrapped grid at (n - 1) + y - x: a view from that corner with
+    the grid's strides along y's axes and their negatives along x's."""
     size = _power_count(n, d)
-    grid = np.pad(np.reshape(column, (n,) * d), [(n - 1, 0)] * d, mode="wrap")
-    windows = np.lib.stride_tricks.sliding_window_view(grid, (n,) * d)
-    x_reversed = (Ellipsis,) + (slice(None, None, -1),) * d
-    return np.ascontiguousarray(windows[x_reversed]).reshape(size, size)
+    wrap = np.arange(1 - n, n) % n
+    grid = np.reshape(column, (n,) * d)[np.ix_(*[wrap] * d)]
+    corner = grid[(slice(n - 1, None),) * d]
+    strides = grid.strides + tuple(-s for s in grid.strides)
+    view = np.lib.stride_tricks.as_strided(corner, (n,) * (2 * d), strides, writeable=False)
+    return np.ascontiguousarray(view).reshape(size, size)
 
 
 def _lattice_edges(n: int, d: int) -> np.ndarray:

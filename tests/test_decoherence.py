@@ -570,7 +570,7 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
         got = generated_chain(W, rule).chain.entries
         np.testing.assert_allclose(got, M, rtol=0.0, atol=1e-12)
     # a budget of L states leaves no room for giant steps, so a lattice walk
-    # steps its start rows too, and the stored steps are measured in blocks
+    # steps its start columns too, and the stored steps are measured in blocks
     # of at most L states: the geometric rule's steps span at least three
     # blocks and end in a partial one
     t_end = t_max + 1
@@ -802,7 +802,7 @@ def test_lattice_columns_drop_rounding_on_every_path(t):
 
 def test_giant_steps_wait_for_a_support_that_pays_for_them():
     # the giant steps' transform and products cost about J log2 N rounds,
-    # so a short support steps its start rows: grover_lattice(m, 1) under
+    # so a short support steps its start columns: grover_lattice(m, 1) under
     # uniform_dt(m) for the m up to 64 that its workload draws, and a long
     # geometric support does take giant steps
     for m in (16, 40, 64):
