@@ -28,8 +28,10 @@ from .graphs import (
     _check_cap,
     breadth_first_levels,
     _check_lattice_size,
+    lattice_annihilator,
     lattice_circulant,
     lattice_negation,
+    lattice_span,
     lattice_sum,
 )
 
@@ -133,12 +135,8 @@ class MarkovChain:
 
     @cached_property
     def _support_arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(tails, heads) of the support arcs x -> y, one per P[y, x] > 0;
-        on a lattice chain the arcs x -> x + z, z in the support of column 0."""
-        if self.lattice is not None:
-            steps = np.flatnonzero(self.column > 0)
-            tails = np.repeat(np.arange(self.size), steps.size)
-            return tails, lattice_sum(*self.lattice, tails, np.tile(steps, self.size))
+        """(tails, heads) of the support arcs x -> y, one per P[y, x] > 0,
+        of a chain without the lattice claim."""
         heads, tails = np.divmod(np.flatnonzero(self.entries > 0), self.size)
         return tails, heads
 
@@ -155,14 +153,15 @@ class MarkovChain:
         """None if irreducible, else a state pair (x, y) with no x->y path."""
         if self._full_support:
             return None
+        if self.lattice is not None:
+            # what 0 reaches is the group its steps generate, so all of it
+            # reaches 0 as well
+            reach = lattice_span(*self.lattice, self.column > 0)
+            return None if reach.all() else (0, int(np.flatnonzero(~reach)[0]))
         tails, heads = self._support_arcs
         reach = breadth_first_levels(self.size, tails, heads) >= 0
         if not reach.all():
             return (0, int(np.nonzero(~reach)[0][0]))
-        if self.lattice is not None:
-            # what 0 reaches is the group its steps generate, so all of it
-            # reaches 0 as well
-            return None
         reach_to_0 = breadth_first_levels(self.size, heads, tails) >= 0
         if not reach_to_0.all():
             return (int(np.nonzero(~reach_to_0)[0][0]), 0)
@@ -175,11 +174,22 @@ class MarkovChain:
     @cached_property
     def period(self) -> int:
         """gcd of support-cycle lengths: of level[x] + 1 - level[y] over
-        the support arcs x -> y, with breadth-first levels from state 0."""
+        the support arcs x -> y, with breadth-first levels from state 0.
+
+        On a lattice chain with steps S, take one step z0: the differences
+        S - z0 generate a subgroup H, and S lies in z0 + H, so the chain
+        returns to 0 only at the times t with t z0 in H, which are the
+        multiples of the order of the cyclic G / H that z0 generates.
+        The period is [G : H], the number of characters trivial on H, those
+        constant on S: the annihilator of S - z0."""
         if not self.is_irreducible:
             raise ReducibleChainError(f"chain {self.label!r} is reducible")
         if self._full_support:
             return 1
+        if self.lattice is not None:
+            steps = self.column > 0
+            shifted = steps[lattice_sum(*self.lattice, np.arange(self.size), int(steps.argmax()))]
+            return int(np.count_nonzero(lattice_annihilator(*self.lattice, shifted)))
         tails, heads = self._support_arcs
         level = breadth_first_levels(self.size, tails, heads)
         return int(np.gcd.reduce(level[tails] + 1 - level[heads]))

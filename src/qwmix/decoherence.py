@@ -12,11 +12,13 @@ A Szegedy walk (walks recognizes its structure) steps no state: its
 discriminant's eigenbasis D = Q diag(lam) Q^T, one eigh cached on the
 walk and shared with eigenphases, gives U^t A = A (X - Y) + B B_t in
 closed form (Szegedy's spectral lemma), with X, B_t and Y = D B_t
-diagonal in Q. The measured chain at time t is (X - Y) o (X + Y) + P (B_t
-o B_t): three N x N products per measured time, batched over times, and
-one product with the base chain P at the end. Directions with |lam| at 1
-are static. Where the terms' cancellation, up to 1 / (1 - lam^2), would
-round past GENERATED_TOL, the walk is stepped instead.
+diagonal in Q. Summed over the rule's times, the measured chain X o X -
+Y o Y + P (B_t o B_t) is three square sums of the continuous-time kind
+below, over the pivoted Cholesky factors of two N x N kernels on the
+directions in place of chi's: O(N^2) per measured time and O(N^3) per
+pivot, with no per-time matrix. Directions with |lam| at 1 are static.
+Where the terms' cancellation, up to 1 / (1 - lam^2), would round past
+GENERATED_TOL, the walk is stepped instead.
 
 Any other walk without the lattice claim steps every start state, one
 column each, through every time. The stepped states are stored in a
@@ -95,14 +97,16 @@ from .walks import DISCRIMINANT_TOL, UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyEr
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
 GENERATED_TOL = 1e-9
-# Residual trace of chi's pivoted Cholesky factor at which the pivots
-# stop. Entrywise bound: P_hat[y, x] = p^T chi p with p[c] = P_c[y, x], so
-# a residual R = chi - L L^T, positive semidefinite, moves the entry by
-# p^T R p <= tr R * |p|^2. And |p|^2 <= 1: P_c[y, x] = <P_c y, P_c x>, so
-# by Cauchy-Schwarz P_c[y, x]^2 <= |P_c y|^2 |P_c x|^2 <= |P_c y|^2, and
-# the P_c resolve the identity, so sum_c |P_c y|^2 = |y|^2 = 1. Where chi's
-# own rounding is larger (_chi_rounding), the pivots stop at that instead,
-# and tr R is at most C times it.
+# Residual trace of a pivoted Cholesky factor, chi's or a Szegedy walk's
+# kernels', at which the pivots stop. Entrywise bound: P_hat[y, x] = p^T
+# chi p with p[c] = P_c[y, x], so a residual R = chi - L L^T, positive
+# semidefinite, moves the entry by p^T R p <= tr R * |p|^2. And |p|^2 <=
+# 1: P_c[y, x] = <P_c y, P_c x>, so by Cauchy-Schwarz P_c[y, x]^2 <= |P_c
+# y|^2 |P_c x|^2 <= |P_c y|^2, and the P_c resolve the identity, so sum_c
+# |P_c y|^2 = |y|^2 = 1 (a Szegedy kernel's p[j] = Q[y, j] Q[x, j] is the
+# case of rank-one P_c). Where the kernel's own rounding is larger
+# (_chi_rounding, _szegedy_kernels), the pivots stop at that instead, and
+# tr R is at most C times it.
 CHI_TRACE_TOL = 1e-13
 # Terms of a lattice walk's chain formed per batched inverse transform,
 # times N: 2 MiB of float64 term columns a batch.
@@ -277,21 +281,33 @@ def _generated_markov_chain(
 
 def _chi_factor(walk: CTWalk, rule: MeasurementRule) -> np.ndarray:
     """L^T, an (r, C) array with chi ~ L L^T for chi[c, c'] = Re phi(v_c -
-    v_c') on the cluster values, by pivoted Cholesky (Harbrecht, Peters &
-    Schneider, Appl. Numer. Math. 62, 2012) from r columns of chi.
-
-    The residual diagonal starts at chi(0) = 1. Each step pivots on its
-    largest entry i: chi's column i, less the factor so far, over the
-    root of the pivot is the next column of L. The steps stop when the
-    residual trace is at most CHI_TRACE_TOL, or when every residual is
-    at the rounding of chi's entries, _chi_rounding: a pivot there would
-    factor rounding. chi is positive semidefinite (Bochner), so a pivot is
-    positive until then, and a residual below -(CHI_TRACE_TOL + that
-    rounding) means a broken rule."""
+    v_c') on the cluster values, from r of chi's columns, each formed from
+    phi (_pivoted_cholesky). chi's diagonal is chi(0) = 1, and its entries
+    round to _chi_rounding."""
     values = walk.cluster_values()
-    C = values.size
-    rounding = _chi_rounding(values, rule)
-    residual = np.ones(C)
+    return _pivoted_cholesky(
+        lambda i: characteristic_function(rule, values - values[i]).real,
+        np.ones(values.size),
+        _chi_rounding(values, rule),
+        f"{rule.family} characteristic matrix",
+    )
+
+
+def _pivoted_cholesky(column, diagonal: np.ndarray, rounding: float, what: str) -> np.ndarray:
+    """L^T, an (r, C) array with K ~ L L^T for a positive semidefinite
+    C x C kernel K given by its diagonal and column(i), its column i, by
+    pivoted Cholesky (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62,
+    2012) from r of K's columns.
+
+    The residual diagonal starts at K's. Each step pivots on its largest
+    entry i: K's column i, less the factor so far, over the root of the
+    pivot is the next column of L. The steps stop when the residual trace
+    is at most CHI_TRACE_TOL, or when every residual is at rounding, the
+    rounding of K's entries: a pivot there would factor rounding. A pivot
+    is positive until then, and a residual below -(CHI_TRACE_TOL +
+    rounding) means K is not positive semidefinite."""
+    C = diagonal.size
+    residual = np.array(diagonal, dtype=np.float64)
     LT = np.empty((min(C, 16), C))
     r = 0
     # np.add.reduce is residual.sum() without its Python wrapper, run per pivot
@@ -301,8 +317,7 @@ def _chi_factor(walk: CTWalk, rule: MeasurementRule) -> np.ndarray:
             break
         if r == LT.shape[0]:
             LT = np.concatenate((LT, np.empty((min(r, C - r), C))))
-        col = characteristic_function(rule, values - values[i]).real
-        col -= LT[:r, i] @ LT[:r]
+        col = column(i) - LT[:r, i] @ LT[:r]
         col /= math.sqrt(residual[i])
         LT[r] = col
         col *= col
@@ -311,8 +326,7 @@ def _chi_factor(walk: CTWalk, rule: MeasurementRule) -> np.ndarray:
         r += 1
     if residual.min() < -(CHI_TRACE_TOL + rounding):
         raise InternalCheckError(
-            f"{rule.family} characteristic matrix is not positive semidefinite: "
-            f"residual diagonal {residual.min()}"
+            f"{what} is not positive semidefinite: residual diagonal {residual.min()}"
         )
     return LT[:r]
 
@@ -330,12 +344,11 @@ def _chi_rounding(values: np.ndarray, rule: MeasurementRule) -> float:
     return np.finfo(np.float64).eps * (1.0 + 2.0 * rule.T * (values[-1] - values[0]))
 
 
-def _spectral_square_sum(walk: CTWalk, LT: np.ndarray) -> np.ndarray:
-    """sum_m (V diag(L[owner, m]) V^T)**2 over the r columns of L, where
-    owner[j] is the cluster of eigenvector j."""
-    V = walk.eigenvectors
-    acc = np.zeros((walk.size, walk.size))
-    for weights in LT[:, _owners(walk)]:
+def _spectral_square_sum(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_m (V diag(W[m]) V^T)**2 (entrywise square) over the rows of W,
+    one N x N x N product each."""
+    acc = np.zeros((V.shape[0], V.shape[0]))
+    for weights in W:
         term = (V * weights) @ V.T
         term *= term
         acc += term
@@ -376,8 +389,11 @@ def _owners(walk: CTWalk) -> np.ndarray:
 
 
 def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
-    square_sum = _spectral_square_sum if walk.grid_index is None else _fourier_square_sum
-    acc = square_sum(walk, _chi_factor(walk, rule))
+    LT = _chi_factor(walk, rule)
+    if walk.grid_index is None:
+        acc = _spectral_square_sum(walk.eigenvectors, LT[:, _owners(walk)])
+    else:
+        acc = _fourier_square_sum(walk, LT)
     label = f"generated({walk.base.label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(acc, True, 0.0, "ct generated chain", label, walk.base.lattice)
     return GeneratedChain(chain)
@@ -431,7 +447,7 @@ def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
 def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     """sum_t w[t] G_t, the measured chains of a Szegedy walk at the times
     of the rule's support, from the discriminant's eigenbasis D = Q
-    diag(lam) Q^T, with no walk state.
+    diag(lam) Q^T, with no walk state and no per-time matrix.
 
     The walk is U = ref_A ref_B, the reflections about A|x> = |x, p_x> and
     B|x> = S A|x>, and D = A^T B. On the span of A v and B v, v an
@@ -440,43 +456,68 @@ def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     B_t = Q diag(b) Q^T, Y = D B_t, a = cos 2t theta and b = -sin 2t theta
     / sin theta. Measuring the position of A alpha + B beta at y gives
     alpha_y^2 + (P beta^2)_y + 2 alpha_y (D beta)_y, with P = (embed o
-    embed)^T the base chain, so G_t = (X - Y) o (X + Y) + P (B_t o B_t).
-    A direction with |lam| within DISCRIMINANT_TOL of 1 is static, A v = +-B
-    v: there a = 1 and b = 0. The three matrices of a batch of times come
-    from one product, the batch's three coefficient stacks taking at most
-    STEP_BATCH_ENTRIES entries, and P multiplies the weighted B_t o B_t
-    once, at the end."""
+    embed)^T the base chain, so G_t = X o X - Y o Y + P (B_t o B_t). A
+    direction with |lam| within DISCRIMINANT_TOL of 1 is static, A v = +-B
+    v: there a = 1 and b = 0.
+
+    Each weighted sum is a square sum over a kernel on the directions, as
+    a continuous-time chain is over chi: with p[j] = Q[y, j] Q[x, j],
+    sum_t w[t] X[y, x]^2 = p^T Ka p for Ka = sum_t w[t] a a^T, and Y's
+    kernel is diag(lam) Kb diag(lam) for Kb = sum_t w[t] b b^T
+    (_szegedy_kernels). Their pivoted Cholesky factors Ka ~ La La^T and Kb
+    ~ Lb Lb^T give the chain as three square sums over the eigenbasis, of
+    La, Lb diag(lam) and Lb, with P multiplying the third: O(N^2) per
+    measured time and O(N^3) per pivot."""
     lam, Q = walk._szegedy_spectrum
+    # rows for columns: Ka and Kb are symmetric
+    La, Lb = (
+        _pivoted_cholesky(K.__getitem__, K.diagonal(), rounding, "Szegedy kernel")
+        for K, rounding in _szegedy_kernels(walk, w)
+    )
+    P = (walk.embed * walk.embed).T
+    return (
+        _spectral_square_sum(Q, La)
+        - _spectral_square_sum(Q, Lb * lam)
+        + P @ _spectral_square_sum(Q, Lb)
+    )
+
+
+def _szegedy_kernels(walk: DTWalk, w: np.ndarray) -> tuple[tuple[np.ndarray, float], ...]:
+    """((Ka, rounding), (Kb, rounding)): the N x N kernels sum_t w[t] a
+    a^T and sum_t w[t] b b^T of _szegedy_sum, summed over batches of times
+    whose a and b take at most STEP_BATCH_ENTRIES entries, each with a
+    bound on the rounding of its entries. A kernel entry is a weighted sum
+    of n products over the n measured times, |K[j, k]| <= max_j K[j, j]
+    (Cauchy-Schwarz), and it rounds by up to about n eps max_j K[j, j] (a
+    uniform_dt(2000) sum of equal weights measured 250 eps); the pivots'
+    own residuals round by up to N eps max_j K[j, j] more."""
+    lam = walk._szegedy_spectrum[0]
     N = walk.base_size
     moving = np.abs(lam) < 1.0 - DISCRIMINANT_TOL
     # a static direction takes theta = 0, where a = 1 and b = 0
     theta = np.arccos(np.where(moving, lam, 1.0))
     sin = np.where(moving, np.sin(theta), 1.0)
     times = np.flatnonzero(w)
-    batch = max(1, STEP_BATCH_ENTRIES // (3 * N * N))
-    acc = np.zeros(N * N)
-    acc_b = np.zeros(N * N)
+    batch = max(1, STEP_BATCH_ENTRIES // (2 * N))
+    Ka = np.zeros((N, N))
+    Kb = np.zeros((N, N))
     for t0 in range(0, times.size, batch):
         t = times[t0 : t0 + batch]
         angle = (2.0 * t)[:, None] * theta
         a = np.cos(angle)
         b = np.sin(angle) / -sin
-        coef = np.stack((a - lam * b, a + lam * b, b))
-        scaled = Q * coef[:, :, None, :]
-        X_minus_Y, X_plus_Y, B = (scaled.reshape(-1, N) @ Q.T).reshape(3, t.size, -1)
-        acc += w[t] @ (X_minus_Y * X_plus_Y)
-        B *= B
-        acc_b += w[t] @ B
-    P = (walk.embed * walk.embed).T
-    return acc.reshape(N, N) + P @ acc_b.reshape(N, N)
+        Ka += (a.T * w[t]) @ a
+        Kb += (b.T * w[t]) @ b
+    eps = np.finfo(np.float64).eps
+    return tuple((K, eps * (times.size + N) * K.diagonal().max()) for K in (Ka, Kb))
 
 
 def _szegedy_rounding(walk: DTWalk) -> float:
     """A bound, up to a small constant, on the rounding of _szegedy_sum's
     entries. Over the moving directions |b| <= 1 / sin theta, so b^2 <= 1
-    / (1 - lam^2); the entries of X - Y, X + Y and B_t are at most 1 +
-    max |b| (Q is orthogonal), each a sum of N products, and the terms of
-    G_t, up to max b^2 in size, cancel to entries of at most 1. So an
+    / (1 - lam^2), and Kb's entries are at most max b^2; the entries of
+    its three square sums, each a sum of N products over the orthogonal
+    Q, are up to max b^2 in size and cancel to entries of at most 1. So an
     entry is off by about N eps / min(1 - lam^2). A walk with a moving
     direction that near +-1 steps its start states instead."""
     lam = walk._szegedy_spectrum[0]

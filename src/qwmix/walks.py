@@ -383,7 +383,10 @@ class DTWalk:
         if self.register_dim != n or len(self.factors) != 4 or not np.isrealobj(cols):
             return None
         swap, R = _swap(n), _reflections(cols)
-        if not all(np.array_equal(f, g) for f, g in zip(self.factors, (swap, R, swap, R))):
+        # each distinct (factor, expected) pair of objects is compared once:
+        # quantize_szegedy repeats swap and R as one object each
+        pairs = {(id(f), id(g)): (f, g) for f, g in zip(self.factors, (swap, R, swap, R))}
+        if not all(np.array_equal(f, g) for f, g in pairs.values()):
             return None
         lam, Q = np.linalg.eigh(cols * cols.T)
         lam.setflags(write=False)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import qwmix.chains as chains
+import qwmix.graphs as graphs
 from qwmix import (
     GeneratedChain,
     MarkovChain,
@@ -37,7 +39,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import MONOTONE_TOL, InternalCheckError, _first_crossing, atomic_write_text
-from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, path
+from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, lattice_sum, path
 
 from conftest import (
     MIX_THRESHOLD,
@@ -759,6 +761,73 @@ def test_lattice_audit_forms_no_entries():
     L = lazy_chain(standard_chain(lattice(64, 2)))
     assert traced_peak(lambda: verify_inequalities(L)) < 16 * 2**20
     assert "entries" not in vars(L)
+
+
+def _lattice_columns(n: int, d: int) -> dict[str, np.ndarray]:
+    """Columns 0 of chains on Z_n^d: the standard chain (bipartite for
+    even n), its lazy chain, steps +-2e_j (reducible for even n, the
+    identity at n = 2) and the directed steps +e_j (period n)."""
+    def steps(*moves):
+        c = np.zeros(n**d)
+        for j in range(d):
+            for m in moves:
+                c[(m % n) * n**j] += 1.0 / (len(moves) * d)
+        return c
+
+    standard = standard_chain(lattice(n, d)).column
+    return {
+        "standard": standard,
+        "lazy": lazy_chain(standard_chain(lattice(n, d)), 0.3).column,
+        "two_steps": steps(2, -2),
+        "directed": steps(1),
+    }
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in (1, 2, 3) for n in range(2, 9)])
+def test_claimed_witness_and_period_match_the_dense_chain(n, d):
+    # reachability and period of a claimed chain come from the Fourier
+    # transform of its column's support; without the claim they come from
+    # breadth-first search over the entries, and below 65 states from the
+    # boolean powers as well
+    for kind, column in _lattice_columns(n, d).items():
+        P = MarkovChain._from_column(column, kind, (n, d))
+        dense = MarkovChain(P.entries, kind)
+        assert P.irreducibility_witness == dense.irreducibility_witness, kind
+        if dense.is_irreducible:
+            assert P.period == dense.period, kind
+        if P.size <= 64:
+            S = P.entries > 0
+            R = brute_reachable(S)
+            expected = None if R[:, 0].all() else (0, int(np.flatnonzero(~R[:, 0])[0]))
+            assert P.irreducibility_witness == expected and R.all() == (expected is None), kind
+            if expected is None:
+                assert P.period == brute_period(S), kind
+        assert "_support_arcs" not in vars(P)
+    # a claimed graph's connectivity comes from vertex 0's neighbours: the
+    # lattice's own, and steps +-2e_j alone, connected exactly for odd n
+    graphs_ = [lattice(n, d)]
+    if n > 2:
+        x = np.arange(n**d)
+        E = np.concatenate([np.column_stack((x, lattice_sum(n, d, x, 2 * n**j))) for j in range(d)])
+        graphs_.append(Graph(n**d, E, "two steps", (n, d)))
+    for G, connected in zip(graphs_, (True, n % 2 == 1)):
+        assert G.is_connected() == connected
+        if G.n <= 64:
+            assert bool(brute_reachable(G.adjacency_matrix() > 0).all()) == connected
+
+
+def test_lattice_point_needs_no_breadth_first_search(monkeypatch):
+    # a lattice point's chains answer reachability and period from their
+    # columns: no breadth-first search runs and no support arcs are listed
+    def refuse(*args):
+        raise AssertionError("breadth-first search on a claimed chain")
+
+    monkeypatch.setattr(graphs, "breadth_first_levels", refuse)
+    monkeypatch.setattr(chains, "breadth_first_levels", refuse)
+    L = lazy_chain(standard_chain(lattice(16, 2)))
+    assert verify_inequalities(L).all_hold()
+    assert L.is_irreducible and L.period == 1
+    assert "_support_arcs" not in vars(L)
 
 
 def test_claimed_chain_on_a_subgroup_is_reducible():

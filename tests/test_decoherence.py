@@ -652,6 +652,30 @@ def test_szegedy_kernel_on_long_supports(build):
         )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: random_symmetric_chain(16, np.random.default_rng(3)), lambda: standard_chain(complete(16))],
+    ids=["random16", "complete16"],
+)
+@pytest.mark.parametrize("rule", [geometric_rule(200), uniform_dt_rule(2000)], ids=lambda r: r.family)
+def test_szegedy_kernels_factor_within_their_stop_rule(build, rule):
+    # thousands of measured times fold into two N x N kernels on the
+    # directions; their pivoted Cholesky factors leave a residual whose
+    # trace is at most CHI_TRACE_TOL, or whose diagonal is down to the
+    # kernel's rounding, and the chain stays on stepping
+    W = quantize_szegedy(build())
+    w = _support_weights(rule)
+    for K, rounding in decoherence._szegedy_kernels(W, w):
+        assert K.shape == (16, 16)
+        LT = decoherence._pivoted_cholesky(K.__getitem__, K.diagonal(), rounding, "kernel")
+        R = K - LT.T @ LT
+        assert np.trace(R) <= decoherence.CHI_TRACE_TOL or np.diag(R).max() <= rounding
+        assert np.diag(R).min() >= -(decoherence.CHI_TRACE_TOL + rounding)
+    np.testing.assert_allclose(
+        decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+    )
+
+
 @pytest.mark.parametrize("flip, kernel", [(1e-3, True), (1e-8, False)])
 def test_szegedy_kernel_steps_where_its_rounding_would_show(monkeypatch, flip, kernel):
     # a two-state chain that flips with probability p has discriminant

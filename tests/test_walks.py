@@ -596,6 +596,29 @@ def test_szegedy_label_alone_does_not_select_the_lemma(impostor):
     assert abs(dense - phase_gap(W)) > 1e-3
 
 
+def test_szegedy_recognition_compares_each_factor_pair_once(monkeypatch):
+    # quantize_szegedy repeats swap and R as one object each, so two
+    # comparisons recognize it; equal copies are compared one by one and
+    # still accepted, and a copy with one reflection negated is refused
+    W = quantize_szegedy(standard_chain(cycle(6)))
+    copies = dataclasses.replace(W, factors=tuple(f.copy() for f in W.factors))
+    broken = dataclasses.replace(W, factors=copies.factors[:3] + (-copies.factors[3],))
+    calls = []
+    equal = np.array_equal
+
+    def counted(a, b):
+        calls.append(1)
+        return equal(a, b)
+
+    monkeypatch.setattr(walks.np, "array_equal", counted)
+    for walk, compared, accepted in ((W, 2, True), (copies, 4, True), (broken, 4, False)):
+        calls.clear()
+        assert (walk._szegedy_spectrum is not None) == accepted
+        assert len(calls) == compared
+    monkeypatch.undo()
+    np.testing.assert_array_equal(copies._szegedy_spectrum[0], W._szegedy_spectrum[0])
+
+
 @st.composite
 def grover_walks(draw, max_dim=400):
     """Grover walks on Z_n^d with n >= 2 and dim = n**d * 2d <= max_dim."""
