@@ -10,7 +10,6 @@ index identities downstream.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,61 +73,67 @@ def breadth_first_levels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.nda
     return level
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph: no self-loops, no duplicate edges.
 
     edges, an (E, 2) integer array-like of vertex pairs in any orientation
     and order, is stored as a read-only int64 array of its distinct pairs
-    (u, v) with u < v, sorted. Graphs compare and hash by identity.
-
-    lattice = (n, d) claims that the vertices are Z_n^d in the layout of
-    this module and that the edges commute with its translations, so the
-    graph's chains do too. The constructor checks it from the edges: the
-    edge set must map onto itself under each unit translation, which
-    generate the rest. standard_chain builds a claimed graph's chain from
-    vertex 0's neighbours alone, and is_connected reads them alone.
+    (u, v) with u < v, sorted. Graphs compare and hash by identity. Such a
+    graph carries no lattice claim: one on Z_n^d that commutes with its
+    translations is built from vertex 0's neighbours, its steps
+    (_from_steps), and forms its edges on first read.
     """
 
-    n: int
-    edges: np.ndarray
-    kind_tag: str = "custom"
-    lattice: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex_count must be positive, got {self.n}")
-        _check_cap(self.n)  # the keys u * n + v below fit in an int64 for n < 3.0e9
-        E = np.asarray(self.edges)
+    def __init__(self, n: int, edges: np.ndarray, kind_tag: str = "custom"):
+        if n < 1:
+            raise ValueError(f"vertex_count must be positive, got {n}")
+        _check_cap(n)  # the keys u * n + v below fit in an int64 for n < 3.0e9
+        E = np.asarray(edges)
         E = E.reshape(0, 2).astype(np.int64) if E.shape == (0,) else E
         if E.ndim != 2 or E.shape[1] != 2 or not np.issubdtype(E.dtype, np.integer):
-            raise ValueError(f"edges must be (E, 2) integers, not {type(self.edges).__name__}")
+            raise ValueError(f"edges must be (E, 2) integers, not {type(edges).__name__}")
         loops = E[E[:, 0] == E[:, 1]]
         if loops.size:
             raise ValueError(f"self-loop at vertex {loops[0, 0]}")
-        stray = E[((E < 0) | (E >= self.n)).any(axis=1)]
+        stray = E[((E < 0) | (E >= n)).any(axis=1)]
         if stray.size:
-            raise ValueError(f"edge {tuple(stray[0].tolist())} out of range for {self.n} vertices")
+            raise ValueError(f"edge {tuple(stray[0].tolist())} out of range for {n} vertices")
         # sorting the keys u * n + v sorts the pairs by (u, v) and makes repeats adjacent
         E = E.astype(np.int64, copy=False)
-        key = np.minimum(E[:, 0], E[:, 1]) * self.n
+        key = np.minimum(E[:, 0], E[:, 1]) * n
         key += np.maximum(E[:, 0], E[:, 1])
         key.sort()
         key = np.concatenate((key[:1], key[1:][key[1:] != key[:-1]]))
-        edges = np.column_stack(np.divmod(key, self.n))
+        self.edges = np.column_stack(np.divmod(key, n))
+        self.edges.setflags(write=False)
+        self.n, self.kind_tag, self.lattice, self.steps = n, kind_tag, None, None
+
+    @classmethod
+    def _from_steps(cls, n: int, d: int, steps, kind_tag: str) -> Graph:
+        """x ~ x + z on Z_n^d for each step z, true to the claim by
+        construction. The steps, in 1..N-1 and closed under negation, are
+        stored sorted, distinct and read-only."""
+        size = _lattice_size(n, d)
+        steps = np.array(sorted(set(np.asarray(steps, dtype=np.int64).tolist())), dtype=np.int64)
+        if steps.size and not 1 <= steps[0] <= steps[-1] < size:
+            raise ValueError(f"steps of lattice {(n, d)} must lie in 1..{size - 1}")
+        if not np.array_equal(np.sort(lattice_sum(n, d, 0, steps, -1)), steps):
+            raise ValueError(f"steps of lattice {(n, d)} are not closed under negation")
+        steps.setflags(write=False)
+        self = cls.__new__(cls)
+        self.n, self.kind_tag, self.lattice, self.steps = size, kind_tag, (n, d), steps
+        return self
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """x joined to x + z for each step z: as -z is a step too, the pairs
+        with x < x + z, each x's ends sorted, are the edges in (u, v) order."""
+        x = np.arange(self.n)[:, None]
+        ends = np.sort(lattice_sum(*self.lattice, x, self.steps), axis=1)
+        keep = ends > x
+        edges = np.column_stack((np.broadcast_to(x, ends.shape)[keep], ends[keep]))
         edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
-        if self.lattice is not None:
-            _check_lattice_size(self.lattice, self.n, "vertices")
-            for j in range(self.lattice[1]):
-                moved = lattice_step(*self.lattice, j, 1)[edges]
-                moved_key = np.minimum(moved[:, 0], moved[:, 1]) * self.n
-                moved_key += np.maximum(moved[:, 0], moved[:, 1])
-                moved_key.sort()
-                if not np.array_equal(moved_key, key):
-                    raise ValueError(
-                        f"edges do not commute with translation {j} of lattice {self.lattice}"
-                    )
+        return edges
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n)
@@ -146,10 +151,10 @@ class Graph:
 
     def is_connected(self) -> bool:
         """Whether every vertex reaches every other; on a claimed graph,
-        whether vertex 0's neighbours generate Z_n^d (lattice_span)."""
+        whether the steps generate Z_n^d (lattice_span)."""
         if self.lattice is not None:
             steps = np.zeros(self.n, dtype=bool)
-            steps[self.edges[self.edges[:, 0] == 0, 1]] = True  # u < v in every pair
+            steps[self.steps] = True
             return bool(lattice_span(*self.lattice, steps).all())
         level = breadth_first_levels(self.n, self.edges.ravel(), self.edges[:, ::-1].ravel())
         return bool((level >= 0).all())
@@ -237,19 +242,18 @@ def lattice_circulant(column: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.ascontiguousarray(view).reshape(size, size)
 
 
-def _lattice_edges(n: int, d: int) -> np.ndarray:
-    """Edges of Z_n^d: every vertex joined to its +1 step along each
-    coordinate, which also covers the -1 steps."""
-    size = _power_count(n, d)
-    steps = [lattice_step(n, d, j, 1) for j in range(d)]
-    return np.column_stack((np.tile(np.arange(size), d), np.concatenate(steps)))
+def _unit_steps(n: int, d: int) -> np.ndarray:
+    """The +-1 steps along each axis of Z_n^d, formed after the cap check."""
+    _lattice_size(n, d)
+    place = n ** np.arange(d, dtype=np.int64)
+    return np.concatenate((place, (n - 1) * place))
 
 
 def cycle(n: int) -> Graph:
     """Cycle Z_n; n = 2 degenerates to a single edge."""
     if n < 2:
         raise ValueError(f"cycle needs n >= 2, got n={n}")
-    return Graph(n, _lattice_edges(n, 1), f"cycle({n})", (n, 1))
+    return Graph._from_steps(n, 1, _unit_steps(n, 1), f"cycle({n})")
 
 
 def path(n: int) -> Graph:
@@ -270,17 +274,16 @@ def hypercube(d: int) -> Graph:
     """Z_2^d with bit j of the vertex index as coordinate j: lattice(2, d)."""
     if d < 1:
         raise ValueError(f"hypercube needs d >= 1, got d={d}")
-    return Graph(_power_count(2, d), _lattice_edges(2, d), f"hypercube({d})", (2, d))
+    return Graph._from_steps(2, d, _unit_steps(2, d), f"hypercube({d})")
 
 
 def lattice(n: int, d: int) -> Graph:
     """Periodic lattice Z_n^d, little-endian mixed-radix indexing."""
-    return Graph(_lattice_size(n, d), _lattice_edges(n, d), f"lattice({n},{d})", (n, d))
+    return Graph._from_steps(n, d, _unit_steps(n, d), f"lattice({n},{d})")
 
 
 def _lattice_size(n: int, d: int) -> int:
-    """The n**d vertices of Z_n^d, refusing n < 2, d < 1 and a count past
-    the cap."""
+    """The n**d vertices of Z_n^d, refusing n < 2, d < 1 and a count past the cap."""
     if n < 2:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
@@ -310,20 +313,15 @@ def build_graph(kind: str, params: list[int]) -> Graph:
 def cartesian_power(G: Graph, d: int) -> Graph:
     """d-th Cartesian power: tuples adjacent iff they differ in exactly
     one coordinate by an edge of G. Coordinate 0 is least significant, so
-    the power of Z_n^k is Z_n^(kd) in the same layout and keeps the claim."""
+    the power of Z_n^k is Z_n^(kd) in the same layout and keeps the claim,
+    built from G's steps alone."""
     if d < 1:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
     size = _power_count(G.n, d)
+    tag = f"power({G.kind_tag},{d})"
+    if G.lattice is not None:  # vertex 0's neighbours: G's steps in one coordinate j
+        steps = np.concatenate([G.steps * G.n**j for j in range(d)])
+        return Graph._from_steps(G.lattice[0], G.lattice[1] * d, steps, tag)
     # the edge (low, high) of G along coordinate j, at every setting of the others
     pairs = [np.column_stack([_vertices_along(G.n, d, j, x) for x in G.edges.T]) for j in range(d)]
-    claim = None if G.lattice is None else (G.lattice[0], G.lattice[1] * d)
-    out = Graph(size, np.concatenate(pairs), f"power({G.kind_tag},{d})", claim)
-    # sanity: |V|^d vertices and summed coordinate degrees
-    assert out.n == G.n**d
-    deg_base = G.degrees()
-    deg_out = out.degrees()
-    for v in (0, size - 1):
-        digits = [(v // G.n**j) % G.n for j in range(d)]
-        assert deg_out[v] == sum(deg_base[x] for x in digits)
-    return out
-
+    return Graph(size, np.concatenate(pairs), tag)

@@ -39,7 +39,7 @@ from qwmix import (
     verify_inequalities,
 )
 from qwmix.chains import MONOTONE_TOL, InternalCheckError, _first_crossing, atomic_write_text
-from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, lattice_sum, path
+from qwmix.graphs import Graph, cartesian_power, complete, cycle, hypercube, lattice, path
 
 from conftest import (
     MIX_THRESHOLD,
@@ -517,6 +517,14 @@ def test_unordered_column_pairs_give_the_all_pairs_distance_exactly(random_chain
         assert pairwise_column_distance(P) == brute_pairwise_distance(P.entries), P.label
 
 
+def test_column_distance_blocks_stay_within_their_budget():
+    # at N = 1024 one column against every later one is an 8 MiB
+    # temporary; one column against 64 holds 512 KiB, and the next block
+    # is formed before the last is freed
+    P = uniform_projector_chain(1024)
+    assert traced_peak(lambda: pairwise_column_distance(P)) < 2 * 2**20
+
+
 @pytest.mark.parametrize(
     "build",
     [uniform_projector_chain, lambda n: random_symmetric_chain(n, np.random.default_rng(0))],
@@ -807,9 +815,8 @@ def test_claimed_witness_and_period_match_the_dense_chain(n, d):
     # lattice's own, and steps +-2e_j alone, connected exactly for odd n
     graphs_ = [lattice(n, d)]
     if n > 2:
-        x = np.arange(n**d)
-        E = np.concatenate([np.column_stack((x, lattice_sum(n, d, x, 2 * n**j))) for j in range(d)])
-        graphs_.append(Graph(n**d, E, "two steps", (n, d)))
+        steps = [s * n**j for j in range(d) for s in (2, n - 2)]
+        graphs_.append(Graph._from_steps(n, d, steps, "two steps"))
     for G, connected in zip(graphs_, (True, n % 2 == 1)):
         assert G.is_connected() == connected
         if G.n <= 64:

@@ -183,6 +183,16 @@ def test_standard_chain_of_a_capped_complete_graph_stays_small():
     assert traced_peak(lambda: standard_chain(complete(1024))) < 96 * 2**20
 
 
+def test_lattice_past_the_cap_is_built_from_its_steps(monkeypatch):
+    # Z_4^10 has 2**20 vertices and 10 * 2**20 edges; the graph holds its
+    # 20 steps and its standard chain one column, and no edge is formed
+    monkeypatch.setenv("QWMIX_STATE_CAP", str(2**20))
+    assert traced_peak(lambda: lattice(4, 10)) < 4 * 2**20
+    G = lattice(4, 10)
+    assert traced_peak(lambda: standard_chain(G)) < 64 * 2**20
+    assert G.steps.size == 20 and "edges" not in vars(G)
+
+
 @seed(2)
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3))
@@ -286,23 +296,71 @@ def test_lattice_claim_rides_along_with_identical_edges():
 
 
 @pytest.mark.parametrize(
-    "n, edges, claim, message",
+    "n, d, steps, message",
     [
-        (4, path(4).edges, (4, 1), "do not commute with translation 0"),
-        (9, cycle(9).edges, (3, 2), "do not commute with translation 0"),
-        (16, lattice(4, 2).edges[1:], (4, 2), "do not commute with translation"),
-        (6, cycle(6).edges, (2, 3), "does not have 6 vertices"),
-        (4, cycle(4).edges, (1, 4), "does not have 4 vertices"),
+        (4, 1, path(4).neighbors(0), "not closed under negation"),
+        (3, 2, cycle(9).steps, "not closed under negation"),
+        (4, 2, lattice(4, 2).steps[1:], "not closed under negation"),
+        (2, 2, cycle(6).steps, r"must lie in 1\.\.3"),
+        (1, 4, [], "lattice needs n >= 2"),
+        (4, 1, [0, 1, 3], r"must lie in 1\.\.3"),
+        (9, 1, [-1, 1], r"must lie in 1\.\.8"),
     ],
-    ids=["path", "cycle_as_torus", "one_edge_short", "wrong_size", "n_one"],
+    ids=["path", "cycle_as_torus", "one_edge_short", "wrong_size", "n_one", "zero", "negative"],
 )
-def test_graph_refuses_a_false_lattice_claim(n, edges, claim, message):
+def test_graph_refuses_a_false_lattice_claim(n, d, steps, message):
+    # a claim is made only from vertex 0's neighbours, the steps
     with pytest.raises(ValueError, match=message):
-        Graph(n, edges, "claimed", claim)
+        Graph._from_steps(n, d, steps, "claimed")
 
 
 def test_graph_accepts_true_lattice_claims():
     graphs = [cycle(2), cycle(9), hypercube(4), lattice(4, 2), lattice(3, 3),
               cartesian_power(cycle(5), 2), cartesian_power(hypercube(2), 2)]
     for G in graphs:
-        assert Graph(G.n, G.edges[::-1], G.kind_tag, G.lattice).lattice == G.lattice
+        same = Graph._from_steps(*G.lattice, G.steps[::-1], G.kind_tag)
+        assert same.lattice == G.lattice and np.array_equal(same.edges, G.edges)
+
+
+def test_graph_built_from_steps_stores_them_once_sorted():
+    G = Graph._from_steps(5, 2, [20, 5, 1, 4, 1, 5], "claimed")
+    assert G.steps.dtype == np.int64 and G.steps.tolist() == [1, 4, 5, 20]
+    with pytest.raises(ValueError, match="read-only"):
+        G.steps[0] = 2
+    assert G.n == 25 and G.lattice == (5, 2) and "edges" not in vars(G)
+    assert np.array_equal(G.edges, lattice(5, 2).edges)
+    assert not G.edges.flags.writeable
+
+
+def _claimed_builds():
+    # the builders, and steps whose ends x + z do not come in step order
+    base = [cycle(2), cycle(3), cycle(9), hypercube(1), hypercube(4), lattice(4, 2), lattice(3, 3),
+            lattice(5, 1), Graph._from_steps(3, 2, [3, 5, 6, 7], "diagonal"),
+            Graph._from_steps(6, 1, [2, 3, 4], "even")]
+    return base + [cartesian_power(G, d) for G in base for d in (1, 2) if G.n**d <= 256]
+
+
+@pytest.mark.parametrize("G", _claimed_builds(), ids=lambda G: G.kind_tag)
+def test_claimed_graphs_match_their_unclaimed_copies(G):
+    # the steps are the whole graph: every reader agrees exactly with the
+    # graph built from the same edges without the claim, and the edges are
+    # x ~ x + z added coordinate by coordinate
+    assert G.lattice is not None and "edges" not in vars(G)
+    chain = standard_chain(G)
+    assert "edges" not in vars(G)
+    n, d = G.lattice
+    tuples = {_tuple_index(x, n): x for x in itertools.product(range(n), repeat=d)}
+    expected = set()
+    for x in tuples.values():
+        for z in G.steps.tolist():
+            u, v = _tuple_index(x, n), _tuple_index(tuple((a + b) % n for a, b in zip(x, tuples[z])), n)
+            expected.add((min(u, v), max(u, v)))
+    assert edge_set(G) == expected
+    plain = Graph(G.n, G.edges, G.kind_tag)
+    assert G.edges.dtype == plain.edges.dtype and np.array_equal(G.edges, plain.edges)
+    assert np.array_equal(G.degrees(), plain.degrees())
+    assert all(G.neighbors(v) == plain.neighbors(v) for v in range(G.n))
+    assert np.array_equal(G.adjacency_matrix(), plain.adjacency_matrix())
+    assert G.is_connected() == plain.is_connected()
+    assert np.array_equal(chain.column, standard_chain(plain).entries[:, 0])
+    assert np.array_equal(chain.entries, standard_chain(plain).entries)

@@ -312,10 +312,11 @@ def test_walk_without_spectral_structure_refused():
 def test_grover_walk_refuses_past_cap_before_building_lattice(monkeypatch):
     # the walk reads its size and label off (n, d) and builds no lattice
     # graph at all, under the cap or past it
-    def no_graph(self):
+    def no_graph(*args):
         raise AssertionError("lattice graph built")
 
-    monkeypatch.setattr(graphs.Graph, "__post_init__", no_graph)
+    monkeypatch.setattr(graphs.Graph, "__init__", no_graph)
+    monkeypatch.setattr(graphs.Graph, "_from_steps", no_graph)
     assert walks.grover_lattice_walk(3, 2).base_label == "lattice(3,2)"
     monkeypatch.setenv("QWMIX_STATE_CAP", "100")
     assert refusal_peak(lambda: walks.grover_lattice_walk(8, 2)) < 2**20
