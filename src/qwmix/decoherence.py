@@ -3,10 +3,12 @@ it generates.
 
 A measurement rule is a distribution over the measurement time t. The
 generated chain entry is P_hat[y, x] = E_t |<y| U^t |x>|^2 (position
-register only for discrete walks). Discrete walks are evaluated as
-explicit, possibly truncated, time sums with dense weights w[t] over the
-times 0 .. t_end - 1 of the rule's support, by one of three kernels; none
-builds a dense operator.
+register only for discrete walks). A discrete rule is its kept,
+possibly truncated, support and weights (rule_weights), and a discrete
+walk's chain is formed by one of three kernels, none of which builds a
+dense operator: two step the walk through the times 0 .. t_end - 1 with
+dense weights w[t], and the Szegedy kernel reads the same weights'
+characteristic function.
 
 A Szegedy walk (walks recognizes its structure) steps no state: its
 discriminant's eigenbasis D = Q diag(lam) Q^T, one eigh cached on the
@@ -15,10 +17,13 @@ closed form (Szegedy's spectral lemma), with X, B_t and Y = D B_t
 diagonal in Q. Summed over the rule's times, the measured chain X o X -
 Y o Y + P (B_t o B_t) is three square sums of the continuous-time kind
 below, over the pivoted Cholesky factors of two N x N kernels on the
-directions in place of chi's: O(N^2) per measured time and O(N^3) per
-pivot, with no per-time matrix. Directions with |lam| at 1 are static.
-Where the terms' cancellation, up to 1 / (1 - lam^2), would round past
-GENERATED_TOL, the walk is stepped instead.
+directions in place of chi's. Each kernel entry is a weighted sum of
+products of cosines and sines of 2 t theta, so it is a value of the
+rule's characteristic function at 2 (theta_j -+ theta_k), as chi's
+entries are: two evaluations on N x N grids form both kernels, with no
+sum over the measured times, and O(N^3) per pivot. Directions with |lam|
+at 1 are static. Where the terms' cancellation, up to 1 / (1 - lam^2),
+would round past GENERATED_TOL, the walk is stepped instead.
 
 Any other walk without the lattice claim steps every start state, one
 column each, through every time. The stepped states are stored in a
@@ -164,7 +169,10 @@ def geometric_rule(T: float) -> MeasurementRule:
 
 
 def characteristic_function(rule: MeasurementRule, theta):
-    """E[exp(i * theta * t)] under the rule, vectorized over theta.
+    """E[exp(i * theta * t)] under the rule, vectorized over theta. A
+    discrete family's is the transform of exactly rule_weights' support
+    and weights, so a chain formed from it and one stepped through those
+    weights measure one distribution.
 
     Exactly 1 at theta = 0 for every family: geometric sets it there, and
     the other families' formulas give it.
@@ -184,25 +192,41 @@ def characteristic_function(rule: MeasurementRule, theta):
     elif rule.family == "exponential":
         out = 1.0 / (1.0 - th * (1j * T))
     elif rule.family == "uniform_dt":
-        # integer support, so wrap the angle; Dirichlet-kernel form of
-        # (1/T) * (1 - e^{i theta T}) / (1 - e^{i theta}), 1 where the
-        # wrapped angle vanishes
+        # integer support, so wrap the angle to psi in [-pi, pi] (exactly
+        # there, and oddly in theta); Dirichlet-kernel form of (1/T) * (1 -
+        # e^{i psi T}) / (1 - e^{i psi}), 1 where psi vanishes
         Ti = int(round(T))
-        phi = np.mod(th + np.pi, 2.0 * np.pi) - np.pi
-        small = np.abs(phi) < 1e-12
-        psafe = np.where(small, 1.0, phi)
-        out = np.where(
-            small,
-            1.0 + 0.0j,
-            np.exp(0.5j * psafe * (Ti - 1)) * np.sin(0.5 * Ti * psafe) / (Ti * np.sin(0.5 * psafe)),
-        )
+        psi = th - 2.0 * np.pi * np.round(th / (2.0 * np.pi))
+        psi = np.where(np.abs(psi) < 1e-12, 0.0, psi)
+        dirichlet = np.ones_like(psi)
+        np.divide(np.sin(0.5 * Ti * psi), Ti * np.sin(0.5 * psi), out=dirichlet, where=psi != 0.0)
+        out = dirichlet * np.exp((0.5j * (Ti - 1)) * psi)
     elif rule.family == "geometric":
-        # p / (1 - (1 - p)) need not round to 1
-        p = 1.0 / T
-        out = np.where(th == 0.0, 1.0 + 0.0j, p / (1.0 - (1.0 - p) * np.exp(1j * th)))
+        # rule_weights' kept times 0 .. L - 1, renormalized: p (1 - z^L) /
+        # ((1 - z)(1 - q^L)) with z = q e^{i theta}, in real arithmetic as
+        # (1 - z^L)(1 - conj z) / |1 - z|^2, where |1 - z|^2 = p^2 + 4 q
+        # sin^2(theta / 2) and Re(1 - conj z) = p + 2 q sin^2(theta / 2).
+        # p is 1 - q, the rate of the weights rule_weights renormalizes (1/T
+        # rounds apart from it); the ratio need not round to 1 at theta = 0.
+        q = 1.0 - 1.0 / T
+        p = 1.0 - q
+        L = _geometric_length(T)
+        qL = q**L
+        s2 = np.sin(0.5 * th) ** 2
+        re = p + 2.0 * q * s2 - qL * (np.cos(L * th) - q * np.cos((L - 1) * th))
+        im = q * np.sin(th) - qL * (np.sin(L * th) - q * np.sin((L - 1) * th))
+        scale = p / ((1.0 - qL) * (p * p + 4.0 * q * s2))
+        out = np.where(th == 0.0, 1.0 + 0.0j, (re * scale) + 1j * (im * scale))
     else:  # pragma: no cover - guarded by the constructor
         raise ValueError(f"unknown rule family {rule.family!r}")
     return out if out.ndim else complex(out)
+
+
+def _geometric_length(T: float) -> int:
+    """L, the kept support 0 .. L - 1 of geometric(T): the times up to
+    ceil(T ln(1 / DEFAULT_TAIL_TOL)), past which the tail mass (1 -
+    1/T)^L is at most about DEFAULT_TAIL_TOL."""
+    return int(math.ceil(T * math.log(1.0 / DEFAULT_TAIL_TOL))) + 1
 
 
 def rule_weights(rule: MeasurementRule) -> tuple[np.ndarray, np.ndarray, float]:
@@ -221,8 +245,7 @@ def rule_weights(rule: MeasurementRule) -> tuple[np.ndarray, np.ndarray, float]:
         return np.arange(Ti), np.full(Ti, 1.0 / Ti), 0.0
     if rule.family == "geometric":
         p = 1.0 / rule.T
-        t_max = int(math.ceil(rule.T * math.log(1.0 / DEFAULT_TAIL_TOL)))
-        t = np.arange(t_max + 1)
+        t = np.arange(_geometric_length(rule.T))
         w = p * (1.0 - p) ** t
         captured = float(w.sum())
         dropped = max(0.0, 1.0 - captured)
@@ -401,15 +424,13 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     times, weights, trunc = rule_weights(rule)
-    t_end = int(times[-1]) + 1  # rule_weights gives ascending times
-    w = np.zeros(t_end)
-    w[times] = weights
-    if walk.lattice is not None:
-        col = _lattice_column(walk, w)
-    elif walk._szegedy_spectrum is not None and _szegedy_rounding(walk) <= GENERATED_TOL:
-        col = _szegedy_sum(walk, w)
+    szegedy = walk.lattice is None and walk._szegedy_spectrum is not None
+    if szegedy and _szegedy_rounding(walk) <= GENERATED_TOL:
+        col = _szegedy_sum(walk, rule)
     else:
-        col = _stepped_sum(walk, w)
+        w = np.zeros(int(times[-1]) + 1)  # rule_weights gives ascending times
+        w[times] = weights
+        col = _stepped_sum(walk, w) if walk.lattice is None else _lattice_column(walk, w)
     label = f"generated({walk.base_label},{rule.family},T={rule.T:g})"
     chain = _generated_markov_chain(
         col, walk.base_symmetric, trunc, "dt generated chain", label, walk.lattice
@@ -444,10 +465,10 @@ def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     return acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
 
 
-def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
-    """sum_t w[t] G_t, the measured chains of a Szegedy walk at the times
-    of the rule's support, from the discriminant's eigenbasis D = Q
-    diag(lam) Q^T, with no walk state and no per-time matrix.
+def _szegedy_sum(walk: DTWalk, rule: MeasurementRule) -> np.ndarray:
+    """sum_t w[t] G_t, the measured chains of a Szegedy walk over the
+    rule's support, from the discriminant's eigenbasis D = Q diag(lam)
+    Q^T, with no walk state, no per-time matrix and no sum over times.
 
     The walk is U = ref_A ref_B, the reflections about A|x> = |x, p_x> and
     B|x> = S A|x>, and D = A^T B. On the span of A v and B v, v an
@@ -463,16 +484,17 @@ def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     Each weighted sum is a square sum over a kernel on the directions, as
     a continuous-time chain is over chi: with p[j] = Q[y, j] Q[x, j],
     sum_t w[t] X[y, x]^2 = p^T Ka p for Ka = sum_t w[t] a a^T, and Y's
-    kernel is diag(lam) Kb diag(lam) for Kb = sum_t w[t] b b^T
-    (_szegedy_kernels). Their pivoted Cholesky factors Ka ~ La La^T and Kb
-    ~ Lb Lb^T give the chain as three square sums over the eigenbasis, of
-    La, Lb diag(lam) and Lb, with P multiplying the third: O(N^2) per
-    measured time and O(N^3) per pivot."""
+    kernel is diag(lam) Kb diag(lam) for Kb = sum_t w[t] b b^T, both
+    formed from the rule's characteristic function (_szegedy_kernels).
+    Their pivoted Cholesky factors Ka ~ La La^T and Kb ~ Lb Lb^T give the
+    chain as three square sums over the eigenbasis, of La, Lb diag(lam)
+    and Lb, with P multiplying the third: O(N^3) per pivot, whatever the
+    rule's support."""
     lam, Q = walk._szegedy_spectrum
     # rows for columns: Ka and Kb are symmetric
     La, Lb = (
         _pivoted_cholesky(K.__getitem__, K.diagonal(), rounding, "Szegedy kernel")
-        for K, rounding in _szegedy_kernels(walk, w)
+        for K, rounding in _szegedy_kernels(walk, rule)
     )
     P = (walk.embed * walk.embed).T
     return (
@@ -482,34 +504,42 @@ def _szegedy_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     )
 
 
-def _szegedy_kernels(walk: DTWalk, w: np.ndarray) -> tuple[tuple[np.ndarray, float], ...]:
+def _szegedy_kernels(walk: DTWalk, rule: MeasurementRule) -> tuple[tuple[np.ndarray, float], ...]:
     """((Ka, rounding), (Kb, rounding)): the N x N kernels sum_t w[t] a
-    a^T and sum_t w[t] b b^T of _szegedy_sum, summed over batches of times
-    whose a and b take at most STEP_BATCH_ENTRIES entries, each with a
-    bound on the rounding of its entries. A kernel entry is a weighted sum
-    of n products over the n measured times, |K[j, k]| <= max_j K[j, j]
-    (Cauchy-Schwarz), and it rounds by up to about n eps max_j K[j, j] (a
-    uniform_dt(2000) sum of equal weights measured 250 eps); the pivots'
-    own residuals round by up to N eps max_j K[j, j] more."""
+    a^T and sum_t w[t] b b^T of _szegedy_sum, each with a bound on the
+    rounding of its diagonal, the pivots' stop.
+
+    By cos x cos y = (cos(x - y) + cos(x + y)) / 2 and sin x sin y =
+    (cos(x - y) - cos(x + y)) / 2, the rule's weights sum to values of
+    its characteristic function phi at 2 (theta_j -+ theta_k):
+    Ka[j, k] = Re (phi(2 (theta_j - theta_k)) + phi(2 (theta_j +
+    theta_k))) / 2 and Kb[j, k] = Re (phi(2 (theta_j - theta_k)) -
+    phi(2 (theta_j + theta_k))) / (2 sin theta_j sin theta_k). A static
+    direction takes theta = 0, so its row and column of Kb are 0.
+
+    Rounding: phi's argument, up to 4 theta_max, rounds by eps times
+    itself, and |phi'| <= E t <= L, the support's last time (T for delta,
+    T - 1 <= T for uniform_dt, geometric's last kept time); phi's value
+    rounds by about eps more. So Ka's entries are off by about eps (1 + 4
+    L theta_max), and Kb's diagonal by eps (1 + 4 L theta_j) / sin^2
+    theta_j, taken at its largest over the moving directions. The pivots
+    stop at these. A sum over the L + 1 measured times rounds by about L
+    eps max b^2, with max b^2 <= 1 / min sin^2 theta: the same size, up to
+    the factor 4 theta <= 4 pi."""
     lam = walk._szegedy_spectrum[0]
-    N = walk.base_size
     moving = np.abs(lam) < 1.0 - DISCRIMINANT_TOL
-    # a static direction takes theta = 0, where a = 1 and b = 0
     theta = np.arccos(np.where(moving, lam, 1.0))
-    sin = np.where(moving, np.sin(theta), 1.0)
-    times = np.flatnonzero(w)
-    batch = max(1, STEP_BATCH_ENTRIES // (2 * N))
-    Ka = np.zeros((N, N))
-    Kb = np.zeros((N, N))
-    for t0 in range(0, times.size, batch):
-        t = times[t0 : t0 + batch]
-        angle = (2.0 * t)[:, None] * theta
-        a = np.cos(angle)
-        b = np.sin(angle) / -sin
-        Ka += (a.T * w[t]) @ a
-        Kb += (b.T * w[t]) @ b
+    inv_sin = np.zeros(theta.size)
+    np.divide(1.0, np.sin(theta), out=inv_sin, where=moving)
+    two = 2.0 * theta
+    angles = (np.subtract.outer(two, two), np.add.outer(two, two))
+    minus, plus = characteristic_function(rule, angles).real
+    Ka = 0.5 * (minus + plus)
+    Kb = (minus - plus) * np.multiply.outer(0.5 * inv_sin, inv_sin)
     eps = np.finfo(np.float64).eps
-    return tuple((K, eps * (times.size + N) * K.diagonal().max()) for K in (Ka, Kb))
+    last = _geometric_length(rule.T) - 1 if rule.family == "geometric" else rule.T
+    growth = 1.0 + 4.0 * last * theta
+    return (Ka, eps * growth.max()), (Kb, eps * (growth * inv_sin * inv_sin).max())
 
 
 def _szegedy_rounding(walk: DTWalk) -> float:

@@ -147,6 +147,26 @@ def test_characteristic_function_geometric_matches_sum():
         assert characteristic_function(rule, theta) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [delta_rule(0), delta_rule(7), delta_rule(3000), uniform_dt_rule(1), uniform_dt_rule(6), uniform_dt_rule(2000)]
+    + [geometric_rule(T) for T in (1.0, 3.0, 8.0, 90.5, 200.0)],
+    ids=lambda rule: f"{rule.family}({rule.T:g})",
+)
+def test_discrete_characteristic_function_is_the_transform_of_rule_weights(rule):
+    # one distribution per discrete rule: the Szegedy kernel reads phi and
+    # stepping reads rule_weights, so phi is the transform of exactly the
+    # kept, renormalized weights (geometric's truncated support too). On
+    # dyadic angles in [-pi, pi] each theta t is exact, so the sum rounds
+    # only in its cosines and its additions
+    theta = np.arange(-50, 51) / 16.0
+    times, weights, _ = rule_weights(rule)
+    angle = np.multiply.outer(theta, times)
+    expected = np.cos(angle) @ weights + 1j * (np.sin(angle) @ weights)
+    np.testing.assert_allclose(characteristic_function(rule, theta), expected, rtol=0.0, atol=1e-13)
+    assert characteristic_function(rule, 0.0) == 1.0 + 0.0j
+
+
 def test_characteristic_function_vectorized():
     rule = uniform_ct_rule(2.0)
     thetas = np.array([0.0, 0.5, 1.0])
@@ -629,9 +649,11 @@ def test_szegedy_kernel_matches_stepping(P, t, T, T_geo):
     W = quantize_szegedy(P)
     assert decoherence._szegedy_rounding(W) <= GENERATED_TOL
     for rule in (delta_rule(t), uniform_dt_rule(T), geometric_rule(T_geo)):
-        w = _support_weights(rule)
         np.testing.assert_allclose(
-            decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+            decoherence._szegedy_sum(W, rule),
+            decoherence._stepped_sum(W, _support_weights(rule)),
+            rtol=0.0,
+            atol=1e-11,
         )
 
 
@@ -641,14 +663,17 @@ def test_szegedy_kernel_matches_stepping(P, t, T, T_geo):
 def test_szegedy_kernel_on_long_supports(build):
     # bipartite bases have discriminant eigenvalue -1 as well as 1; both
     # directions are static, with no 0 / 0 at sin theta = 0, and the
-    # kernel stays on the stepped sum over thousands of steps
+    # kernel stays on the stepped sum over thousands of steps, up to the
+    # 46,000 of geometric(2000)
     W = quantize_szegedy(standard_chain(build()))
     lam = W._szegedy_spectrum[0]
     assert abs(lam[0] + 1.0) < walks.DISCRIMINANT_TOL and abs(lam[-1] - 1.0) < walks.DISCRIMINANT_TOL
-    for rule in (delta_rule(3000), uniform_dt_rule(2000), geometric_rule(200)):
-        w = _support_weights(rule)
+    for rule in (delta_rule(3000), uniform_dt_rule(2000), geometric_rule(200), geometric_rule(2000)):
         np.testing.assert_allclose(
-            decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+            decoherence._szegedy_sum(W, rule),
+            decoherence._stepped_sum(W, _support_weights(rule)),
+            rtol=0.0,
+            atol=1e-11,
         )
 
 
@@ -664,15 +689,17 @@ def test_szegedy_kernels_factor_within_their_stop_rule(build, rule):
     # trace is at most CHI_TRACE_TOL, or whose diagonal is down to the
     # kernel's rounding, and the chain stays on stepping
     W = quantize_szegedy(build())
-    w = _support_weights(rule)
-    for K, rounding in decoherence._szegedy_kernels(W, w):
+    for K, rounding in decoherence._szegedy_kernels(W, rule):
         assert K.shape == (16, 16)
         LT = decoherence._pivoted_cholesky(K.__getitem__, K.diagonal(), rounding, "kernel")
         R = K - LT.T @ LT
         assert np.trace(R) <= decoherence.CHI_TRACE_TOL or np.diag(R).max() <= rounding
         assert np.diag(R).min() >= -(decoherence.CHI_TRACE_TOL + rounding)
     np.testing.assert_allclose(
-        decoherence._szegedy_sum(W, w), decoherence._stepped_sum(W, w), rtol=0.0, atol=1e-11
+        decoherence._szegedy_sum(W, rule),
+        decoherence._stepped_sum(W, _support_weights(rule)),
+        rtol=0.0,
+        atol=1e-11,
     )
 
 
@@ -706,8 +733,8 @@ def test_szegedy_kernel_steps_where_its_rounding_would_show(monkeypatch, flip, k
 
 def test_szegedy_chain_holds_no_state_stack():
     # stepping complete(64)'s walk keeps (N^2, N) complex states, 4 MiB
-    # each, several at a time; the kernel keeps a few N x N arrays and
-    # the product of a batch of times (1.5 MiB in all), under one state
+    # each, several at a time; the kernel keeps a few N x N arrays, its
+    # characteristic function's grids among them, under one state
     N = 64
     W = quantize_szegedy(standard_chain(complete(N)))
     W._szegedy_spectrum

@@ -193,6 +193,23 @@ def test_lattice_past_the_cap_is_built_from_its_steps(monkeypatch):
     assert G.steps.size == 20 and "edges" not in vars(G)
 
 
+def test_claimed_graphs_read_degrees_and_neighbours_from_their_steps(monkeypatch):
+    # Z_4^10's 10 * 2**20 edges would take 160 MiB: its degrees are one
+    # int64 per vertex (8 MiB) and a vertex's neighbours its 20 steps moved
+    # there, so neither forms the edges; Z_4^8's edges (8 MiB) are formed a
+    # block of vertices at a time, with no temporary of their size
+    monkeypatch.setenv("QWMIX_STATE_CAP", str(2**20))
+    G = lattice(4, 10)
+    assert traced_peak(G.degrees) < 16 * 2**20
+    assert traced_peak(lambda: G.neighbors(5)) < 16 * 2**20
+    assert "edges" not in vars(G)
+    degrees = G.degrees()
+    assert degrees.dtype == np.int64 and (degrees == 20).all() and len(G.neighbors(5)) == 20
+    H = lattice(4, 8)
+    assert traced_peak(lambda: H.edges) < 12 * 2**20
+    assert H.edges.shape == (8 * 2**16, 2)
+
+
 @seed(2)
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=3))
