@@ -518,14 +518,15 @@ def _szegedy_kernels(walk: DTWalk, rule: MeasurementRule) -> tuple[tuple[np.ndar
     direction takes theta = 0, so its row and column of Kb are 0.
 
     Rounding: phi's argument, up to 4 theta_max, rounds by eps times
-    itself, and |phi'| <= E t <= L, the support's last time (T for delta,
-    T - 1 <= T for uniform_dt, geometric's last kept time); phi's value
-    rounds by about eps more. So Ka's entries are off by about eps (1 + 4
-    L theta_max), and Kb's diagonal by eps (1 + 4 L theta_j) / sin^2
+    itself, and |phi'| <= E t <= T for every discrete family (T for delta,
+    (T - 1) / 2 for uniform_dt, below T - 1 for the truncated geometric),
+    as _chi_rounding argues for the continuous ones; phi's value rounds by
+    about eps more. So Ka's entries are off by about eps (1 + 4 T
+    theta_max), and Kb's diagonal by eps (1 + 4 T theta_j) / sin^2
     theta_j, taken at its largest over the moving directions. The pivots
-    stop at these. A sum over the L + 1 measured times rounds by about L
-    eps max b^2, with max b^2 <= 1 / min sin^2 theta: the same size, up to
-    the factor 4 theta <= 4 pi."""
+    stop at these. A sum over the L measured times rounds by about L eps
+    max b^2, with max b^2 <= 1 / min sin^2 theta: the same size for delta
+    and uniform_dt, up to the factor 4 theta <= 4 pi."""
     lam = walk._szegedy_spectrum[0]
     moving = np.abs(lam) < 1.0 - DISCRIMINANT_TOL
     theta = np.arccos(np.where(moving, lam, 1.0))
@@ -537,8 +538,7 @@ def _szegedy_kernels(walk: DTWalk, rule: MeasurementRule) -> tuple[tuple[np.ndar
     Ka = 0.5 * (minus + plus)
     Kb = (minus - plus) * np.multiply.outer(0.5 * inv_sin, inv_sin)
     eps = np.finfo(np.float64).eps
-    last = _geometric_length(rule.T) - 1 if rule.family == "geometric" else rule.T
-    growth = 1.0 + 4.0 * last * theta
+    growth = 1.0 + 4.0 * rule.T * theta
     return (Ka, eps * growth.max()), (Kb, eps * (growth * inv_sin * inv_sin).max())
 
 

@@ -127,22 +127,11 @@ class Graph:
     @functools.cached_property
     def edges(self) -> np.ndarray:
         """x joined to x + z for each step z: as -z is a step too, the pairs
-        with x < x + z, each x's ends sorted, are the edges in (u, v) order,
-        N |S| / 2 of them. They are formed for a block of vertices at a
-        time, 2^16 ends (512 KiB) a block, so the peak stays near the array
-        kept."""
-        steps = self.steps
-        edges = np.empty((self.n * steps.size // 2, 2), dtype=np.int64)
-        block = max(1, (1 << 16) // max(1, steps.size))
-        row = 0
-        for start in range(0, self.n, block):
-            x = np.arange(start, min(start + block, self.n))[:, None]
-            ends = np.sort(lattice_sum(*self.lattice, x, steps), axis=1)
-            keep = ends > x
-            count = np.count_nonzero(keep)
-            edges[row : row + count, 0] = np.broadcast_to(x, ends.shape)[keep]
-            edges[row : row + count, 1] = ends[keep]
-            row += count
+        with x < x + z, each x's ends sorted, are the edges in (u, v) order."""
+        x = np.arange(self.n)[:, None]
+        ends = np.sort(lattice_sum(*self.lattice, x, self.steps), axis=1)
+        keep = ends > x
+        edges = np.column_stack((np.broadcast_to(x, ends.shape)[keep], ends[keep]))
         edges.setflags(write=False)
         return edges
 
@@ -152,8 +141,6 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def neighbors(self, v: int) -> list[int]:
-        if self.lattice is not None:
-            return sorted(lattice_sum(*self.lattice, v, self.steps).tolist())
         E = self.edges
         return sorted(E[E[:, 0] == v, 1].tolist() + E[E[:, 1] == v, 0].tolist())
 

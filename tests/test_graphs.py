@@ -193,21 +193,15 @@ def test_lattice_past_the_cap_is_built_from_its_steps(monkeypatch):
     assert G.steps.size == 20 and "edges" not in vars(G)
 
 
-def test_claimed_graphs_read_degrees_and_neighbours_from_their_steps(monkeypatch):
+def test_claimed_graphs_read_degrees_from_their_steps(monkeypatch):
     # Z_4^10's 10 * 2**20 edges would take 160 MiB: its degrees are one
-    # int64 per vertex (8 MiB) and a vertex's neighbours its 20 steps moved
-    # there, so neither forms the edges; Z_4^8's edges (8 MiB) are formed a
-    # block of vertices at a time, with no temporary of their size
+    # int64 per vertex (8 MiB), each the number of steps, with no edge formed
     monkeypatch.setenv("QWMIX_STATE_CAP", str(2**20))
     G = lattice(4, 10)
     assert traced_peak(G.degrees) < 16 * 2**20
-    assert traced_peak(lambda: G.neighbors(5)) < 16 * 2**20
     assert "edges" not in vars(G)
     degrees = G.degrees()
-    assert degrees.dtype == np.int64 and (degrees == 20).all() and len(G.neighbors(5)) == 20
-    H = lattice(4, 8)
-    assert traced_peak(lambda: H.edges) < 12 * 2**20
-    assert H.edges.shape == (8 * 2**16, 2)
+    assert degrees.dtype == np.int64 and (degrees == 20).all()
 
 
 @seed(2)
@@ -376,7 +370,7 @@ def test_claimed_graphs_match_their_unclaimed_copies(G):
     plain = Graph(G.n, G.edges, G.kind_tag)
     assert G.edges.dtype == plain.edges.dtype and np.array_equal(G.edges, plain.edges)
     assert np.array_equal(G.degrees(), plain.degrees())
-    assert all(G.neighbors(v) == plain.neighbors(v) for v in range(G.n))
+    assert all(G.neighbors(v) == plain.neighbors(v) for v in range(-1, G.n + 6))
     assert np.array_equal(G.adjacency_matrix(), plain.adjacency_matrix())
     assert G.is_connected() == plain.is_connected()
     assert np.array_equal(chain.column, standard_chain(plain).entries[:, 0])
