@@ -8,7 +8,8 @@ distance.
 A chain on Z_n^d that commutes with the translations says so in its
 lattice field, (n, d). Its column 0 c then is the whole chain,
 P[y, x] = c[y - x] (Levin, Peres & Wilmer, sections 12.3-12.4): such a
-chain stores c and forms its N x N entries only when they are read. Its
+chain stores c, counted against the claimed limit, and forms its N x N
+entries only when they are read, counted against the state cap. Its
 eigenvalues are the Fourier transform fftn(c), one per wave vector; column
 0 of P^t is the inverse transform of fftn(c)**t, which the mixing search
 evaluates; and d(P) compares the translates of c with c.
@@ -107,7 +108,7 @@ class MarkovChain:
     def _from_column(cls, column: np.ndarray, label: str, lattice: tuple[int, int]) -> MarkovChain:
         """The chain on Z_n^d whose column 0 is column, true to its claim
         by construction; entries are formed on first read."""
-        _check_cap(column.size)
+        _check_cap(column.size, claimed=True)
         _check_lattice_size(lattice, column.size, "states")
         c = _checked_stochastic(np.array(column, dtype=np.float64))
         c.setflags(write=False)
@@ -120,7 +121,8 @@ class MarkovChain:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """P[y, x] = column[y - x]; read only on a chain built from its column."""
+        """P[y, x] = column[y - x]; read only on a chain built from its
+        column, and refused past the state cap before it is formed."""
         P = lattice_circulant(self.column, *self.lattice)
         P.setflags(write=False)
         return P

@@ -278,11 +278,10 @@ def command_chain_export(kind: str, params: str, out_path: str) -> int:
     spec = f"{kind}:{params}" if params else kind
     try:
         P = chain_from_spec(spec)
+        save_csv(P, out_path)  # reads the N x N entries, refused past the state cap
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        save_csv(P, out_path)
     except OSError as exc:
         return _cannot_write(out_path, exc)
     print(f"wrote {out_path} ({P.size} states)")

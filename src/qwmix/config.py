@@ -1,5 +1,6 @@
 """Global conventions shared by every module: numeric thresholds, the
-state cap and how output files are written. Imports no numpy.
+state cap and the limit it sets on claimed objects, and how output files
+are written. Imports no numpy.
 
 Convention: Markov chains are column-stochastic. P[y, x] is the
 probability of moving from state x to state y, stationary vectors
@@ -13,9 +14,14 @@ import os
 # Threshold for (worst-column) total-variation mixing, exactly 1/(2e).
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 
-# The one size limit: every graph, chain and walk builder counts its
-# states (or walk dimension) against it before it allocates. A dense
-# float64 chain at the default takes 128 MiB.
+# The one size limit, QWMIX_STATE_CAP, counts what an object stores, and
+# every builder checks it before it allocates. A dense object, one that
+# forms an N x N array, counts its N states against the cap: a dense
+# float64 chain at the default takes 128 MiB. A claimed object stores O(N)
+# arrays (a graph its steps, a chain its column 0, a lattice walk its N r^2
+# momentum-block entries) and counts against claimed_cap(), 2**20 at the
+# default: a step on a claimed chain of 2**20 states was measured to hold
+# about 16 N-length float64 arrays, the 128 MiB of a dense chain at the cap.
 DEFAULT_STATE_CAP = 4096
 
 # Eigenvalues closer than this are treated as one degenerate cluster.
@@ -36,6 +42,13 @@ def state_cap() -> int:
     if cap < 1:
         raise ValueError(f"QWMIX_STATE_CAP must be positive, got {cap}")
     return cap
+
+
+def claimed_cap() -> int:
+    """The limit on what a claimed object stores, max(cap, cap**2 // 16):
+    16 arrays of that length take the bytes of a dense chain at the cap."""
+    cap = state_cap()
+    return max(cap, cap * cap // 16)
 
 
 def default_horizon(n: int) -> int:

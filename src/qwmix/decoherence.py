@@ -95,8 +95,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import InternalCheckError, MarkovChain, NoMix, _threshold_time
-from .config import DEFAULT_TAIL_TOL
-from .graphs import lattice_negation
+from .config import DEFAULT_TAIL_TOL, state_cap
+from .graphs import StateCapError, lattice_negation
 from .walks import DISCRIMINANT_TOL, UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
@@ -234,22 +234,35 @@ def rule_weights(rule: MeasurementRule) -> tuple[np.ndarray, np.ndarray, float]:
 
     Geometric support is truncated at ceil(T * ln(1/DEFAULT_TAIL_TOL)) and
     the kept weights renormalized; the entrywise error bound 2 * dropped
-    mass is returned.
+    mass is returned (_truncation_error).
     """
+    trunc = _truncation_error(rule)
+    if rule.family == "delta":
+        return np.array([int(round(rule.T))]), np.array([1.0]), trunc
+    if rule.family == "uniform_dt":
+        Ti = int(round(rule.T))
+        return np.arange(Ti), np.full(Ti, 1.0 / Ti), trunc
+    # geometric: _truncation_error refused every other family
+    p = 1.0 / rule.T
+    t = np.arange(_geometric_length(rule.T))
+    w = p * (1.0 - p) ** t
+    return t, w / float(w.sum()), trunc
+
+
+def _truncation_error(rule: MeasurementRule) -> float:
+    """rule_weights' entrywise error bound, twice the mass its support
+    drops, with no support formed: 2 (1 - 1/T)^L for geometric(T), L =
+    _geometric_length(T), and 0 for delta and uniform_dt. Refuses what
+    rule_weights refuses: a continuous family and a delta at a time that
+    is not an integer."""
     if rule.family == "delta":
         if abs(rule.T - round(rule.T)) > 1e-9:
             raise RuleFamilyError(f"discrete delta rule needs integer T, got {rule.T}")
-        return np.array([int(round(rule.T))]), np.array([1.0]), 0.0
+        return 0.0
     if rule.family == "uniform_dt":
-        Ti = int(round(rule.T))
-        return np.arange(Ti), np.full(Ti, 1.0 / Ti), 0.0
+        return 0.0
     if rule.family == "geometric":
-        p = 1.0 / rule.T
-        t = np.arange(_geometric_length(rule.T))
-        w = p * (1.0 - p) ** t
-        captured = float(w.sum())
-        dropped = max(0.0, 1.0 - captured)
-        return t, w / captured, 2.0 * dropped
+        return 2.0 * (1.0 - 1.0 / rule.T) ** _geometric_length(rule.T)
     raise RuleFamilyError(f"{rule.family!r} has no discrete support")
 
 
@@ -328,7 +341,11 @@ def _pivoted_cholesky(column, diagonal: np.ndarray, rounding: float, what: str) 
     is at most CHI_TRACE_TOL, or when every residual is at rounding, the
     rounding of K's entries: a pivot there would factor rounding. A pivot
     is positive until then, and a residual below -(CHI_TRACE_TOL +
-    rounding) means K is not positive semidefinite."""
+    rounding) means K is not positive semidefinite.
+
+    The factor is refused before it grows past cap**2 entries, the size of
+    a dense chain at the state cap. Its first 16 rows always fit: C is at
+    most max(cap, cap**2 // 16), so min(C, 16) C <= cap**2."""
     C = diagonal.size
     residual = np.array(diagonal, dtype=np.float64)
     LT = np.empty((min(C, 16), C))
@@ -339,6 +356,12 @@ def _pivoted_cholesky(column, diagonal: np.ndarray, rounding: float, what: str) 
         if residual[i] <= rounding:
             break
         if r == LT.shape[0]:
+            cap = state_cap()
+            if (r + min(r, C - r)) * C > cap * cap:
+                raise StateCapError(
+                    f"{what}: a factor past {r} pivots of {C} columns exceeds the "
+                    f"configured cap of {cap}, squared"
+                )
             LT = np.concatenate((LT, np.empty((min(r, C - r), C))))
         col = column(i) - LT[:r, i] @ LT[:r]
         col /= math.sqrt(residual[i])
@@ -423,11 +446,12 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
-    times, weights, trunc = rule_weights(rule)
+    trunc = _truncation_error(rule)
     szegedy = walk.lattice is None and walk._szegedy_spectrum is not None
     if szegedy and _szegedy_rounding(walk) <= GENERATED_TOL:
         col = _szegedy_sum(walk, rule)
     else:
+        times, weights, _ = rule_weights(rule)
         w = np.zeros(int(times[-1]) + 1)  # rule_weights gives ascending times
         w[times] = weights
         col = _stepped_sum(walk, w) if walk.lattice is None else _lattice_column(walk, w)

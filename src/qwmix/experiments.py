@@ -20,7 +20,6 @@ from .chains import (
     NoMix,
     lazy_chain,
     mixing_time,
-    one_norm,
     spectral_gap,
     standard_chain,
     uniform_projector_chain,
@@ -249,10 +248,10 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
         if n % 2 == 0:
             # single integer-time chain only reaches positions of one parity
             t = max(1, round(n / math.sqrt(2.0)))
-            single = generated_chain(walk, delta_rule(t)).chain.entries
-            y, x = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            wrong = (y - x - t) % 2 == 1
-            leak = float(single[wrong].max()) if wrong.any() else 0.0
+            # entry [y, x] is column[y - x], and n is even, so the wrong
+            # parity is every other entry of the column from t + 1
+            single = generated_chain(walk, delta_rule(t)).chain.column
+            leak = float(single[(t + 1) % 2 :: 2].max())
             measurements.append(("parity_leak", leak))
             assertions.append(make_assertion("parity_caveat", leak, 0.0, slack=1e-12))
     else:
@@ -264,21 +263,30 @@ def cycle_threshold_audit(n: int, walk_family: str) -> ExperimentResult:
 
 def tensor_power_identity_audit(G: Graph, d: int, t_values: list[float]) -> ExperimentResult:
     """Single-time generated chain of a Cartesian power versus the
-    Kronecker power of the base chain measured at t/d."""
+    Kronecker power of the base chain measured at t/d.
+
+    On a claimed graph both chains are claimed, and entry [y, x] of each
+    side is its column 0 at y - x: the power's column against the d-fold
+    outer product of the base column, whose entries are the Kronecker
+    power's, multiplied in the same order."""
     degrees = G.degrees()
     if degrees.min() != degrees.max():
         raise ValueError(f"graph {G.kind_tag} must be regular")
-    power = cartesian_power(G, d)  # refused past the state cap before any eigensolve
+    power = cartesian_power(G, d)  # refused past the size limit before any eigensolve
     base_walk = quantize_ct(standard_chain(G))
     power_walk = quantize_ct(standard_chain(power))
+    claimed = G.lattice is not None
     measurements = []
     assertions = []
     for t in t_values:
-        big = generated_chain(power_walk, delta_rule(t)).chain.entries
-        single = generated_chain(base_walk, delta_rule(t / d)).chain.entries
-        K = np.array([[1.0]])
+        big = generated_chain(power_walk, delta_rule(t)).chain
+        single = generated_chain(base_walk, delta_rule(t / d)).chain
+        if claimed:
+            big, single, K = big.column, single.column, np.ones(1)
+        else:
+            big, single, K = big.entries, single.entries, np.ones((1, 1))
         for _ in range(d):
-            K = np.kron(K, single)
+            K = np.multiply.outer(K, single).ravel() if claimed else np.kron(K, single)
         dev = float(np.abs(big - K).max())
         measurements.append((f"max_deviation_t{t:g}", dev))
         assertions.append(make_assertion(f"tensor_identity_t{t:g}", dev, TENSOR_IDENTITY_TOL))
@@ -422,8 +430,8 @@ def hypercube_limit_audit(d_values: list[int]) -> ExperimentResult:
         P = standard_chain(hypercube(d))
         size = P.size
         walk = quantize_ct(P)
-        Pi = limit_chain(walk)
-        dev = 0.5 * one_norm(Pi.entries - 1.0 / size)
+        # every column of the claimed limit chain is a translate of column 0
+        dev = 0.5 * float(np.abs(limit_chain(walk).column - 1.0 / size).sum())
         measurements.append((f"limit_deviation_d{d}", dev))
         if d >= 2:
             assertions.append(make_assertion(f"limit_nonuniform_d{d}", HYPERCUBE_LIMIT_FLOOR, dev))

@@ -13,11 +13,12 @@ import functools
 
 import numpy as np
 
-from .config import state_cap
+from .config import claimed_cap, state_cap
 
 
 class StateCapError(ValueError):
-    """Requested construction exceeds the configured dense-state cap."""
+    """Requested construction exceeds the configured state cap, or the
+    limit it sets on what a claimed object stores."""
 
 
 def _shown(k: int) -> str:
@@ -26,23 +27,28 @@ def _shown(k: int) -> str:
     return str(k) if k.bit_length() <= 64 else f"[{k.bit_length()}-bit number]"
 
 
-def _check_cap(n_states: int) -> None:
-    cap = state_cap()
-    if n_states > cap:
-        raise StateCapError(f"{_shown(n_states)} states exceeds the configured cap of {cap}")
+def _limit(claimed: bool) -> tuple[int, str]:
+    """The state cap, or claimed_cap() for what a claimed object stores,
+    and how a refusal names it."""
+    limit = claimed_cap() if claimed else state_cap()
+    return limit, f"the configured cap of {limit}" + (" for claimed objects" if claimed else "")
 
 
-def _power_count(n: int, d: int) -> int:
+def _check_cap(count: int, claimed: bool = False, what: str = "states") -> None:
+    limit, name = _limit(claimed)
+    if count > limit:
+        raise StateCapError(f"{_shown(count)} {what} exceeds {name}")
+
+
+def _power_count(n: int, d: int, claimed: bool) -> int:
     """n**d states for n >= 1, multiplied out one factor at a time and
-    refused as soon as it passes the cap, before the power is formed."""
-    cap = state_cap()
+    refused as soon as it passes the limit, before the power is formed."""
+    limit, name = _limit(claimed)
     count = 1
     for _ in range(d if n > 1 else 0):
         count *= n
-        if count > cap:
-            raise StateCapError(
-                f"{_shown(n)}^{_shown(d)} states exceeds the configured cap of {cap}"
-            )
+        if count > limit:
+            raise StateCapError(f"{_shown(n)}^{_shown(d)} states exceeds {name}")
     return count
 
 
@@ -127,7 +133,9 @@ class Graph:
     @functools.cached_property
     def edges(self) -> np.ndarray:
         """x joined to x + z for each step z: as -z is a step too, the pairs
-        with x < x + z, each x's ends sorted, are the edges in (u, v) order."""
+        with x < x + z, each x's ends sorted, are the edges in (u, v) order.
+        An N x |S| array, so N is counted against the state cap first."""
+        _check_cap(self.n)
         x = np.arange(self.n)[:, None]
         ends = np.sort(lattice_sum(*self.lattice, x, self.steps), axis=1)
         keep = ends > x
@@ -145,8 +153,8 @@ class Graph:
         return sorted(E[E[:, 0] == v, 1].tolist() + E[E[:, 1] == v, 0].tolist())
 
     def adjacency_matrix(self) -> np.ndarray:
+        u, v = self.edges.T  # a claimed graph's edges check the state cap
         A = np.zeros((self.n, self.n))
-        u, v = self.edges.T
         A[u, v] = 1.0
         A[v, u] = 1.0
         return A
@@ -191,7 +199,7 @@ def lattice_sum(n: int, d: int, x, z, sign: int = 1) -> np.ndarray:
 def lattice_negation(n: int, d: int) -> np.ndarray:
     """Index of -z for every vertex z of Z_n^d: every coordinate negated.
     Read-only, and cached: every chain on the lattice reads it."""
-    neg = lattice_sum(n, d, 0, np.arange(_power_count(n, d)), -1)
+    neg = lattice_sum(n, d, 0, np.arange(_power_count(n, d, claimed=True)), -1)
     neg.setflags(write=False)
     return neg
 
@@ -234,8 +242,9 @@ def lattice_circulant(column: np.ndarray, n: int, d: int) -> np.ndarray:
     copy of the column. Its (n,) * d grid, wrapped by n - 1 entries before
     each axis, holds column[k - (n - 1)] at k digit by digit, so M[y, x]
     is the wrapped grid at (n - 1) + y - x: a view from that corner with
-    the grid's strides along y's axes and their negatives along x's."""
-    size = _power_count(n, d)
+    the grid's strides along y's axes and their negatives along x's. N is
+    counted against the state cap first."""
+    size = _power_count(n, d, claimed=False)
     wrap = np.arange(1 - n, n) % n
     grid = np.reshape(column, (n,) * d)[np.ix_(*[wrap] * d)]
     corner = grid[(slice(n - 1, None),) * d]
@@ -285,12 +294,13 @@ def lattice(n: int, d: int) -> Graph:
 
 
 def _lattice_size(n: int, d: int) -> int:
-    """The n**d vertices of Z_n^d, refusing n < 2, d < 1 and a count past the cap."""
+    """The n**d vertices of Z_n^d, refusing n < 2, d < 1 and a count past
+    claimed_cap()."""
     if n < 2:
         raise ValueError(f"lattice needs n >= 2, got n={n}")
     if d < 1:
         raise ValueError(f"lattice needs d >= 1, got d={d}")
-    return _power_count(n, d)
+    return _power_count(n, d, claimed=True)
 
 
 _BUILDERS = {
@@ -319,7 +329,7 @@ def cartesian_power(G: Graph, d: int) -> Graph:
     built from G's steps alone."""
     if d < 1:
         raise ValueError(f"cartesian_power needs d >= 1, got d={d}")
-    size = _power_count(G.n, d)
+    size = _power_count(G.n, d, claimed=G.lattice is not None)
     tag = f"power({G.kind_tag},{d})"
     if G.lattice is not None:  # vertex 0's neighbours: G's steps in one coordinate j
         steps = np.concatenate([G.steps * G.n**j for j in range(d)])

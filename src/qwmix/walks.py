@@ -465,7 +465,7 @@ def hadamard_cycle_walk(n: int) -> DTWalk:
     """
     if n < 2:
         raise ValueError(f"cycle walk needs n >= 2, got {n}")
-    _check_cap(2 * n)
+    _check_cap(4 * n, claimed=True, what="momentum-block entries")
     H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     # after the shift, coin 0 at x came from x+1 and coin 1 from x-1
     up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
@@ -486,7 +486,7 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
     """
     coin_dim = 2 * d
     N = _lattice_size(n, d)
-    _check_cap(N * coin_dim)
+    _check_cap(N * coin_dim**2, claimed=True, what="momentum-block entries")
     coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
     # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
     # and coin 2j at v from up_j(v) with coin 2j+1

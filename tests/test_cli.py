@@ -383,6 +383,17 @@ def test_chain_export(tmp_path, capsys):
     assert main(["chain", "export", "blob", "3", str(out)]) == 2
 
 
+def test_chain_export_past_the_state_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # the claimed chain on Z_65^2 is built, but its 4225 x 4225 entries are
+    # refused before they are formed, and no file is written
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    out = tmp_path / "chain.csv"
+    assert main(["chain", "export", "lattice", "65,2", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "exceeds the configured cap of 4096" in captured.err and captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def test_chain_export_unwritable_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "chain.csv"
     assert main(["chain", "export", "cycle", "5", str(out)]) == 2

@@ -42,7 +42,7 @@ from qwmix import (
 )
 from qwmix.chains import InternalCheckError
 from qwmix.config import DEFAULT_TAIL_TOL
-from qwmix.graphs import complete, cycle, hypercube, lattice, lattice_step, path
+from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, lattice_step, path
 
 from conftest import (
     brute_dt_average,
@@ -55,6 +55,7 @@ from conftest import (
     dense_embedding,
     dense_unitary,
     project,
+    refusal_peak,
 )
 
 GENERATED_TOL = 1e-9
@@ -259,6 +260,21 @@ def test_chi_factor_refuses_a_rule_that_is_not_positive_semidefinite(monkeypatch
     monkeypatch.setattr(decoherence, "characteristic_function", broken)
     with pytest.raises(InternalCheckError, match="not positive semidefinite"):
         generated_chain(W, uniform_ct_rule(3.0))
+
+
+def test_chi_factor_refuses_to_outgrow_a_dense_chain(monkeypatch):
+    # at cap 256 a claimed chain may hold 256**2 // 16 = 4096 states and a
+    # chi factor 256**2 entries: on Z_64^2, C = 545, the exponential rule's
+    # factor (543 pivots at the default cap) is refused as it would grow
+    # past 64 rows; the delta rule's takes 2 pivots and runs
+    W = quantize_ct(standard_chain(lattice(64, 2)))
+    W.cluster_values()
+    assert len(W.cluster_starts) == 545 and len(decoherence._chi_factor(W, exponential_rule(64.0))) == 543
+    monkeypatch.setenv("QWMIX_STATE_CAP", "256")
+    assert refusal_peak(lambda: generated_chain(W, exponential_rule(64.0))) < 2 * 2**20
+    with pytest.raises(StateCapError, match="past 64 pivots of 545 columns exceeds the configured cap of 256"):
+        generated_chain(W, exponential_rule(64.0))
+    assert generated_chain(W, delta_rule(64.0)).chain.size == 4096
 
 
 def test_generated_chain_is_stochastic_and_symmetric():
@@ -729,6 +745,23 @@ def test_szegedy_kernel_steps_where_its_rounding_would_show(monkeypatch, flip, k
     expected = brute_dt_average(dense_unitary(W), dense_embedding(W), 2, [(s, 1 / 50) for s in range(50)])
     np.testing.assert_allclose(generated_chain(W, rule).chain.entries, expected, rtol=0.0, atol=1e-12)
     assert used == ["_szegedy_sum" if kernel else "_stepped_sum"]
+
+
+def test_szegedy_chain_reads_no_rule_weights(monkeypatch):
+    # the kernel reads the rule's characteristic function and the truncation
+    # bound comes in closed form, so no support or weights are formed
+    W = quantize_szegedy(random_symmetric_chain(12, np.random.default_rng(4)))
+    rules = (delta_rule(7), uniform_dt_rule(30), geometric_rule(200.0))
+    stepped = [decoherence._stepped_sum(W, _support_weights(rule)) for rule in rules]
+
+    def refused(rule):
+        raise AssertionError("rule_weights read")
+
+    monkeypatch.setattr(decoherence, "rule_weights", refused)
+    for rule, expected in zip(rules, stepped):
+        np.testing.assert_allclose(generated_chain(W, rule).chain.entries, expected, rtol=0.0, atol=1e-11)
+    with pytest.raises(RuleFamilyError, match="needs integer T"):
+        generated_chain(W, delta_rule(2.5))
 
 
 def test_szegedy_chain_holds_no_state_stack():

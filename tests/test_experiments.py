@@ -22,11 +22,13 @@ from qwmix.experiments import (
     tensor_power_identity_audit,
 )
 from qwmix import registry
-from qwmix.chains import uniform_projector_chain
+from qwmix.chains import one_norm, standard_chain, uniform_projector_chain
 from qwmix.cli import ConfigError, RunConfig
-from qwmix.graphs import cycle, path
+from qwmix.decoherence import delta_rule, generated_chain, limit_chain
+from qwmix.graphs import cartesian_power, cycle, hypercube, path
+from qwmix.walks import coined_walk, quantize_ct
 
-from conftest import refusal_peak
+from conftest import refusal_peak, traced_peak
 
 
 def _check_result_invariants(result):
@@ -134,7 +136,48 @@ def test_tensor_power_identity_audit():
     with pytest.raises(ValueError):
         tensor_power_identity_audit(path(3), 2, [1.0])
     with pytest.raises(ValueError):
-        tensor_power_identity_audit(cycle(9), 4, [1.0])
+        tensor_power_identity_audit(cycle(9), 7, [1.0])
+
+
+def test_claimed_audits_match_their_dense_forms():
+    # the audits read claimed chains through their column; the N x N
+    # entries they read before give the same numbers, bit for bit
+    for n, d, t in ((3, 2, 0.7), (5, 3, 2.3), (8, 2, 3.7), (16, 2, 32.0), (64, 1, 3.7)):
+        big = generated_chain(quantize_ct(standard_chain(cartesian_power(cycle(n), d))), delta_rule(t))
+        single = generated_chain(quantize_ct(standard_chain(cycle(n))), delta_rule(t / d))
+        K = np.array([[1.0]])
+        for _ in range(d):
+            K = np.kron(K, single.chain.entries)
+        dev = float(np.abs(big.chain.entries - K).max())
+        assert tensor_power_identity_audit(cycle(n), d, [t]).measurements == ((f"max_deviation_t{t:g}", dev),)
+    for d in range(1, 7):
+        P = limit_chain(quantize_ct(standard_chain(hypercube(d))))
+        dev = 0.5 * one_norm(P.entries - 1.0 / P.size)
+        assert dict(hypercube_limit_audit([d]).measurements)[f"limit_deviation_d{d}"] == dev
+    for n in (2, 4, 6, 12, 20):
+        t = max(1, round(n / np.sqrt(2.0)))
+        single = generated_chain(coined_walk("hadamard_cycle", n), delta_rule(t)).chain.entries
+        y, x = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        leak = float(single[(y - x - t) % 2 == 1].max())
+        assert dict(cycle_threshold_audit(n, "hadamard").measurements)["parity_leak"] == leak
+
+
+def test_claimed_audits_form_no_dense_chain(monkeypatch):
+    # 64^2 and 2^12 states: the dense forms took 512 and 384 MiB
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    assert traced_peak(lambda: tensor_power_identity_audit(cycle(64), 2, [3.7])) < 16 * 2**20
+    assert traced_peak(lambda: hypercube_limit_audit([12])) < 16 * 2**20
+
+
+@pytest.mark.parametrize("n, d, t_values", [(1024, 2, [3.7, 512.0]), (4, 10, [20.0])])
+def test_tensor_identity_past_the_state_cap(monkeypatch, n, d, t_values):
+    # 2**20 states, past the state cap and at the claimed limit
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    results = []
+    peak = traced_peak(lambda: results.append(tensor_power_identity_audit(cycle(n), d, t_values)))
+    assert peak < 192 * 2**20
+    _check_result_invariants(results[0])
+    assert results[0].all_hold() and len(results[0].assertions) == len(t_values)
 
 
 def test_lattice_scaling_sweep_growth_branch():
@@ -205,12 +248,12 @@ def test_results_are_deterministic():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: lattice_scaling_sweep([65], [2]),
+        lambda: lattice_scaling_sweep([1025], [2]),
         lambda: grover_complete_graph_sweep([65]),
-        lambda: hypercube_limit_audit([13]),
-        lambda: tensor_power_identity_audit(cycle(5), 6, [1.0]),
-        lambda: cycle_threshold_audit(5000, "ct"),
-        lambda: cycle_threshold_audit(2049, "hadamard"),
+        lambda: hypercube_limit_audit([21]),
+        lambda: tensor_power_identity_audit(cycle(5), 9, [1.0]),
+        lambda: cycle_threshold_audit(2**20 + 1, "ct"),
+        lambda: cycle_threshold_audit(2**18 + 1, "hadamard"),
         lambda: uniform_projector_chain(4097),
     ],
     ids=["lattice", "grover", "hypercube", "tensor_power", "cycle_ct", "cycle_hadamard", "uniform"],

@@ -106,10 +106,12 @@ def test_build_graph_dispatch():
 
 
 def test_state_cap_enforced(monkeypatch):
+    # a dense graph counts its states against the cap, a claimed one against
+    # max(cap, cap**2 // 16) = 625
     monkeypatch.setenv("QWMIX_STATE_CAP", "100")
     with pytest.raises(StateCapError):
-        cycle(101)
-    assert cycle(100).n == 100
+        cycle(626)
+    assert cycle(100).n == 100 and cycle(625).n == 625
     with pytest.raises(StateCapError):
         Graph(101, [[0, 1]])
 
@@ -124,9 +126,11 @@ def test_state_cap_enforced(monkeypatch):
         lambda: lattice(3, 5000),
         lambda: grover_lattice_walk(2, 10**6),
         lambda: cartesian_power(cycle(3), 10**6),
+        lambda: lattice(1025, 2),
+        lambda: hypercube(21),
     ],
     ids=["hypercube_15000", "hypercube_1e7", "hypercube_14000", "lattice_2_1e7", "lattice_3_5000",
-         "grover_2_1e6", "power_cycle3_1e6"],
+         "grover_2_1e6", "power_cycle3_1e6", "lattice_1025_2", "hypercube_21"],
 )
 def test_powers_refused_before_they_are_formed(monkeypatch, build):
     monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
@@ -191,6 +195,19 @@ def test_lattice_past_the_cap_is_built_from_its_steps(monkeypatch):
     G = lattice(4, 10)
     assert traced_peak(lambda: standard_chain(G)) < 64 * 2**20
     assert G.steps.size == 20 and "edges" not in vars(G)
+
+
+def test_claimed_objects_past_the_state_cap_refuse_their_dense_forms(monkeypatch):
+    # at the default cap a claimed graph or chain may store up to 2**20
+    # states; Z_1024^2's 2**20 x 4 edges, its adjacency matrix and its
+    # chain's 2**20 x 2**20 entries count N against the state cap
+    monkeypatch.delenv("QWMIX_STATE_CAP", raising=False)
+    assert [lattice(n, d).n for n, d in ((1024, 2), (64, 3), (4, 10))] == [2**20, 2**18, 2**20]
+    G = lattice(1024, 2)
+    P = standard_chain(G)
+    for form in (lambda: G.edges, lambda: G.neighbors(0), G.adjacency_matrix, lambda: P.entries):
+        assert refusal_peak(form) < 2**20
+    assert "edges" not in vars(G) and "entries" not in vars(P)
 
 
 def test_claimed_graphs_read_degrees_from_their_steps(monkeypatch):

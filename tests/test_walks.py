@@ -326,8 +326,10 @@ def test_walk_builders_refuse_past_cap(monkeypatch):
     monkeypatch.setenv("QWMIX_STATE_CAP", "20")
     with pytest.raises(StateCapError, match="25 states"):
         quantize_szegedy(standard_chain(cycle(5)))
-    with pytest.raises(StateCapError, match="22 states"):
-        coined_walk("hadamard_cycle", 11)
+    # a lattice walk counts its N r^2 momentum-block entries against
+    # max(cap, cap**2 // 16) = 25
+    with pytest.raises(StateCapError, match="28 momentum-block entries"):
+        coined_walk("hadamard_cycle", 7)
 
 
 def _check_clusters(P: MarkovChain) -> None:
