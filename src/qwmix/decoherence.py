@@ -10,9 +10,9 @@ dense operator: two step the walk through the times 0 .. t_end - 1 with
 dense weights w[t], and the Szegedy kernel reads the same weights'
 characteristic function.
 
-A Szegedy walk (walks recognizes its structure) steps no state: its
-discriminant's eigenbasis D = Q diag(lam) Q^T, one eigh cached on the
-walk and shared with eigenphases, gives U^t A = A (X - Y) + B B_t in
+A walk that quantize_szegedy builds steps no state: its discriminant's
+eigenbasis D = Q diag(lam) Q^T, one eigh that the builder stores on the
+walk and eigenphases shares, gives U^t A = A (X - Y) + B B_t in
 closed form (Szegedy's spectral lemma), with X, B_t and Y = D B_t
 diagonal in Q. Summed over the rule's times, the measured chain X o X -
 Y o Y + P (B_t o B_t) is three square sums of the continuous-time kind
@@ -26,12 +26,9 @@ at 1 are static. Where the terms' cancellation, up to 1 / (1 - lam^2),
 would round past GENERATED_TOL, the walk is stepped instead.
 
 Any other walk without the lattice claim steps every start state, one
-column each, through every time. The stepped states are stored in a
-buffer of at most STEP_BATCH_ENTRIES entries (or one state, if that is
-larger), and each full or final partial buffer is measured at once: one
-product of the rule's weights at its times with the squared real and
-imaginary parts. The position register is summed once, at the end. This
-is also the tests' oracle for the other two kernels.
+column each, through every time, and adds w[t] |psi_t|^2 at each; the
+position register is summed once, at the end. This is also the tests'
+oracle for the other two kernels.
 
 A lattice (n, d) walk commutes with the translations of Z_n^d, so only
 base state 0 is stepped, as the columns of a C-ordered (dim, columns)
@@ -97,7 +94,7 @@ import numpy as np
 from .chains import InternalCheckError, MarkovChain, NoMix, _threshold_time
 from .config import DEFAULT_TAIL_TOL, state_cap
 from .graphs import StateCapError, lattice_negation
-from .walks import DISCRIMINANT_TOL, UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
+from .walks import UNITARITY_TOL, CTWalk, DTWalk, RuleFamilyError
 
 CT_FAMILIES = ("delta", "uniform_ct", "exponential")
 DT_FAMILIES = ("delta", "uniform_dt", "geometric")
@@ -116,7 +113,7 @@ CHI_TRACE_TOL = 1e-13
 # Terms of a lattice walk's chain formed per batched inverse transform,
 # times N: 2 MiB of float64 term columns a batch.
 FOURIER_BATCH_ENTRIES = 1 << 18
-# Entries of a discrete walk's stored steps, in the walk's dtype, between
+# Entries of a lattice walk's stored steps, in its row dtype, between
 # measurements: 1 MiB of complex128.
 STEP_BATCH_ENTRIES = 1 << 16
 
@@ -447,8 +444,7 @@ def _generated_ct(walk: CTWalk, rule: MeasurementRule) -> GeneratedChain:
 
 def _generated_dt(walk: DTWalk, rule: MeasurementRule) -> GeneratedChain:
     trunc = _truncation_error(rule)
-    szegedy = walk.lattice is None and walk._szegedy_spectrum is not None
-    if szegedy and _szegedy_rounding(walk) <= GENERATED_TOL:
+    if walk._szegedy_spectrum is not None and _szegedy_rounding(walk) <= GENERATED_TOL:
         col = _szegedy_sum(walk, rule)
     else:
         times, weights, _ = rule_weights(rule)
@@ -466,27 +462,16 @@ def _stepped_sum(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     """sum_t w[t] |psi_t|^2 with the position register summed, as an
     N x N array, stepping the start states, one column each, one time
     after another."""
-    starts = np.arange(walk.base_size)
-    psi = np.zeros((walk.dim, starts.size), dtype=walk._dtype)
-    psi.reshape(walk.base_size, walk.register_dim, -1)[starts, :, starts] = walk.embed
-    t_end = w.size
-    # the states at times t0..t0+m-1 are stored, then measured together:
-    # with their real and imaginary parts squared in place, w[t0:t0+m] @
-    # parts sums w |psi|^2 over the block, one part at a time
-    L = min(t_end, max(1, STEP_BATCH_ENTRIES // psi.size))
-    states = np.empty((L,) + psi.shape, dtype=psi.dtype)
-    parts = states.view(states.real.dtype).reshape(L, -1)
-    acc = np.zeros(parts.shape[1])
-    for t0 in range(0, t_end, L):
-        m = min(L, t_end - t0)
-        for i in range(m):
-            if t0 + i:
-                psi = walk.step(psi)
-            states[i] = psi
-        block = parts[:m]
-        block *= block
-        acc += w[t0 : t0 + m] @ block
-    return acc.reshape(walk.base_size, walk.register_dim, starts.size, -1).sum(axis=(1, 3))
+    N = walk.base_size
+    starts = np.arange(N)
+    psi = np.zeros((walk.dim, N), dtype=walk.embed.dtype)
+    psi.reshape(N, walk.register_dim, N)[starts, :, starts] = walk.embed
+    acc = np.zeros(psi.shape)
+    for t, wt in enumerate(w):
+        if t:
+            psi = walk.step(psi)
+        acc += wt * (psi.real**2 + psi.imag**2)
+    return acc.reshape(N, walk.register_dim, N).sum(axis=1)
 
 
 def _szegedy_sum(walk: DTWalk, rule: MeasurementRule) -> np.ndarray:
@@ -514,7 +499,7 @@ def _szegedy_sum(walk: DTWalk, rule: MeasurementRule) -> np.ndarray:
     chain as three square sums over the eigenbasis, of La, Lb diag(lam)
     and Lb, with P multiplying the third: O(N^3) per pivot, whatever the
     rule's support."""
-    lam, Q = walk._szegedy_spectrum
+    lam, Q, _ = walk._szegedy_spectrum
     # rows for columns: Ka and Kb are symmetric
     La, Lb = (
         _pivoted_cholesky(K.__getitem__, K.diagonal(), rounding, "Szegedy kernel")
@@ -551,11 +536,9 @@ def _szegedy_kernels(walk: DTWalk, rule: MeasurementRule) -> tuple[tuple[np.ndar
     stop at these. A sum over the L measured times rounds by about L eps
     max b^2, with max b^2 <= 1 / min sin^2 theta: the same size for delta
     and uniform_dt, up to the factor 4 theta <= 4 pi."""
-    lam = walk._szegedy_spectrum[0]
-    moving = np.abs(lam) < 1.0 - DISCRIMINANT_TOL
-    theta = np.arccos(np.where(moving, lam, 1.0))
+    theta = walk._szegedy_spectrum[2]
     inv_sin = np.zeros(theta.size)
-    np.divide(1.0, np.sin(theta), out=inv_sin, where=moving)
+    np.divide(1.0, np.sin(theta), out=inv_sin, where=theta > 0.0)
     two = 2.0 * theta
     angles = (np.subtract.outer(two, two), np.add.outer(two, two))
     minus, plus = characteristic_function(rule, angles).real
@@ -574,8 +557,8 @@ def _szegedy_rounding(walk: DTWalk) -> float:
     Q, are up to max b^2 in size and cancel to entries of at most 1. So an
     entry is off by about N eps / min(1 - lam^2). A walk with a moving
     direction that near +-1 steps its start states instead."""
-    lam = walk._szegedy_spectrum[0]
-    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
+    lam, _, theta = walk._szegedy_spectrum
+    lam = lam[theta > 0.0]
     if not lam.size:
         return 0.0
     return walk.base_size * np.finfo(np.float64).eps / (1.0 - lam * lam).min()

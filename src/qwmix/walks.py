@@ -11,7 +11,7 @@ position register).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -171,15 +171,17 @@ class DTWalk:
     1-D integer array is a permutation, psi -> psi[perm]. A (B, b, b)
     array is a stack of unitary blocks acting on consecutive index
     blocks of length b; B == 1 broadcasts one block to all dim // b
-    index blocks, otherwise B == dim // b. step runs a plan built on the
-    first call and kept: each run of consecutive permutations composed
-    into one gather index and each block stack cast once to the walk's
-    dtype (embed's and the blocks' together). A lattice walk also steps a
-    C-ordered (dim, columns) stack of states in the register-major layout
-    sub * N + base with _step_rows, in real arithmetic when every block is
-    real; its generated chains step only that way. A walk with
-    quantize_szegedy's structure caches its discriminant's eigh, which
-    eigenphases and its generated chains share.
+    index blocks, otherwise B == dim // b. step applies the factors one
+    by one. A lattice walk also steps a C-ordered (dim, columns) stack of
+    states in the register-major layout sub * N + base with _step_rows,
+    in real arithmetic when every block is real; its generated chains
+    step only that way.
+
+    _szegedy_spectrum is None except on a walk that quantize_szegedy
+    returns, which it sets to its discriminant's eigendecomposition;
+    eigenphases and the generated chains read it. No constructor
+    argument sets it, so a walk assembled by hand with the same factors,
+    or a dataclasses.replace copy, carries none.
 
     embed[x] is the register state (length register_dim) that base state
     x starts in, at walk indices x * register_dim + sub; projecting a
@@ -210,6 +212,8 @@ class DTWalk:
     base_label: str = "custom"
     base_symmetric: bool = True
     lattice: tuple[int, int] | None = None
+    # not a field: only quantize_szegedy sets it, as (lam, Q, theta)
+    _szegedy_spectrum = None
 
     def __post_init__(self):
         dim = self.dim
@@ -276,15 +280,16 @@ class DTWalk:
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """One application of the walk operator to a wavefunction or to
-        each column of a wavefunction matrix."""
-        for stage in self._plan:
-            psi = stage(psi)
+        each column of a wavefunction matrix: a gather per permutation and
+        one batched product per block stack, blocks[j] (or blocks[0] for
+        every j) applied to index block j of each column."""
+        for f in self.factors:
+            if f.ndim == 1:
+                psi = psi[f]
+            else:
+                b = f.shape[-1]
+                psi = np.matmul(f, psi.reshape(psi.shape[0] // b, b, -1)).reshape(psi.shape)
         return psi
-
-    @cached_property
-    def _dtype(self) -> np.dtype:
-        """The dtype of a stepped state: embed's and the block stacks' together."""
-        return np.result_type(self.embed, *(f for f in self.factors if f.ndim == 3))
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, ...]:
@@ -297,14 +302,6 @@ class DTWalk:
             else:
                 runs.append(f)
         return tuple(runs)
-
-    @cached_property
-    def _plan(self) -> tuple:
-        """The stages of step, built once: a gather per run of
-        permutations and each block stack cast to the walk's dtype."""
-        return tuple(
-            _stage(f if f.ndim == 1 else f.astype(self._dtype, copy=False)) for f in self._runs
-        )
 
     @cached_property
     def _momentum_blocks(self) -> np.ndarray:
@@ -370,29 +367,6 @@ class DTWalk:
         X.setflags(write=False)
         return X
 
-    @cached_property
-    def _szegedy_spectrum(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(lam, Q), the eigendecomposition D = Q diag(lam) Q^T by one eigh,
-        lam ascending, of the n x n discriminant D[x, y] = <p_x|y> <x|p_y> =
-        sqrt(P[y, x] P[x, y]) of a walk with the structure of
-        quantize_szegedy's, (swap, R, swap, R) with R the reflections about
-        the real embedded states; None for any other walk. eigenphases and
-        the generated chains share it."""
-        n = self.base_size
-        cols = self.embed
-        if self.register_dim != n or len(self.factors) != 4 or not np.isrealobj(cols):
-            return None
-        swap, R = _swap(n), _reflections(cols)
-        # each distinct (factor, expected) pair of objects is compared once:
-        # quantize_szegedy repeats swap and R as one object each
-        pairs = {(id(f), id(g)): (f, g) for f, g in zip(self.factors, (swap, R, swap, R))}
-        if not all(np.array_equal(f, g) for f, g in pairs.values()):
-            return None
-        lam, Q = np.linalg.eigh(cols * cols.T)
-        lam.setflags(write=False)
-        Q.setflags(write=False)
-        return lam, Q
-
     def _step_rows(self, X: np.ndarray) -> np.ndarray:
         """One application of a lattice walk's operator to each column of a
         C-ordered (dim, columns) stack of states in the register-major
@@ -406,31 +380,18 @@ class DTWalk:
         return X
 
 
-def _stage(f: np.ndarray):
-    """The function psi -> f applied to psi, for a gather index or a
-    block stack."""
-    if f.ndim == 1:
-        return partial(_gather, f)
-    return partial(_block_stack, f)
-
-
-def _gather(index: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return psi[index]
-
-
-def _block_stack(blocks: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """blocks[j] (or blocks[0] for every j) applied to index block j of
-    each column."""
-    b = blocks.shape[-1]
-    return np.matmul(blocks, psi.reshape(psi.shape[0] // b, b, -1)).reshape(psi.shape)
-
-
 def quantize_szegedy(P: MarkovChain) -> DTWalk:
     """Discrete-time quantization (R S)^2 on the bipartite edge space.
 
     S swaps |x,y> -> |y,x>; R reflects each x-block around the column
     state |p_x> = sum_y sqrt(P[y,x]) |y>. embed(x) = |x>|p_x>. Applied
     right to left, so the factors are (S, R, S, R).
+
+    The walk carries _szegedy_spectrum = (lam, Q, theta): the n x n
+    discriminant D[x, y] = <p_x|y> <x|p_y> = sqrt(P[y, x] P[x, y]) as
+    Q diag(lam) Q^T by one eigh, lam ascending, and theta = arccos lam on
+    the moving directions, |lam| < 1 - DISCRIMINANT_TOL, and 0 on the
+    static rest.
     """
     n = P.size
     _check_cap(n * n)
@@ -438,9 +399,17 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
         raise ValueError(f"chain {P.label!r} must be irreducible")
     cols = np.sqrt(P.entries).T  # cols[x] = |p_x>
     swap, R = _swap(n), _reflections(cols)
-    return DTWalk(
+    W = DTWalk(
         "szegedy", n, n, (swap, R, swap, R), cols, base_label=P.label, base_symmetric=False
     )
+    lam, Q = np.linalg.eigh(cols * cols.T)
+    # static on lam, not on the phase: arccos turns a rounding error of
+    # 1e-16 in lam = 1 into a phase of ~1e-8
+    theta = np.arccos(np.where(np.abs(lam) < 1.0 - DISCRIMINANT_TOL, lam, 1.0))
+    for a in (lam, Q, theta):
+        a.setflags(write=False)
+    object.__setattr__(W, "_szegedy_spectrum", (lam, Q, theta))
+    return W
 
 
 def _swap(n: int) -> np.ndarray:
@@ -518,10 +487,11 @@ def eigenphases(W: DTWalk) -> np.ndarray:
     """All dim eigenphases of a discrete walk, read from its structure.
 
     A lattice walk is block circulant, U[(x, .), (y, .)] = A[x - y], so its
-    spectrum is that of the r x r blocks fftn(A), one per momentum. A
-    Szegedy walk's phases are +-min(p, 2 pi - p), p = 2 arccos(lam), over
-    the discriminant eigenvalues |lam| < 1 - DISCRIMINANT_TOL (Szegedy's
-    spectral lemma), and 0 elsewhere. Any other walk is refused.
+    spectrum is that of the r x r blocks fftn(A), one per momentum. A walk
+    built by quantize_szegedy has phases +-min(p, 2 pi - p), p = 2 theta,
+    over the moving directions of its discriminant, theta > 0 (Szegedy's
+    spectral lemma), and 0 elsewhere. Any other walk is refused, even one
+    assembled by hand with Szegedy's factors.
     """
     if W.lattice is not None:
         return np.angle(np.linalg.eigvals(W._momentum_blocks)).ravel()
@@ -530,11 +500,8 @@ def eigenphases(W: DTWalk) -> np.ndarray:
             f"walk {W.walk_kind!r} declares no spectral structure: "
             "set its lattice or build it with quantize_szegedy"
         )
-    lam = W._szegedy_spectrum[0]
-    # filter on lam, not on the phase: arccos turns a rounding error of
-    # 1e-16 in lam = 1 into a phase of ~1e-8
-    lam = lam[np.abs(lam) < 1.0 - DISCRIMINANT_TOL]
-    p = 2.0 * np.arccos(lam)
+    theta = W._szegedy_spectrum[2]
+    p = 2.0 * theta[theta > 0.0]
     p = np.minimum(p, 2.0 * np.pi - p)
     return np.concatenate((p, -p, np.zeros(W.dim - 2 * p.size)))
 

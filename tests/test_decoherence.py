@@ -21,6 +21,7 @@ from qwmix import (
     coined_walk,
     ct_amplitude_row,
     delta_rule,
+    eigenphases,
     exponential_rule,
     generated_chain,
     geometric_rule,
@@ -28,6 +29,7 @@ from qwmix import (
     limit_chain,
     mixing_time,
     one_norm,
+    phase_gap,
     quantize_ct,
     quantize_szegedy,
     random_symmetric_chain,
@@ -608,7 +610,7 @@ def test_generated_dt_matches_dense_oracle(walk_and_oracle, t, T, T_geo):
     # a budget of L states leaves no room for giant steps, so a lattice walk
     # steps its start columns too, and the stored steps are measured in blocks
     # of at most L states: the geometric rule's steps span at least three
-    # blocks and end in a partial one
+    # blocks and end in a partial one (only lattice walks read the budget)
     t_end = t_max + 1
     L = next(L for L in range(2, t_end) if t_end % L)
     assert t_end > 2 * L
@@ -745,6 +747,70 @@ def test_szegedy_kernel_steps_where_its_rounding_would_show(monkeypatch, flip, k
     expected = brute_dt_average(dense_unitary(W), dense_embedding(W), 2, [(s, 1 / 50) for s in range(50)])
     np.testing.assert_allclose(generated_chain(W, rule).chain.entries, expected, rtol=0.0, atol=1e-12)
     assert used == ["_szegedy_sum" if kernel else "_stepped_sum"]
+
+
+def test_hand_built_szegedy_walk_is_stepped_not_recognized(monkeypatch):
+    # only quantize_szegedy states the spectrum; a copy with equal factors
+    # carries none, so eigenphases refuses it and its chain is stepped
+    W = quantize_szegedy(standard_chain(cycle(6)))
+    copy = dataclasses.replace(W, factors=tuple(f.copy() for f in W.factors))
+    assert W._szegedy_spectrum is not None and copy._szegedy_spectrum is None
+    with pytest.raises(ValueError, match="declares no spectral structure"):
+        eigenphases(copy)
+    used = []
+    stepped = decoherence._stepped_sum
+
+    def spy(*args):
+        used.append(1)
+        return stepped(*args)
+
+    monkeypatch.setattr(decoherence, "_stepped_sum", spy)
+    got = generated_chain(copy, uniform_dt_rule(7)).chain.entries
+    assert used == [1]
+    expected = brute_dt_average(
+        dense_unitary(copy), dense_embedding(copy), 6, [(s, 1 / 7) for s in range(7)]
+    )
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_szegedy_reflections_are_formed_once(monkeypatch):
+    # the builder's eigh serves phase_gap and the generated chain, so the
+    # reflections are formed for the walk's factors alone
+    calls = []
+    reflections = walks._reflections
+
+    def counted(cols):
+        calls.append(1)
+        return reflections(cols)
+
+    monkeypatch.setattr(walks, "_reflections", counted)
+    W = quantize_szegedy(standard_chain(complete(8)))
+    phase_gap(W)
+    generated_chain(W, uniform_dt_rule(5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "build, rule",
+    [
+        (lambda: coined_walk("hadamard_cycle", 16), geometric_rule(12)),
+        (lambda: coined_walk("grover_lattice", 4, 2), uniform_dt_rule(9)),
+        (lambda: quantize_szegedy(standard_chain(complete(8))), uniform_dt_rule(6)),
+    ],
+    ids=["hadamard16", "grover4_2", "szegedy_complete8"],
+)
+def test_structured_walks_generate_chains_without_stepping(monkeypatch, build, rule):
+    # lattice walks step their register-major rows and Szegedy walks read
+    # their spectrum: neither calls DTWalk.step or the stepped sum
+    W = build()
+
+    def refused(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(DTWalk, "step", refused)
+    monkeypatch.setattr(decoherence, "_stepped_sum", refused)
+    chain = generated_chain(W, rule).chain
+    assert chain.size == W.base_size
 
 
 def test_szegedy_chain_reads_no_rule_weights(monkeypatch):
