@@ -32,8 +32,8 @@ oracle for the other two kernels.
 
 A lattice (n, d) walk commutes with the translations of Z_n^d, so only
 base state 0 is stepped, as the columns of a C-ordered (dim, columns)
-stack in the register-major layout, row sub * N + base: each run of
-permutations one gather of whole rows along axis 0 and each block stack
+stack in the register-major layout, row sub * N + base: each
+permutation one gather of whole rows along axis 0 and each block stack
 one (r x r) @ (r x N columns) product. A walk whose blocks are real
 steps real columns, the real and imaginary parts of its start state
 apart. On a long support the chain takes about 2 sqrt(t_end) rounds of
@@ -46,11 +46,10 @@ and one batched inverse fft brings them back; on a real walk their
 imaginary parts, rounding residue, are checked and dropped. The baby
 steps then step those J states together L - 1 times, and measure column
 j at step i with weight w[j L + i]. The stepped stacks are stored and
-measured in blocks of STEP_BATCH_ENTRIES entries. Column entries at
-rounding level are set to 0 on either path, so the support does not
-depend on J. J comes from STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a
-support too short to pay for the transforms, or a state near the
-budget) the start columns are stepped through every time.
+measured in blocks of STEP_BATCH_ENTRIES entries. J comes from
+STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a support too short to pay
+for the transforms, or a state near the budget) the start columns are
+stepped through every time.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster
@@ -82,6 +81,12 @@ inverse transforms over the stacked term grids. Every generated and limit
 chain is checked, renormalized and symmetrized on the columns it has
 (column 0 alone on a lattice, through a length-N negation index) and
 returned carrying the lattice claim.
+
+Where the walk never arrives, every kernel above leaves rounding in
+place of 0. One floor, applied where every chain is checked
+(_generated_markov_chain, which states why it is safe), sets each entry
+at most UNITARITY_TOL^2 to 0, so the support, the irreducibility witness
+and the period do not depend on the kernel, nor on J.
 """
 
 from __future__ import annotations
@@ -282,7 +287,26 @@ def _generated_markov_chain(
     chain's columns, then build it. cols holds every column, or column 0
     alone (length N) when lattice is set; the checks then run on that
     column, where the transpose's column 0 is c[-z] and the row sums are
-    the column sum, and the chain is built from the column."""
+    the column sum, and the chain is built from the column.
+
+    This is the one place a chain's zeros are set: an entry below -tol is
+    refused, and every entry at most UNITARITY_TOL^2 (1e-18) is set to 0,
+    so one floor decides the support, and with it the irreducibility
+    witness and the period, whatever the kernel. Where the walk never
+    arrives (a bipartite base's other parity class, past a light cone,
+    off the target of a perfect state transfer) every kernel computes the
+    entry from squares of amplitudes that are themselves rounding: about
+    1e-32 from a lattice walk's transform or steps, up to 1e-30 from the
+    square sums, up to about 1e-29 from the Szegedy kernel, whose gate
+    (_szegedy_rounding) keeps eps max b^2 <= GENERATED_TOL / N, so the
+    squares of its amplitudes' rounding, eps^2 max b^2, stay below eps
+    GENERATED_TOL / N. A truncated factor moves no such entry: its
+    residual R = K - L L^T is positive semidefinite and at most K, so
+    where a square sum's exact value p^T K p is 0, so is p^T R p. A true
+    entry that small is dropped, which moves an entry by at most 1e-18.
+    Where the walk arrives but its amplitude cancels at one time, the
+    Szegedy kernel's X o X - Y o Y + P (B_t o B_t) cancels terms of order
+    1, to about eps, which this floor leaves in the support."""
     neg = None if lattice is None else lattice_negation(*lattice)
 
     def flip(A: np.ndarray) -> np.ndarray:
@@ -291,7 +315,7 @@ def _generated_markov_chain(
     tol = GENERATED_TOL + trunc
     if cols.min() < -tol:
         raise ArithmeticError(f"{what}: negative entry {cols.min()}")
-    M = np.clip(cols, 0.0, None)
+    M = np.where(cols <= UNITARITY_TOL**2, 0.0, cols)
     col_err = np.abs(M.sum(axis=0) - 1.0).max()
     if col_err > tol:
         raise ArithmeticError(f"{what}: column sums off by {col_err}")
@@ -607,12 +631,9 @@ def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
     An entry the walk cannot reach is rounding in the column, not 0: the
     giant states' inverse transform leaves about 1e-32 at the wrong parity
     of a bipartite walk, and stepping a walk back to its start state
-    (grover_lattice(3, 3) at t = 12) leaves 1e-33 beside it. Every entry
-    at most UNITARITY_TOL^2, the square of the rounding the states are
-    allowed, is set to 0, on both paths, so the chain's support, period
-    and reducibility do not depend on J. A true entry that small, at the
-    far edge of a light cone, goes too, which moves the column by no more
-    than that."""
+    (grover_lattice(3, 3) at t = 12) leaves 1e-33 beside it. Both are far
+    below the one floor _generated_markov_chain applies to every chain, so
+    the chain's support, period and reducibility do not depend on J."""
     J = _giant_steps(walk, w.size)
     L = -(-w.size // J)
     X = walk._row_starts if J == 1 else _giant_states(walk, J, L)
@@ -636,9 +657,7 @@ def _lattice_column(walk: DTWalk, w: np.ndarray) -> np.ndarray:
         block = parts[:m]
         block *= block
         acc += np.matmul(block, weights[i0 : i0 + m]).sum(axis=0)
-    col = acc.reshape(walk.register_dim, walk.base_size).sum(axis=0)
-    col[col <= UNITARITY_TOL**2] = 0.0
-    return col
+    return acc.reshape(walk.register_dim, walk.base_size).sum(axis=0)
 
 
 def _giant_states(walk: DTWalk, J: int, L: int) -> np.ndarray:

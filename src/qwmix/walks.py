@@ -292,18 +292,6 @@ class DTWalk:
         return psi
 
     @cached_property
-    def _runs(self) -> tuple[np.ndarray, ...]:
-        """The factors with each run of consecutive permutations composed
-        into one gather index, psi[a][b] == psi[a[b]]."""
-        runs = []
-        for f in self.factors:
-            if f.ndim == 1 and runs and runs[-1].ndim == 1:
-                runs[-1] = runs[-1][f]
-            else:
-                runs.append(f)
-        return tuple(runs)
-
-    @cached_property
     def _momentum_blocks(self) -> np.ndarray:
         """A lattice walk's r x r blocks fftn(A), one per momentum in the
         flat Fourier grid order. The walk is block circulant,
@@ -332,15 +320,15 @@ class DTWalk:
     @cached_property
     def _row_plan(self) -> tuple[np.ndarray, ...]:
         """The stages of _step_rows on a lattice walk, in the register-major
-        layout sub * N + base: the gather index of each run of
-        permutations, carried into that layout, and for each block stack
-        the r x r block M it applies at every base state (one register's
-        blocks on its diagonal), in _row_dtype."""
+        layout sub * N + base: the gather index of each permutation,
+        carried into that layout, and for each block stack the r x r block
+        M it applies at every base state (one register's blocks on its
+        diagonal), in _row_dtype."""
         N, r = self.base_size, self.register_dim
         # the walk index base * r + sub of register-major index sub * N + base
         walk_index = np.arange(self.dim).reshape(N, r).T.ravel()
         stages = []
-        for f in self._runs:
+        for f in self.factors:
             if f.ndim == 1:
                 source = f[walk_index]
                 stages.append((source % r) * N + source // r)
@@ -370,8 +358,8 @@ class DTWalk:
     def _step_rows(self, X: np.ndarray) -> np.ndarray:
         """One application of a lattice walk's operator to each column of a
         C-ordered (dim, columns) stack of states in the register-major
-        layout, row sub * N + base: per run of permutations one gather of
-        whole rows along axis 0, and per block stack one 2-D product
+        layout, row sub * N + base: per permutation one gather of whole
+        rows along axis 0, and per block stack one 2-D product
         M @ (r, N * columns) of the registers. ndarray.take skips np.take's
         dispatch."""
         r = self.register_dim

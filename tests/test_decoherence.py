@@ -413,6 +413,26 @@ def test_hypercube_delta_hits_uniform():
     np.testing.assert_allclose(got, 1.0 / 8.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "build, T",
+    [(lambda: cycle(4), math.pi), (lambda: hypercube(3), 1.5 * math.pi)],
+    ids=["cycle4", "hypercube3"],
+)
+def test_claimed_and_unclaimed_chains_agree_on_support_at_perfect_state_transfer(build, T):
+    # at T the walk takes every state to its antipode, so the delta chain is
+    # a permutation; the unclaimed copy's square sums leave 2e-33 to 1e-30 at
+    # its zeros, the claimed column none, and the one floor makes both read
+    # the chain as reducible
+    P = standard_chain(build())
+    copy = MarkovChain(P.entries.copy())
+    got = generated_chain(quantize_ct(P), delta_rule(T)).chain
+    expected = generated_chain(quantize_ct(copy), delta_rule(T)).chain
+    assert got.lattice == P.lattice is not None and expected.lattice is None
+    assert (np.count_nonzero(expected.entries, axis=0) == 1).all()
+    np.testing.assert_array_equal(got.entries == 0.0, expected.entries == 0.0)
+    assert got.irreducibility_witness == expected.irreducibility_witness == (0, 1)
+
+
 def test_repeated_mixing_time_examples():
     W = quantize_ct(standard_chain(hypercube(3)))
     g = generated_chain(W, uniform_ct_rule(80.0))
@@ -693,6 +713,48 @@ def test_szegedy_kernel_on_long_supports(build):
             rtol=0.0,
             atol=1e-11,
         )
+
+
+SZEGEDY_ON_BIPARTITE_BASES = {
+    "path7_uniform_dt": (lambda: path(7), uniform_dt_rule(50)),
+    "cycle8_uniform_dt": (lambda: cycle(8), uniform_dt_rule(50)),
+    "cycle8_delta": (lambda: cycle(8), delta_rule(7)),
+    "path12_geometric": (lambda: path(12), geometric_rule(9.5)),
+}
+
+
+@pytest.mark.parametrize(
+    "build, rule", SZEGEDY_ON_BIPARTITE_BASES.values(), ids=list(SZEGEDY_ON_BIPARTITE_BASES)
+)
+def test_szegedy_chain_on_a_bipartite_base_keeps_the_zeros_of_stepping(build, rule):
+    # U = ref_A ref_B moves the walker two base steps, so on a bipartite
+    # base the measured chain keeps the parity classes apart: the stepped
+    # sum is rounding between them, and the kernel's square sums leave up
+    # to 1e-29 there, which the chain's one floor sets to 0, so the chain
+    # is refused as reducible rather than read as irreducible with period 1
+    P = standard_chain(build())
+    W = quantize_szegedy(P)
+    assert decoherence._szegedy_rounding(W) <= GENERATED_TOL
+    stepped = decoherence._stepped_sum(W, _support_weights(rule))
+    zero = stepped <= walks.UNITARITY_TOL**2
+    assert stepped[zero].max() <= 1e-28
+    parity = np.arange(P.size) % 2
+    across = parity[:, None] != parity[None, :]
+    assert zero[across].all()
+    assert np.abs(decoherence._szegedy_sum(W, rule)[across]).max() <= 1e-28
+    got = generated_chain(W, rule).chain
+    if rule.family == "delta":
+        # within a class the walk's amplitude can cancel to 0 at one time,
+        # where X o X - Y o Y + P (B_t o B_t) cancels only to about eps
+        assert (got.entries[across] == 0.0).all() and (got.entries[~zero] > 0.0).all()
+    else:
+        np.testing.assert_array_equal(got.entries == 0.0, zero)
+    assert got.irreducibility_witness is not None
+    if not P.is_symmetric:
+        with pytest.raises(ReducibleChainError):
+            got.stationary
+    with pytest.raises(ReducibleChainError):
+        mixing_time(got, 200)
 
 
 @pytest.mark.parametrize(

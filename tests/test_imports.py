@@ -38,9 +38,9 @@ EXPORTED = [
 # Exported names that nothing in the package or the benchmark calls yet,
 # each with the ROADMAP item or acceptance criterion that gives it a caller.
 PLANNED_CALLERS = {
-    "bessel_j": "criterion 7's subject; ROADMAP item 4 calls it from src",
+    "bessel_j": "criterion 7's subject; ROADMAP item 5's light-cone bound calls it from src",
     "ct_amplitude_row": "criterion 7's subject",
-    "mixing_time_bound_from_distance": "ROADMAP item 6 certifies T' with it",
+    "mixing_time_bound_from_distance": "ROADMAP item 5 certifies T' with it",
 }
 NUMERICAL = {"numpy", "qwmix.chains"}
 # what a command that only reads and writes JSON must not load
