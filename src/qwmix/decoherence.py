@@ -33,23 +33,23 @@ oracle for the other two kernels.
 A lattice (n, d) walk commutes with the translations of Z_n^d, so only
 base state 0 is stepped, as the columns of a C-ordered (dim, columns)
 stack in the register-major layout, row sub * N + base: each
-permutation one gather of whole rows along axis 0 and each block stack
-one (r x r) @ (r x N columns) product. A walk whose blocks are real
-steps real columns, the real and imaginary parts of its start state
-apart. On a long support the chain takes about 2 sqrt(t_end) rounds of
-numpy calls instead of t_end, in giant steps and baby steps. With J
-about sqrt(t_end) and L = ceil(t_end / J), the giant steps give the
-states at times 0, L, ..., (J - 1) L in momentum space, where the walk
-is one r x r block per momentum (the blocks eigenphases reads too): the
-blocks' L-th power, by squaring, doubles the known states per product,
-and one batched inverse fft brings them back; on a real walk their
-imaginary parts, rounding residue, are checked and dropped. The baby
-steps then step those J states together L - 1 times, and measure column
-j at step i with weight w[j L + i]. The stepped stacks are stored and
-measured in blocks of STEP_BATCH_ENTRIES entries. J comes from
-STEP_BATCH_ENTRIES, dim and t_end; at J = 1 (a support too short to pay
-for the transforms, or a state near the budget) the start columns are
-stepped through every time.
+permutation one gather of whole rows along axis 0 and each reflection
+one (r x r) @ (r x N columns) product by its block 2 f_0 f_0^H - I. A
+walk whose reflections are real steps real columns, the real and
+imaginary parts of its start state apart. On a long support the chain
+takes about 2 sqrt(t_end) rounds of numpy calls instead of t_end, in
+giant steps and baby steps. With J about sqrt(t_end) and
+L = ceil(t_end / J), the giant steps give the states at times 0, L, ...,
+(J - 1) L in momentum space, where the walk is one r x r block per
+momentum (the blocks eigenphases reads too): the blocks' L-th power, by
+squaring, doubles the known states per product, and one batched inverse
+fft brings them back; on a real walk their imaginary parts, rounding
+residue, are checked and dropped. The baby steps then step those J
+states together L - 1 times, and measure column j at step i with weight
+w[j L + i]. The stepped stacks are stored and measured in blocks of
+STEP_BATCH_ENTRIES entries. J comes from STEP_BATCH_ENTRIES, dim and
+t_end; at J = 1 (a support too short to pay for the transforms, or a
+state near the budget) the start columns are stepped through every time.
 
 Continuous-time chains are evaluated in closed form through the rule's
 characteristic function phi. With cluster values v_c, cluster

@@ -2,10 +2,10 @@
 
 Continuous time: spectral data of the symmetrized generator H, evolved
 as exp(-iHt). Discrete time: a unitary on an enlarged space, kept as a
-product of permutations and unitary block stacks (shift and coin, swap
-and reflection), together with an embedding of base states and a
-projection back to a distribution over base states (measure the
-position register).
+product of permutations and reflections, one reflection per register
+(shift and coin, swap and reflection about |p_x>), together with an
+embedding of base states and a projection back to a distribution over
+base states (measure the position register).
 """
 
 from __future__ import annotations
@@ -168,14 +168,15 @@ class DTWalk:
     base_size * register_dim, index (base, sub) -> base * register_dim + sub.
 
     The walk operator is the product of factors, applied in order. A
-    1-D integer array is a permutation, psi -> psi[perm]. A (B, b, b)
-    array is a stack of unitary blocks acting on consecutive index
-    blocks of length b; B == 1 broadcasts one block to all dim // b
-    index blocks, otherwise B == dim // b. step applies the factors one
-    by one. A lattice walk also steps a C-ordered (dim, columns) stack of
-    states in the register-major layout sub * N + base with _step_rows,
-    in real arithmetic when every block is real; its generated chains
-    step only that way.
+    1-D integer array is a permutation, psi -> psi[perm]. A
+    (base_size, register_dim) array f of unit rows is a reflection: it
+    maps base state x's register psi_x to 2 f_x (f_x^H psi_x) - psi_x
+    (Szegedy's reflection about |p_x>, the Grover coin J/d - I about the
+    uniform vector, the Hadamard coin about (cos pi/8, sin pi/8)). step
+    applies the factors one by one. A lattice walk also steps a C-ordered
+    (dim, columns) stack of states in the register-major layout
+    sub * N + base with _step_rows, in real arithmetic when every
+    reflection is real; its generated chains step only that way.
 
     _szegedy_spectrum is None except on a walk that quantize_szegedy
     returns, which it sets to its discriminant's eigendecomposition;
@@ -194,9 +195,8 @@ class DTWalk:
     spectrum splits into one block per momentum; eigenphases and the
     generated chains share those blocks, read off once. The constructor
     checks the claim: every permutation commutes with the d unit
-    translations, every block stack acts within one base state's register
-    and is the same at every base state, and every row of embed equals
-    embed[0].
+    translations, and every row of each reflection, and of embed, equals
+    row 0.
 
     base_symmetric claims that every generated chain of the walk is
     symmetric; the generated-chain checks then require it. A Szegedy
@@ -218,11 +218,10 @@ class DTWalk:
     def __post_init__(self):
         dim = self.dim
         factors = self.factors
+        shape = (self.base_size, self.register_dim)
         if not isinstance(factors, tuple) or not factors:
             raise ValueError("factors must be a nonempty tuple of arrays")
-        # a factor repeated as one object (Szegedy's swap and reflections)
-        # is checked once
-        for f in {id(f): f for f in factors}.values():
+        for f in factors:
             if not isinstance(f, np.ndarray):
                 raise ValueError(f"factor of type {type(f).__name__} is not an array")
             if f.ndim == 1:
@@ -232,18 +231,15 @@ class DTWalk:
                     and np.array_equal(np.sort(f), np.arange(dim))
                 ):
                     raise ValueError(f"permutation factor is not a bijection on range({dim})")
-            elif f.ndim == 3:
-                B, b, b2 = f.shape
-                if b != b2 or b < 1 or dim % b or B not in (1, dim // b):
-                    raise ValueError(f"block stack of shape {f.shape} does not tile dim {dim}")
-                gram = np.matmul(f.conj().transpose(0, 2, 1), f, dtype=np.result_type(f, 1.0))
-                gram.reshape(B, -1)[:, :: b + 1] -= 1.0  # less the identity, in place
-                err = np.abs(gram).max()
+            elif f.shape == shape:
+                # (2cc^H - I)^H (2cc^H - I) - I = 4 (|c|^2 - 1) cc^H
+                err = 4.0 * np.abs(np.linalg.norm(f, axis=1) ** 2 - 1.0).max()
                 if err > UNITARITY_TOL:
-                    raise ValueError(f"walk operator not unitary: block deviation {err}")
+                    raise ValueError(f"walk operator not unitary: reflection deviation {err}")
             else:
-                raise ValueError(f"factor of shape {f.shape} is not a permutation or a block stack")
-        shape = (self.base_size, self.register_dim)
+                raise ValueError(
+                    f"factor of shape {f.shape} is not a permutation or a {shape} reflection"
+                )
         if self.embed.shape != shape:
             raise ValueError(f"embed shape {self.embed.shape} != {shape}")
         norms = np.linalg.norm(self.embed, axis=1)
@@ -255,7 +251,7 @@ class DTWalk:
     def _check_translation_invariant(self):
         _check_lattice_size(self.lattice, self.base_size, "base states")
         n, d = self.lattice
-        N, r = self.base_size, self.register_dim
+        r = self.register_dim
         sub = np.arange(r)
         for j in range(d):
             tau = (lattice_step(n, d, j, 1)[:, None] * r + sub).ravel()
@@ -263,14 +259,8 @@ class DTWalk:
                 if f.ndim == 1 and not np.array_equal(f[tau], tau[f]):
                     raise ValueError(f"permutation factor does not commute with translation {j}")
         for f in self.factors:
-            if f.ndim == 3:
-                B, b, _ = f.shape
-                # one base state's register holds r // b whole blocks
-                same = r % b == 0 and (B == 1 or (f.reshape(N, r // b, b, b) == f[: r // b]).all())
-                if not same:
-                    raise ValueError(
-                        f"block stack of shape {f.shape} is not the same at every base state"
-                    )
+            if f.ndim == 2 and not (f == f[0]).all():
+                raise ValueError("reflection is not the same at every base state")
         if not (self.embed == self.embed[0]).all():
             raise ValueError("embedded states are not the translates of embed[0]")
 
@@ -280,15 +270,16 @@ class DTWalk:
 
     def step(self, psi: np.ndarray) -> np.ndarray:
         """One application of the walk operator to a wavefunction or to
-        each column of a wavefunction matrix: a gather per permutation and
-        one batched product per block stack, blocks[j] (or blocks[0] for
-        every j) applied to index block j of each column."""
+        each column of a wavefunction matrix: a gather per permutation and,
+        per reflection, one batched product of each register with its
+        row's conjugate."""
         for f in self.factors:
             if f.ndim == 1:
                 psi = psi[f]
             else:
-                b = f.shape[-1]
-                psi = np.matmul(f, psi.reshape(psi.shape[0] // b, b, -1)).reshape(psi.shape)
+                X = psi.reshape(self.base_size, self.register_dim, -1)
+                c = np.matmul(f.conj()[:, None, :], X)
+                psi = (2.0 * f[:, :, None] * c - X).reshape(psi.shape)
         return psi
 
     @cached_property
@@ -314,16 +305,15 @@ class DTWalk:
 
     @cached_property
     def _row_dtype(self) -> np.dtype:
-        """The dtype of _step_rows: real unless a block stack is complex."""
-        return np.result_type(np.float64, *(f for f in self.factors if f.ndim == 3))
+        """The dtype of _step_rows: real unless a reflection is complex."""
+        return np.result_type(np.float64, *(f for f in self.factors if f.ndim == 2))
 
     @cached_property
     def _row_plan(self) -> tuple[np.ndarray, ...]:
         """The stages of _step_rows on a lattice walk, in the register-major
         layout sub * N + base: the gather index of each permutation,
-        carried into that layout, and for each block stack the r x r block
-        M it applies at every base state (one register's blocks on its
-        diagonal), in _row_dtype."""
+        carried into that layout, and for each reflection the r x r block
+        2 f_0 f_0^H - I it applies at every base state, in _row_dtype."""
         N, r = self.base_size, self.register_dim
         # the walk index base * r + sub of register-major index sub * N + base
         walk_index = np.arange(self.dim).reshape(N, r).T.ravel()
@@ -333,11 +323,7 @@ class DTWalk:
                 source = f[walk_index]
                 stages.append((source % r) * N + source // r)
                 continue
-            b = f.shape[-1]
-            M = np.zeros((r, r), dtype=self._row_dtype)
-            for j in range(r // b):
-                M[j * b : (j + 1) * b, j * b : (j + 1) * b] = f[j % f.shape[0]]
-            stages.append(M)
+            stages.append(2.0 * np.outer(f[0], f[0].conj()) - np.eye(r))
         return tuple(stages)
 
     @cached_property
@@ -359,7 +345,7 @@ class DTWalk:
         """One application of a lattice walk's operator to each column of a
         C-ordered (dim, columns) stack of states in the register-major
         layout, row sub * N + base: per permutation one gather of whole
-        rows along axis 0, and per block stack one 2-D product
+        rows along axis 0, and per reflection one 2-D product
         M @ (r, N * columns) of the registers. ndarray.take skips np.take's
         dispatch."""
         r = self.register_dim
@@ -372,8 +358,9 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     """Discrete-time quantization (R S)^2 on the bipartite edge space.
 
     S swaps |x,y> -> |y,x>; R reflects each x-block around the column
-    state |p_x> = sum_y sqrt(P[y,x]) |y>. embed(x) = |x>|p_x>. Applied
-    right to left, so the factors are (S, R, S, R).
+    state |p_x> = sum_y sqrt(P[y,x]) |y>, the reflection factor whose row
+    x is |p_x>. embed(x) = |x>|p_x>. Applied right to left, so the factors
+    are (S, R, S, R).
 
     The walk carries _szegedy_spectrum = (lam, Q, theta): the n x n
     discriminant D[x, y] = <p_x|y> <x|p_y> = sqrt(P[y, x] P[x, y]) as
@@ -386,9 +373,9 @@ def quantize_szegedy(P: MarkovChain) -> DTWalk:
     if not P.is_irreducible:
         raise ValueError(f"chain {P.label!r} must be irreducible")
     cols = np.sqrt(P.entries).T  # cols[x] = |p_x>
-    swap, R = _swap(n), _reflections(cols)
+    swap = _swap(n)
     W = DTWalk(
-        "szegedy", n, n, (swap, R, swap, R), cols, base_label=P.label, base_symmetric=False
+        "szegedy", n, n, (swap, cols, swap, cols), cols, base_label=P.label, base_symmetric=False
     )
     lam, Q = np.linalg.eigh(cols * cols.T)
     # static on lam, not on the phase: arccos turns a rounding error of
@@ -406,45 +393,38 @@ def _swap(n: int) -> np.ndarray:
     return (idx % n) * n + idx // n
 
 
-def _reflections(cols: np.ndarray) -> np.ndarray:
-    """Blocks 2 c_x c_x^T - I reflecting each x-block about cols[x], formed
-    in one n x n x n array."""
-    R = (2.0 * cols)[:, :, None] * cols[:, None, :]
-    R -= np.eye(cols.shape[1])
-    return R
-
-
 def hadamard_cycle_walk(n: int) -> DTWalk:
-    """Coined walk on Z_n with the 2x2 Hadamard coin and a moving shift:
-    coin 0 steps to x-1, coin 1 steps to x+1.
+    """Coined walk on Z_n with the 2x2 Hadamard coin, the reflection about
+    (cos pi/8, sin pi/8), and a moving shift: coin 0 steps to x-1, coin 1
+    steps to x+1.
 
     The initial coin (|0> + i|1>)/sqrt(2) makes the walk drift-free.
     """
     if n < 2:
         raise ValueError(f"cycle walk needs n >= 2, got {n}")
     _check_cap(4 * n, claimed=True, what="momentum-block entries")
-    H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    hadamard = np.broadcast_to([np.cos(np.pi / 8), np.sin(np.pi / 8)], (n, 2))
     # after the shift, coin 0 at x came from x+1 and coin 1 from x-1
     up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
     shift = np.stack([up * 2, down * 2 + 1], axis=1).ravel()
     coin = np.array([1.0 / np.sqrt(2.0), 1.0j / np.sqrt(2.0)])
     E = np.tile(coin, (n, 1))
     return DTWalk(
-        "hadamard_cycle", n, 2, (H2[None], shift), E, base_label=f"cycle({n})", lattice=(n, 1)
+        "hadamard_cycle", n, 2, (hadamard, shift), E, base_label=f"cycle({n})", lattice=(n, 1)
     )
 
 
 def grover_lattice_walk(n: int, d: int) -> DTWalk:
     """Coined walk on Z_n^d with the 2d-dimensional Grover diffusion
-    coin and a flip-flop shift: moving along +-e_j flips the coin to the
-    opposite direction. Initial coin is uniform.
+    coin J/d - I, the reflection about the uniform coin state, and a
+    flip-flop shift: moving along +-e_j flips the coin to the opposite
+    direction. Initial coin is uniform.
 
     Coin index 2j+s points along coordinate j with sign (-1)^s.
     """
     coin_dim = 2 * d
     N = _lattice_size(n, d)
     _check_cap(N * coin_dim**2, claimed=True, what="momentum-block entries")
-    coin = np.full((coin_dim, coin_dim), 1.0 / d) - np.eye(coin_dim)
     # after the shift, coin 2j+1 at v came from down_j(v) with coin 2j,
     # and coin 2j at v from up_j(v) with coin 2j+1
     shift = np.empty((N, coin_dim), dtype=np.intp)
@@ -452,7 +432,7 @@ def grover_lattice_walk(n: int, d: int) -> DTWalk:
         shift[:, 2 * j + 1] = lattice_step(n, d, j, -1) * coin_dim + 2 * j
         shift[:, 2 * j] = lattice_step(n, d, j, 1) * coin_dim + 2 * j + 1
     E = np.full((N, coin_dim), 1.0 / np.sqrt(coin_dim))
-    factors = (coin[None], shift.ravel())
+    factors = (E, shift.ravel())
     label = f"lattice({n},{d})"
     return DTWalk(f"grover_{label}", N, coin_dim, factors, E, base_label=label, lattice=(n, d))
 

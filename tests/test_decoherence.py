@@ -836,19 +836,20 @@ def test_hand_built_szegedy_walk_is_stepped_not_recognized(monkeypatch):
 
 
 def test_szegedy_reflections_are_formed_once(monkeypatch):
-    # the builder's eigh serves phase_gap and the generated chain, so the
-    # reflections are formed for the walk's factors alone
+    # both reflections are the embedding's rows |p_x>, one array, and the
+    # builder's eigh serves phase_gap and the generated chain
     calls = []
-    reflections = walks._reflections
+    eigh = np.linalg.eigh
 
-    def counted(cols):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return reflections(cols)
+        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(walks, "_reflections", counted)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     W = quantize_szegedy(standard_chain(complete(8)))
     phase_gap(W)
     generated_chain(W, uniform_dt_rule(5))
+    assert W.factors[1] is W.factors[3] is W.embed
     assert len(calls) == 1
 
 
@@ -903,22 +904,22 @@ def test_szegedy_chain_holds_no_state_stack():
     assert peak < N**3 * 16, peak
 
 
-def _custom_lattice_walk(n: int, complex_blocks: bool, complex_embed: bool) -> DTWalk:
-    """A walk on Z_n with a 4-dim register: a stack of two different 2 x 2
-    blocks per site, a shift moving subs 0 and 3 up and sub 1 down, a
-    broadcast 4 x 4 block and two more shifts, all random unitaries."""
+def _custom_lattice_walk(n: int, complex_rows: bool, complex_embed: bool) -> DTWalk:
+    """A walk on Z_n with a 4-dim register: a reflection about a random
+    unit row, a shift moving subs 0 and 3 up and sub 1 down, a reflection
+    about another random row and two more shifts."""
     rng = np.random.default_rng(n)
 
-    def unitary(k, is_complex):
-        Z = rng.normal(size=(k, k)) + (1j * rng.normal(size=(k, k)) if is_complex else 0.0)
-        return np.linalg.qr(Z)[0]
+    def unit_row(k, is_complex):
+        z = rng.normal(size=k) + (1j * rng.normal(size=k) if is_complex else 0.0)
+        return z / np.linalg.norm(z)
 
     r = 4
     up, down = lattice_step(n, 1, 0, 1), lattice_step(n, 1, 0, -1)
     shift = np.stack([up * r, down * r + 1, np.arange(n) * r + 2, up * r + 3], axis=1).ravel()
-    pair = np.tile(np.stack([unitary(2, complex_blocks), unitary(2, complex_blocks)]), (n, 1, 1))
-    factors = (pair, shift, unitary(r, complex_blocks)[None], shift, shift)
-    embed = np.tile(unitary(r, complex_embed)[0], (n, 1))
+    first, second = (np.tile(unit_row(r, complex_rows), (n, 1)) for _ in range(2))
+    factors = (first, shift, second, shift, shift)
+    embed = np.tile(unit_row(r, complex_embed), (n, 1))
     return DTWalk("custom", n, r, factors, embed, base_symmetric=False, lattice=(n, 1))
 
 

@@ -25,7 +25,7 @@ from qwmix import (
     symmetrized_generator,
     uniform_projector_chain,
 )
-from qwmix.chains import fourier_spectrum
+from qwmix.chains import COLUMN_SUM_TOL, fourier_spectrum
 from qwmix.config import DEFAULT_CLUSTER_TOL
 from qwmix.graphs import StateCapError, complete, cycle, hypercube, lattice, path
 
@@ -42,6 +42,7 @@ from conftest import (
     project,
     refusal_peak,
     szegedy_stationary_state,
+    traced_peak,
 )
 
 UNITARITY_TOL = 1e-9
@@ -193,10 +194,42 @@ def test_coined_walk_dispatch():
 
 
 def test_dtwalk_validates_unitarity():
-    M = np.eye(4)
-    M[0, 0] = 2.0
+    rows = np.eye(2)
+    rows[0, 1] = 1.0  # base state 0 reflects about (1, 1), not a unit row
     with pytest.raises(ValueError, match="not unitary"):
-        DTWalk("custom", 2, 2, (M[None],), np.eye(2))
+        DTWalk("custom", 2, 2, (rows,), np.eye(2))
+
+
+def test_dtwalk_reflection_tolerance_is_the_gram_bound():
+    # (2cc^H - I)^H (2cc^H - I) - I = 4 (|c|^2 - 1) cc^H, so a row is
+    # refused once 4 ||c|^2 - 1| passes UNITARITY_TOL
+    quarter = walks.UNITARITY_TOL / 4
+    for excess, accepted in ((0.9 * quarter, True), (1.1 * quarter, False)):
+        for phase in (1.0, np.exp(0.3j)):
+            rows = np.tile([0.6, 0.8 * phase], (3, 1)) * np.sqrt(1.0 + excess)
+            rows[1] = [1.0, 0.0]
+            embed = np.tile([1.0, 0.0], (3, 1))
+            if accepted:
+                DTWalk("custom", 3, 2, (rows,), embed)
+            else:
+                with pytest.raises(ValueError, match="not unitary"):
+                    DTWalk("custom", 3, 2, (rows,), embed)
+    # a Szegedy walk reflects about sqrt of the chain's columns, whose
+    # squared norms are the column sums: every chain the constructor
+    # accepts quantizes
+    base = standard_chain(complete(6)).entries
+    for drift in (-COLUMN_SUM_TOL, COLUMN_SUM_TOL):
+        P = MarkovChain(base * (1.0 + 0.99 * drift * np.arange(1, 7) / 6))
+        assert np.abs(P.entries.sum(axis=0) - 1.0).max() > 0.9 * COLUMN_SUM_TOL
+        rows = quantize_szegedy(P).factors[1]
+        np.testing.assert_allclose((rows * rows).sum(axis=1), P.entries.sum(axis=0), atol=1e-15)
+
+
+def test_szegedy_walk_forms_no_register_stack():
+    # the reflections are the n x n rows of sqrt(P)^T, not an n x n x n
+    # stack of blocks (6.1 MiB at complete(64)) with an n^4 Gram check
+    P = standard_chain(complete(64))
+    assert traced_peak(lambda: quantize_szegedy(P)) < 2**20
 
 
 @pytest.mark.parametrize(
@@ -204,17 +237,17 @@ def test_dtwalk_validates_unitarity():
     [
         ((np.array([0, 0, 2, 3]),), "not a bijection"),
         ((np.array([0, 1, 2, 4]),), "not a bijection"),
-        ((np.array([[[1.0, 1.0], [0.0, 1.0]]]),), "not unitary"),
-        ((np.eye(3)[None],), "does not tile"),
-        ((np.stack([np.eye(2)] * 3),), "does not tile"),
+        ((np.array([[1.0, 1.0], [0.0, 1.0]]),), "not unitary"),
+        ((np.eye(2)[None],), r"not a permutation or a \(2, 2\) reflection"),
+        ((np.eye(4)[:2, :3],), r"not a permutation or a \(2, 2\) reflection"),
         (np.eye(4), "nonempty tuple"),
     ],
     ids=[
         "repeated_index",
         "out_of_range",
         "nonunitary_block",
-        "block_3_of_4",
-        "three_blocks_of_2",
+        "block_stack",
+        "reflection_of_wrong_shape",
         "bare_matrix",
     ],
 )
@@ -230,6 +263,13 @@ def _random_unitary(rng, b: int, complex_entries: bool) -> np.ndarray:
     return np.linalg.qr(A)[0]
 
 
+def _random_rows(rng, shape, complex_entries: bool) -> np.ndarray:
+    A = rng.normal(size=shape)
+    if complex_entries:
+        A = A + 1j * rng.normal(size=shape)
+    return A / np.linalg.norm(A, axis=-1, keepdims=True)
+
+
 @seed(14)
 @settings(deadline=None, max_examples=60)
 @given(
@@ -240,22 +280,23 @@ def _random_unitary(rng, b: int, complex_entries: bool) -> np.ndarray:
 )
 @example(
     kinds=["perm", "perm", "stack", "perm", "perm", "perm"],
-    complex_blocks=False,
+    complex_rows=False,
     complex_embed=True,
     rng_seed=1,
 )
 @example(
     kinds=["broadcast", "perm", "perm", "broadcast"],
-    complex_blocks=True,
+    complex_rows=True,
     complex_embed=False,
     rng_seed=2,
 )
-@example(kinds=["perm", "perm", "perm"], complex_blocks=False, complex_embed=False, rng_seed=3)
-def test_dtwalk_step_applies_factors_in_order(kinds, complex_blocks, complex_embed, rng_seed):
+@example(kinds=["perm", "perm", "perm"], complex_rows=False, complex_embed=False, rng_seed=3)
+def test_dtwalk_step_applies_factors_in_order(kinds, complex_rows, complex_embed, rng_seed):
     # a custom walk on 3 base states x 4 register states against the dense
     # product of its factors, applied in order: permutations, psi -> psi[perm],
-    # alone or in runs of two or three; and stacks of b x b unitary blocks,
-    # b | 12, one block for all index blocks (broadcast) or one each (stack)
+    # alone or in runs of two or three; and reflections of each register
+    # about a unit row c_x, the block 2 c_x c_x^H - I written entry by entry,
+    # one row for every base state (broadcast) or one each (stack)
     rng = np.random.default_rng(rng_seed)
     N, r = 3, 4
     dim = N * r
@@ -265,12 +306,13 @@ def test_dtwalk_step_applies_factors_in_order(kinds, complex_blocks, complex_emb
             f = rng.permutation(dim)
             F = np.eye(dim)[f]
         else:
-            b = int(rng.choice([1, 2, 3, 4, 6, 12]))
-            B = 1 if kind == "broadcast" else dim // b
-            f = np.stack([_random_unitary(rng, b, complex_blocks) for _ in range(B)])
+            rows = _random_rows(rng, (1 if kind == "broadcast" else N, r), complex_rows)
+            f = np.broadcast_to(rows, (N, r))
             F = np.zeros((dim, dim), dtype=f.dtype)
-            for k in range(dim // b):
-                F[k * b : (k + 1) * b, k * b : (k + 1) * b] = f[k % f.shape[0]]
+            for x in range(N):
+                for q in range(r):
+                    for p in range(r):
+                        F[x * r + q, x * r + p] = 2 * f[x, q] * f[x, p].conjugate() - (q == p)
         factors.append(f)
         expected = F @ expected
     embed = _random_unitary(rng, r, complex_embed)[:N]
@@ -294,13 +336,13 @@ def test_dtwalk_step_applies_factors_in_order(kinds, complex_blocks, complex_emb
 )
 def test_dtwalk_rejects_bad_embedding(embed, message):
     with pytest.raises(ValueError, match=message):
-        DTWalk("custom", 2, 2, (np.eye(2)[None],), embed)
+        DTWalk("custom", 2, 2, (np.arange(4),), embed)
 
 
 def test_walk_without_spectral_structure_refused():
     # a walk built directly, with no lattice claim and not Szegedy's factors
-    H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    W = DTWalk("custom", 5, 2, (H2[None], np.roll(np.arange(10), 3)), np.tile([1.0, 0.0], (5, 1)))
+    coin = np.tile([np.cos(np.pi / 8), np.sin(np.pi / 8)], (5, 1))  # the Hadamard coin
+    W = DTWalk("custom", 5, 2, (coin, np.roll(np.arange(10), 3)), np.tile([1.0, 0.0], (5, 1)))
     for solve in (eigenphases, phase_gap):
         with pytest.raises(ValueError, match="'custom' declares no spectral structure"):
             solve(W)
@@ -478,8 +520,9 @@ def test_ct_phase_gap_matches_all_pairs_oracle(P):
 
 
 def test_phase_gap_identity_degenerate():
-    identity = np.eye(2, dtype=complex)[None]
-    W = DTWalk("custom", 2, 2, (identity,), np.tile([1.0, 0.0], (2, 1)), lattice=(2, 1))
+    # one reflection twice is the identity
+    rows = np.tile(np.array([1.0, 1.0j]) / np.sqrt(2.0), (2, 1))
+    W = DTWalk("custom", 2, 2, (rows, rows), np.tile([1.0, 0.0], (2, 1)), lattice=(2, 1))
     with pytest.raises(DegenerateSpectrumError, match="degenerate spectrum"):
         phase_gap(W)
 
@@ -497,9 +540,9 @@ def _with_row_3_moved(W):
 
 
 def _with_one_coin_changed(W):
-    blocks = np.tile(W.factors[0], (W.base_size, 1, 1))
-    blocks[2] = np.eye(2)
-    return dataclasses.replace(W, factors=(blocks,) + W.factors[1:])
+    rows = W.factors[0].copy()
+    rows[2] = [1.0, 0.0]
+    return dataclasses.replace(W, factors=(rows,) + W.factors[1:])
 
 
 @pytest.mark.parametrize(
@@ -521,14 +564,6 @@ def _with_one_coin_changed(W):
 def test_dtwalk_refuses_false_lattice_claims(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_dtwalk_accepts_periodic_block_stack():
-    W = coined_walk("hadamard_cycle", 8)
-    blocks = np.tile(W.factors[0], (8, 1, 1))
-    periodic = dataclasses.replace(W, factors=(blocks,) + W.factors[1:])
-    psi = dense_embedding(W)
-    np.testing.assert_array_equal(periodic.step(psi), W.step(psi))
 
 
 def _nonreversible_chain(n: int, seed: int) -> MarkovChain:
@@ -581,9 +616,10 @@ def test_szegedy_phase_gap_degenerate_on_both_paths():
     "impostor",
     [
         lambda W: W.factors * 2,  # the walk squared: every phase doubles
-        lambda W: (W.factors[0], W.factors[1], W.factors[0], -W.factors[1]),  # phases move by pi
+        # the second reflection about the uniform state, Grover's coin
+        lambda W: W.factors[:3] + (np.full(W.embed.shape, W.register_dim**-0.5),),
     ],
-    ids=["squared", "negated_reflection"],
+    ids=["squared", "grover_reflection"],
 )
 def test_szegedy_label_alone_does_not_select_the_lemma(impostor):
     W = quantize_szegedy(standard_chain(complete(5)))
